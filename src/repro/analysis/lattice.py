@@ -2,23 +2,23 @@
 
 Closed cubes, ordered by per-axis containment, form a partial order
 (in FCA terms: the tri-concept analogue of the concept lattice's
-order).  This module materializes it as a networkx DAG whose edges are
-the Hasse cover relation, plus the queries an analyst wants:
+order).  This module materializes its Hasse diagram (the cover
+relation) as a plain ``{cube: [covered cubes]}`` map, plus the queries
+an analyst wants:
 
 * which cubes are maximal / minimal,
 * the ancestors (containers) and descendants (sub-cubes) of a cube,
 * the chains (nested towers of patterns),
 * the lattice height and an antichain decomposition.
 
-Note the direction: an edge ``a -> b`` means ``a`` strictly contains
-``b`` on every axis (``a`` is the more general, bigger block).
+Note the direction: ``b in dag[a]`` means ``a`` strictly contains
+``b`` on every axis (``a`` is the more general, bigger block) with no
+cube of the collection in between.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
-
-import networkx as nx
 
 from ..core.cube import Cube
 from ..core.result import MiningResult
@@ -26,20 +26,21 @@ from ..core.result import MiningResult
 __all__ = ["build_containment_dag", "maximal_cubes", "minimal_cubes", "CubeLattice"]
 
 
-def build_containment_dag(cubes: Iterable[Cube]) -> nx.DiGraph:
+def build_containment_dag(cubes: Iterable[Cube]) -> dict[Cube, list[Cube]]:
     """Build the Hasse diagram of cube containment.
 
-    Quadratic in the cube count, then transitively reduced; intended
-    for result sets of up to a few thousand cubes.
+    Maps each cube to the cubes it *covers*: strict sub-cubes with no
+    cube of the collection in between.  Cubic in the cube count in the
+    worst case; intended for result sets of up to a few thousand cubes.
     """
-    graph = nx.DiGraph()
     cube_list = list(dict.fromkeys(cubes))
-    graph.add_nodes_from(cube_list)
-    for a in cube_list:
-        for b in cube_list:
-            if a is not b and a != b and a.contains(b):
-                graph.add_edge(a, b)
-    return nx.transitive_reduction(graph) if graph.number_of_edges() else graph
+    inside = {
+        a: [b for b in cube_list if b != a and a.contains(b)] for a in cube_list
+    }
+    return {
+        a: [b for b in below if not any(c != b and c.contains(b) for c in below)]
+        for a, below in inside.items()
+    }
 
 
 def maximal_cubes(cubes: Iterable[Cube]) -> list[Cube]:
@@ -73,50 +74,85 @@ class CubeLattice:
     """
 
     def __init__(self, cubes: Iterable[Cube] | MiningResult) -> None:
-        self._cubes = list(cubes)
+        self._cubes = list(dict.fromkeys(cubes))
         self._dag = build_containment_dag(self._cubes)
 
     @property
-    def dag(self) -> nx.DiGraph:
+    def dag(self) -> dict[Cube, list[Cube]]:
+        """The cover map of :func:`build_containment_dag`."""
         return self._dag
 
     def __len__(self) -> int:
-        return self._dag.number_of_nodes()
+        return len(self._cubes)
 
     def maximal(self) -> list[Cube]:
         """Roots: cubes with no container in the collection."""
-        return [c for c in self._dag.nodes if self._dag.in_degree(c) == 0]
+        covered = {b for below in self._dag.values() for b in below}
+        return [c for c in self._cubes if c not in covered]
 
     def minimal(self) -> list[Cube]:
         """Leaves: cubes containing no other cube of the collection."""
-        return [c for c in self._dag.nodes if self._dag.out_degree(c) == 0]
+        return [c for c in self._cubes if not self._dag[c]]
 
     def containers_of(self, cube: Cube) -> list[Cube]:
         """Every cube of the collection strictly containing ``cube``."""
         if cube not in self._dag:
             raise KeyError(f"{cube!r} is not in the lattice")
-        return list(nx.ancestors(self._dag, cube))
+        return [a for a in self._cubes if a != cube and a.contains(cube)]
 
     def contained_in(self, cube: Cube) -> list[Cube]:
         """Every cube of the collection strictly inside ``cube``."""
         if cube not in self._dag:
             raise KeyError(f"{cube!r} is not in the lattice")
-        return list(nx.descendants(self._dag, cube))
+        return [b for b in self._cubes if b != cube and cube.contains(b)]
+
+    def _depths(self) -> tuple[dict[Cube, int], dict[Cube, Cube]]:
+        """Longest-path pass: each cube's chain length from a root, in nodes.
+
+        A strict container has strictly more members (heights + rows +
+        columns), so visiting cubes by decreasing member count visits
+        every container before its sub-cubes.
+        Returns the depths and, for non-roots, the cover on one longest
+        chain into the cube.
+        """
+        depth: dict[Cube, int] = {}
+        parent: dict[Cube, Cube] = {}
+        by_size = sorted(
+            self._cubes, key=lambda c: -(c.h_support + c.r_support + c.c_support)
+        )
+        for a in by_size:
+            depth.setdefault(a, 1)
+            for b in self._dag[a]:
+                if depth[a] + 1 > depth.get(b, 0):
+                    depth[b] = depth[a] + 1
+                    parent[b] = a
+        return depth, parent
 
     def height(self) -> int:
         """Length (in nodes) of the longest containment chain."""
-        if len(self._dag) == 0:
-            return 0
-        return int(nx.dag_longest_path_length(self._dag)) + 1
+        depth, _ = self._depths()
+        return max(depth.values(), default=0)
 
     def longest_chain(self) -> list[Cube]:
         """One longest nested tower, outermost first."""
-        if len(self._dag) == 0:
+        depth, parent = self._depths()
+        if not depth:
             return []
-        return list(nx.dag_longest_path(self._dag))
+        cube = max(self._cubes, key=depth.__getitem__)
+        chain = [cube]
+        while cube in parent:
+            cube = parent[cube]
+            chain.append(cube)
+        return chain[::-1]
 
     def antichain_levels(self) -> list[list[Cube]]:
-        """Partition into levels of pairwise-incomparable cubes."""
-        if len(self._dag) == 0:
-            return []
-        return [list(level) for level in nx.topological_generations(self._dag)]
+        """Partition into levels of pairwise-incomparable cubes.
+
+        Level ``k`` holds the cubes whose longest chain from a root has
+        ``k + 1`` nodes; two comparable cubes always differ in it.
+        """
+        depth, _ = self._depths()
+        levels: list[list[Cube]] = [[] for _ in range(max(depth.values(), default=0))]
+        for cube in self._cubes:
+            levels[depth[cube] - 1].append(cube)
+        return levels

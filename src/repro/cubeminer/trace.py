@@ -1,8 +1,8 @@
 """Traced CubeMiner: the full split tree of Figure 1.
 
-:func:`trace_tree` re-runs CubeMiner on a (small!) dataset recording
-every node: its cube, tree level (cutter step), branch kind and — for
-pruned sons — which rule fired.  The paper's Figure 1 prune categories
+:func:`trace_tree` runs CubeMiner on a (small!) dataset and rebuilds
+every node from the miner's node/prune events: its cube, tree level
+(cutter step), branch kind and — for pruned sons — which rule fired.  The paper's Figure 1 prune categories
 map to :class:`PruneReason` as
 
 * (a) left son whose cutter's left atom cut the path → ``LEFT_TRACK``,
@@ -19,11 +19,11 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from ..core.bitset import bit_count, full_mask
+from ..core.bitset import full_mask
 from ..core.constraints import Thresholds
 from ..core.cube import Cube
 from ..core.dataset import Dataset3D
-from .checks import height_set_closed, row_set_closed
+from .algorithm import cubeminer_mine
 from .cutter import Cutter, HeightOrder, build_cutters
 
 __all__ = [
@@ -114,6 +114,58 @@ class TraceNode:
         return [node.cube for node in self.iter_nodes() if node.is_leaf]
 
 
+#: The reverse of :data:`PRUNE_METRIC_FIELDS`: a prune event's counter
+#: name back to its Figure 1 category.
+_REASON_OF_FIELD = {name: reason for reason, name in PRUNE_METRIC_FIELDS.items()}
+
+
+class _TreeBuilder:
+    """Event sink rebuilding the split tree from a live CubeMiner run.
+
+    The miner pops a node, emits its :class:`~repro.obs.events.NodeEvent`,
+    then one :class:`~repro.obs.events.PruneEvent` per son it discards;
+    the sons it keeps are pushed left, middle, right and popped LIFO.
+    Mirroring that stack hangs every node event on its parent's son.
+    """
+
+    def __init__(self, root: TraceNode, cutters: list[Cutter]) -> None:
+        self.cutters = cutters
+        self.pending = [root]  # kept sons awaiting their node event
+        self.sons: dict[str, TraceNode] = {}  # the last node's sons, by event branch
+
+    def __call__(self, event) -> None:
+        if event.kind == "node":
+            self.push_kept_sons()
+            node = self.pending.pop()
+            if event.is_leaf:
+                node.is_leaf = True
+                return
+            cutter = self.cutters[event.cutter_index]
+            heights, rows, columns = event.heights, event.rows, event.columns
+            level = event.cutter_index + 1
+            node.children = [
+                TraceNode(
+                    Cube(heights & ~(1 << cutter.height), rows, columns),
+                    level, Branch.LEFT, cutter,
+                ),
+                TraceNode(
+                    Cube(heights, rows & ~(1 << cutter.row), columns),
+                    level, Branch.MIDDLE, cutter,
+                ),
+                TraceNode(
+                    Cube(heights, rows, columns & ~cutter.columns),
+                    level, Branch.RIGHT, cutter,
+                ),
+            ]
+            self.sons = dict(zip(("left", "middle", "right"), node.children))
+        elif event.kind == "prune":
+            self.sons[event.branch].pruned = _REASON_OF_FIELD[event.reason]
+
+    def push_kept_sons(self) -> None:
+        self.pending += [son for son in self.sons.values() if son.pruned is None]
+        self.sons = {}
+
+
 def trace_tree(
     dataset: Dataset3D,
     thresholds: Thresholds,
@@ -122,8 +174,11 @@ def trace_tree(
 ) -> TraceNode:
     """Run CubeMiner recording the full split tree (small datasets only).
 
-    The default ``ORIGINAL`` cutter order matches the paper's Figure 1,
-    which applies Table 3's cutters in their listed order.
+    The tree is rebuilt from the event stream of
+    :func:`~repro.cubeminer.algorithm.cubeminer_mine` itself, so it shows
+    exactly the search the live miner makes.  The default ``ORIGINAL``
+    cutter order matches the paper's Figure 1, which applies Table 3's
+    cutters in their listed order.
     """
     l, n, m = dataset.shape
     if l * n * m > _MAX_TRACE_CELLS:
@@ -131,94 +186,20 @@ def trace_tree(
             f"trace_tree keeps every node in memory; {l}x{n}x{m} exceeds the "
             f"{_MAX_TRACE_CELLS}-cell guard"
         )
-    cutters = build_cutters(dataset, order)
-    min_h, min_r, min_c = thresholds.as_tuple()
-    min_volume = thresholds.min_volume
     root = TraceNode(
         cube=Cube(full_mask(l), full_mask(n), full_mask(m)),
         level=0,
         branch=Branch.ROOT,
     )
-
-    def expand(node: TraceNode, index: int, track_left: int, track_middle: int) -> None:
-        cube = node.cube
-        heights, rows, columns = cube.heights, cube.rows, cube.columns
-        while index < len(cutters):
-            cutter = cutters[index]
-            if (
-                heights >> cutter.height & 1
-                and rows >> cutter.row & 1
-                and columns & cutter.columns
-            ):
-                break
-            index += 1
-        else:
-            node.is_leaf = True
-            return
-        cutter = cutters[index]
-        left_atom = 1 << cutter.height
-        middle_atom = 1 << cutter.row
-        level = index + 1
-
-        def attach(branch: Branch, son: Cube, pruned: PruneReason | None) -> TraceNode:
-            child = TraceNode(
-                cube=son, level=level, branch=branch, cutter=cutter, pruned=pruned
-            )
-            node.children.append(child)
-            return child
-
-        son = Cube(heights & ~left_atom, rows, columns)
-        if bit_count(son.heights) < min_h:
-            attach(Branch.LEFT, son, PruneReason.MIN_H)
-        elif son.volume < min_volume:
-            attach(Branch.LEFT, son, PruneReason.MIN_VOLUME)
-        elif left_atom & track_left:
-            attach(Branch.LEFT, son, PruneReason.LEFT_TRACK)
-        elif not row_set_closed(dataset, son.heights, rows, columns):
-            attach(Branch.LEFT, son, PruneReason.ROW_UNCLOSED)
-        else:
-            expand(attach(Branch.LEFT, son, None), index + 1, track_left, track_middle)
-
-        son = Cube(heights, rows & ~middle_atom, columns)
-        if bit_count(son.rows) < min_r:
-            attach(Branch.MIDDLE, son, PruneReason.MIN_R)
-        elif son.volume < min_volume:
-            attach(Branch.MIDDLE, son, PruneReason.MIN_VOLUME)
-        elif middle_atom & track_middle:
-            attach(Branch.MIDDLE, son, PruneReason.MIDDLE_TRACK)
-        elif not height_set_closed(dataset, heights, son.rows, columns):
-            attach(Branch.MIDDLE, son, PruneReason.HEIGHT_UNCLOSED)
-        else:
-            expand(
-                attach(Branch.MIDDLE, son, None),
-                index + 1,
-                track_left | left_atom,
-                track_middle,
-            )
-
-        son = Cube(heights, rows, columns & ~cutter.columns)
-        if bit_count(son.columns) < min_c:
-            attach(Branch.RIGHT, son, PruneReason.MIN_C)
-        elif son.volume < min_volume:
-            attach(Branch.RIGHT, son, PruneReason.MIN_VOLUME)
-        elif not height_set_closed(dataset, heights, rows, son.columns):
-            attach(Branch.RIGHT, son, PruneReason.HEIGHT_UNCLOSED)
-        elif not row_set_closed(dataset, heights, rows, son.columns):
-            attach(Branch.RIGHT, son, PruneReason.ROW_UNCLOSED)
-        else:
-            expand(
-                attach(Branch.RIGHT, son, None),
-                index + 1,
-                track_left | left_atom,
-                track_middle | middle_atom,
-            )
-
-    if thresholds.feasible_for_shape(dataset.shape):
-        expand(root, 0, 0, 0)
-    else:
-        root.pruned = PruneReason.MIN_H if l < min_h else (
-            PruneReason.MIN_R if n < min_r else PruneReason.MIN_C
+    if not thresholds.feasible_for_shape(dataset.shape):
+        root.pruned = PruneReason.MIN_H if l < thresholds.min_h else (
+            PruneReason.MIN_R if n < thresholds.min_r else PruneReason.MIN_C
         )
+        return root
+    cutters = build_cutters(dataset, order)
+    builder = _TreeBuilder(root, cutters)
+    cubeminer_mine(dataset, thresholds, cutters=cutters, on_event=builder)
+    builder.push_kept_sons()
     return root
 
 

@@ -6,13 +6,15 @@ library writes into while it runs: CubeMiner's search-tree counters
 post-prune counters (Lemma 1), and coarse kernel-operation tallies.
 The counters are plain integer attributes on a dataclass — incrementing
 them costs one attribute store, so they stay enabled on every run; the
-paper's prune-rule effectiveness becomes a first-class result instead
-of a debug-only re-run (``trace_tree`` remains for full per-node trees
-on small inputs).
+paper's prune-rule effectiveness becomes a first-class result, not a
+debug-only re-run.  For full per-node trees on small inputs,
+``trace_tree`` rebuilds the tree from the same live run's node/prune
+events, so its per-rule tallies and these counters come from one search.
 
 Parallel drivers merge the per-worker counter sets back into the
 parent's with :meth:`MiningMetrics.merge`, so a distributed run reports
-the same totals a sequential run would.
+the same totals a sequential run would.  :class:`ChaosCounters` (the
+service's robustness tallies) shares the same dict/merge base.
 """
 
 from __future__ import annotations
@@ -34,12 +36,44 @@ PRUNE_FIELDS = (
     "pruned_row_unclosed",
 )
 
-#: Fields merged with ``max`` instead of ``+`` (high-water marks).
-_MAX_FIELDS = frozenset({"max_stack_depth"})
+
+class _Counters:
+    """Dict views, rebuild and merge for a dataclass of integer counters.
+
+    Counters add on :meth:`merge`, except the fields named in
+    ``_MAX_FIELDS`` (high-water marks), which take the max.
+    """
+
+    _MAX_FIELDS: frozenset[str] = frozenset()
+
+    def as_dict(self) -> dict[str, int]:
+        """All counters as a plain ``{field: value}`` dict."""
+        return dict(vars(self))
+
+    #: Stable-schema alias used by :class:`~repro.core.result.MiningStats`.
+    to_dict = as_dict
+
+    @classmethod
+    def from_dict(cls, payload: dict):
+        """Rebuild from :meth:`as_dict` output; unknown keys are ignored
+        and missing keys default to zero (forward/backward compatible).
+        """
+        known = {f.name for f in fields(cls)}  # type: ignore[arg-type]
+        return cls(**{k: int(v) for k, v in payload.items() if k in known})
+
+    def merge(self, other):
+        """Fold another counter set of the same kind into this one (in place)."""
+        for f in fields(self):  # type: ignore[arg-type]
+            theirs = getattr(other, f.name)
+            if f.name in self._MAX_FIELDS:
+                setattr(self, f.name, max(getattr(self, f.name), theirs))
+            else:
+                setattr(self, f.name, getattr(self, f.name) + theirs)
+        return self
 
 
 @dataclass
-class MiningMetrics:
+class MiningMetrics(_Counters):
     """Counter set for one mining run (or one aggregated parallel run).
 
     All fields are cumulative counts except ``max_stack_depth`` (a
@@ -96,15 +130,8 @@ class MiningMetrics:
     subsets_remined: int = 0
     stream_chunks_read: int = 0
 
-    # ------------------------------------------------------------------
-    # Views
-    # ------------------------------------------------------------------
-    def as_dict(self) -> dict[str, int]:
-        """All counters as a plain ``{field: value}`` dict."""
-        return dict(vars(self))
-
-    #: Stable-schema alias used by :class:`~repro.core.result.MiningStats`.
-    to_dict = as_dict
+    #: Fields merged with ``max`` instead of ``+`` (high-water marks).
+    _MAX_FIELDS = frozenset({"max_stack_depth"})
 
     def prune_counts(self) -> dict[str, int]:
         """The CubeMiner prune-rule counters (Figure 1's categories)."""
@@ -114,38 +141,13 @@ class MiningMetrics:
         """Sum of all CubeMiner prune-rule hits."""
         return sum(getattr(self, name) for name in PRUNE_FIELDS)
 
-    # ------------------------------------------------------------------
-    # Construction / aggregation
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_dict(cls, payload: dict) -> "MiningMetrics":
-        """Rebuild from :meth:`as_dict` output; unknown keys are ignored
-        and missing keys default to zero (forward/backward compatible).
-        """
-        known = {f.name for f in fields(cls)}
-        return cls(**{k: int(v) for k, v in payload.items() if k in known})
-
-    def merge(self, other: "MiningMetrics") -> "MiningMetrics":
-        """Fold another counter set into this one (in place).
-
-        Counters add; high-water marks take the max.  Used by the
-        parallel drivers to aggregate worker metrics into the parent's.
-        """
-        for f in fields(self):
-            theirs = getattr(other, f.name)
-            if f.name in _MAX_FIELDS:
-                setattr(self, f.name, max(getattr(self, f.name), theirs))
-            else:
-                setattr(self, f.name, getattr(self, f.name) + theirs)
-        return self
-
     def copy(self) -> "MiningMetrics":
         """An independent snapshot of the current counter values."""
         return MiningMetrics(**self.as_dict())
 
 
 @dataclass
-class ChaosCounters:
+class ChaosCounters(_Counters):
     """Service-hardening counters: what the runtime survived.
 
     One shared instance is threaded through the registry, cache, mmap
@@ -170,18 +172,3 @@ class ChaosCounters:
     corruption_evicted: int = 0
     #: Orphaned temp files swept on store open.
     stale_temps_swept: int = 0
-
-    def as_dict(self) -> dict[str, int]:
-        return dict(vars(self))
-
-    to_dict = as_dict
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ChaosCounters":
-        known = {f.name for f in fields(cls)}
-        return cls(**{k: int(v) for k, v in payload.items() if k in known})
-
-    def merge(self, other: "ChaosCounters") -> "ChaosCounters":
-        for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
-        return self

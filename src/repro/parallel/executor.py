@@ -62,7 +62,7 @@ from ..core.dataset import AXIS_NAMES, Dataset3D
 from ..core.kernels import Kernel
 from ..core.permute import map_cube_from_transposed, order_moving_axis_first
 from ..core.result import MiningResult, MiningStats
-from ..cubeminer.algorithm import CubeMinerStats, _run
+from ..cubeminer.algorithm import _run
 from ..cubeminer.cutter import Cutter, HeightOrder, build_cutters
 from ..fcp import get_fcp_miner
 from ..obs import (
@@ -72,11 +72,9 @@ from ..obs import (
     MiningCancelled,
     MiningMetrics,
     ProgressController,
-    SliceEvent,
     resolve_progress,
 )
-from ..rsm.algorithm import resolve_base_axis
-from ..rsm.postprune import height_closed_in
+from ..rsm.algorithm import mine_slice, resolve_base_axis
 from ..rsm.slices import representative_slice
 from .checkpoint import CheckpointJournal, run_fingerprint
 from .faults import FaultPlan
@@ -154,29 +152,9 @@ def _rsm_worker_chunk(
     found: list[tuple[int, int, int]] = []
     try:
         for done, heights in enumerate(height_masks, start=1):
-            size = heights.bit_count()
-            stats.rs_slices_mined += 1
-            stats.kernel_ops += 1
             rs = representative_slice(dataset, heights)
-            patterns = miner.mine(
-                rs, min_rows=thresholds.min_r, min_columns=thresholds.min_c
-            )
-            stats.fcp_patterns += len(patterns)
-            n_kept = 0
-            for pattern in patterns:
-                volume = size * pattern.row_support * pattern.column_support
-                if volume < thresholds.min_volume:
-                    continue
-                stats.postprune_checked += 1
-                if height_closed_in(
-                    dataset, heights, pattern.rows, pattern.columns, metrics=stats
-                ):
-                    n_kept += 1
-                    found.append((heights, pattern.rows, pattern.columns))
-                else:
-                    stats.postprune_discards += 1
-            if sink is not None:
-                sink(SliceEvent(heights, len(patterns), n_kept))
+            for cube in mine_slice(dataset, heights, rs, thresholds, miner, stats, sink):
+                found.append((cube.heights, cube.rows, cube.columns))
             if progress is not None:
                 progress.checkpoint(
                     stats, phase="parallel-rsm", done=done, total=len(height_masks)

@@ -29,11 +29,11 @@ from dataclasses import dataclass
 from ..core.constraints import Thresholds
 from ..core.dataset import Dataset3D
 from ..core.permute import order_moving_axis_first
-from ..cubeminer.algorithm import CubeMinerStats, _run
+from ..cubeminer.algorithm import _run
 from ..cubeminer.cutter import HeightOrder, build_cutters
 from ..fcp import get_fcp_miner
-from ..rsm.algorithm import resolve_base_axis
-from ..rsm.postprune import height_closed_in
+from ..obs.metrics import MiningMetrics
+from ..rsm.algorithm import mine_slice, resolve_base_axis
 from ..rsm.slices import representative_slice, enumerate_height_subsets
 from .tasks import cubeminer_tasks
 
@@ -133,16 +133,11 @@ def measure_rsm_task_times(
     times: list[float] = []
     if not working_thresholds.feasible_for_shape(working.shape):
         return times
+    metrics = MiningMetrics()
     for heights in enumerate_height_subsets(working.n_heights, working_thresholds.min_h):
         t0 = time.perf_counter()
         rs = representative_slice(working, heights)
-        patterns = miner.mine(
-            rs,
-            min_rows=working_thresholds.min_r,
-            min_columns=working_thresholds.min_c,
-        )
-        for pattern in patterns:
-            height_closed_in(working, heights, pattern.rows, pattern.columns)
+        mine_slice(working, heights, rs, working_thresholds, miner, metrics)
         times.append(time.perf_counter() - t0)
     return times
 
@@ -165,6 +160,6 @@ def measure_cubeminer_task_times(
     times: list[float] = []
     for task in tasks:
         t0 = time.perf_counter()
-        _run(dataset, thresholds, cutters, [task.as_stack_item()], CubeMinerStats())
+        _run(dataset, thresholds, cutters, [task.as_stack_item()], MiningMetrics())
         times.append(time.perf_counter() - t0)
     return times

@@ -37,6 +37,7 @@ from ..core.dataset import Dataset3D
 from ..core.permute import map_cube_from_transposed, order_moving_axis_first
 from ..core.result import MiningResult, MiningStats
 from ..fcp import FCPMiner, get_fcp_miner
+from ..fcp.matrix import BinaryMatrix
 from ..obs import (
     EventSink,
     MineDone,
@@ -48,10 +49,10 @@ from ..obs import (
     SliceEvent,
     resolve_progress,
 )
-from .postprune import PostPruneStats, height_closed_in
+from .postprune import height_closed_in
 from .slices import count_height_subsets, iter_size_slices
 
-__all__ = ["rsm_mine", "RSMMiner", "resolve_base_axis"]
+__all__ = ["rsm_mine", "mine_slice", "RSMMiner", "resolve_base_axis"]
 
 _AXIS_BY_NAME = {"height": 0, "row": 1, "column": 2}
 
@@ -172,6 +173,58 @@ def rsm_mine(
     return result
 
 
+def mine_slice(
+    dataset: Dataset3D,
+    heights: int,
+    rs: BinaryMatrix,
+    thresholds: Thresholds,
+    miner: FCPMiner,
+    metrics: MiningMetrics,
+    sink: EventSink | None = None,
+) -> list[Cube]:
+    """RSM's per-subset step: phases 2 and 3 on one representative slice.
+
+    Mines the 2D FCPs of ``rs`` (the AND of the slices in ``heights``),
+    drops patterns below the volume floor, and keeps the rest only when
+    Lemma 1 says no outside height covers them.  Every RSM variant
+    calls this; each owns its own subset enumeration and slice fold.
+    The slice, its patterns and the post-prune outcome are tallied into
+    ``metrics``; with a ``sink``, each Lemma-1 discard emits a
+    ``PruneEvent("postprune")`` and the slice a closing
+    :class:`~repro.obs.events.SliceEvent`.  Returns the kept cubes.
+    """
+    metrics.rs_slices_mined += 1
+    metrics.kernel_ops += 1
+    patterns = miner.mine(rs, min_rows=thresholds.min_r, min_columns=thresholds.min_c)
+    metrics.fcp_patterns += len(patterns)
+    size = heights.bit_count()
+    min_volume = thresholds.min_volume
+    kept: list[Cube] = []
+    for pattern in patterns:
+        if size * pattern.row_support * pattern.column_support < min_volume:
+            continue
+        metrics.postprune_checked += 1
+        if height_closed_in(
+            dataset, heights, pattern.rows, pattern.columns, metrics=metrics
+        ):
+            kept.append(Cube(heights, pattern.rows, pattern.columns))
+        else:
+            metrics.postprune_discards += 1
+            if sink is not None:
+                sink(
+                    PruneEvent(
+                        "postprune",
+                        "postprune_discards",
+                        heights,
+                        pattern.rows,
+                        pattern.columns,
+                    )
+                )
+    if sink is not None:
+        sink(SliceEvent(heights, len(patterns), len(kept)))
+    return kept
+
+
 def _mine_base_height(
     dataset: Dataset3D,
     thresholds: Thresholds,
@@ -186,56 +239,25 @@ def _mine_base_height(
     cancellation the raised exception carries the cubes found so far in
     ``partial_cubes``.
     """
-    min_h, min_r, min_c = thresholds.as_tuple()
-    min_volume = thresholds.min_volume
-    prune = PostPruneStats(metrics)
-    slices_before = metrics.rs_slices_mined
-    patterns_before = metrics.fcp_patterns
-    checked_before = metrics.postprune_checked
-    discards_before = metrics.postprune_discards
+    before = metrics.copy()
     cubes: list[Cube] = []
     try:
         if thresholds.feasible_for_shape(dataset.shape):
             n_heights = dataset.n_heights
-            total = count_height_subsets(n_heights, min_h)
+            total = count_height_subsets(n_heights, thresholds.min_h)
             slice_cells = dataset.n_rows * dataset.n_columns
             n_enumerated = 0
-            for size in range(min_h, n_heights + 1):
-                if size * slice_cells < min_volume:
+            for size in range(thresholds.min_h, n_heights + 1):
+                if size * slice_cells < thresholds.min_volume:
                     # No slice of this size can reach the volume floor:
                     # skip the whole size without enumerating it.
                     n_enumerated += comb(n_heights, size)
                     continue
                 for heights, rs in iter_size_slices(dataset, size):
                     n_enumerated += 1
-                    metrics.rs_slices_mined += 1
-                    metrics.kernel_ops += 1
-                    patterns = miner.mine(rs, min_rows=min_r, min_columns=min_c)
-                    metrics.fcp_patterns += len(patterns)
-                    n_kept = 0
-                    for pattern in patterns:
-                        if size * pattern.row_support * pattern.column_support < min_volume:
-                            continue
-                        kept = height_closed_in(
-                            dataset, heights, pattern.rows, pattern.columns,
-                            metrics=metrics,
-                        )
-                        prune.record(kept)
-                        if kept:
-                            n_kept += 1
-                            cubes.append(Cube(heights, pattern.rows, pattern.columns))
-                        elif sink is not None:
-                            sink(
-                                PruneEvent(
-                                    "postprune",
-                                    "postprune_discards",
-                                    heights,
-                                    pattern.rows,
-                                    pattern.columns,
-                                )
-                            )
-                    if sink is not None:
-                        sink(SliceEvent(heights, len(patterns), n_kept))
+                    cubes += mine_slice(
+                        dataset, heights, rs, thresholds, miner, metrics, sink
+                    )
                     if progress is not None:
                         progress.checkpoint(
                             metrics, phase="rsm", done=n_enumerated, total=total
@@ -245,10 +267,10 @@ def _mine_base_height(
         exc.metrics = metrics
         raise
     extra = {
-        "representative_slices": metrics.rs_slices_mined - slices_before,
-        "fcp_patterns": metrics.fcp_patterns - patterns_before,
-        "postprune_checked": metrics.postprune_checked - checked_before,
-        "postprune_pruned": metrics.postprune_discards - discards_before,
+        "representative_slices": metrics.rs_slices_mined - before.rs_slices_mined,
+        "fcp_patterns": metrics.fcp_patterns - before.fcp_patterns,
+        "postprune_checked": metrics.postprune_checked - before.postprune_checked,
+        "postprune_pruned": metrics.postprune_discards - before.postprune_discards,
     }
     return cubes, extra
 

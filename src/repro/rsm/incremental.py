@@ -2,49 +2,22 @@
 
 Microarray series and sales logs grow along one axis (a new time
 point, a new month).  Re-mining from scratch discards everything known
-about the old tensor; this module updates an existing result instead.
-
-Let ``O`` be the old tensor with FCC set ``F`` (at thresholds ``T``)
-and let ``s`` be a new height slice.  In the extended tensor
-``O' = O + s``:
-
-1. **Old cubes survive, possibly extended.**  For ``(H', R', C') ∈ F``:
-   if ``s`` covers ``R' x C'`` (all ones there), the cube becomes
-   ``(H' + s, R', C')`` — the height support grew by exactly ``s``,
-   while row/column supports cannot grow (more heights = more
-   constraints) and cannot shrink (supports over ``H'`` alone are
-   unchanged and ``s`` covers).  Otherwise the cube is unchanged and
-   still closed (no support set moved).
-2. **Every genuinely new FCC contains ``s``.**  A new-tensor FCC
-   without ``s`` in its height set has all support sets computed over
-   old slices only, so it was already closed and frequent in ``O`` —
-   i.e. it is in ``F`` (case 1).  The new cubes are found by RSM
-   restricted to height subsets *containing* ``s``: enumerate
-   ``H' ⊆ H_old`` with ``|H'| >= minH - 1``, mine the 2D FCPs of
-   ``RS(H' + s)``, and post-prune height closure as usual.  This also
-   catches previously-infrequent patterns that ``s`` pushes over
-   ``minH``.
-
-Cost: half of a fresh RSM run (only subsets through ``s``) plus a
-linear pass over the old cubes — and no work at all on the vast
-majority of subsets when ``minH`` is selective.
+about the old tensor; :func:`append_height_slice` updates an existing
+result instead.  It is the one-height-append case of
+:func:`repro.stream.maintain`: the new slice is the only dirty height,
+so old cubes are patched forward (gaining the new height where it
+covers their region) and only the height subsets through the new slice
+are re-mined — about half of a fresh RSM run.
 """
 
 from __future__ import annotations
 
-import time
-from itertools import combinations
-
 import numpy as np
 
-from ..core.bitset import is_subset, mask_of
 from ..core.constraints import Thresholds
-from ..core.cube import Cube
 from ..core.dataset import Dataset3D
 from ..core.result import MiningResult
-from ..fcp import FCPMiner, get_fcp_miner
-from ..fcp.matrix import BinaryMatrix
-from .postprune import height_closed_in
+from ..fcp import FCPMiner
 
 __all__ = ["append_height_slice"]
 
@@ -75,93 +48,11 @@ def append_height_slice(
     slice_label:
         Height label for the new slice (defaults to ``h<l+1>``).
 
-    Returns the extended dataset and the updated result.
+    Returns the extended dataset and the updated result, exactly as
+    :func:`repro.stream.maintain` reports them.
     """
-    if thresholds is None:
-        thresholds = result.thresholds
-    if thresholds is None:
-        raise ValueError("thresholds are required (argument or result metadata)")
-    slice_array = np.asarray(new_slice)
-    if slice_array.shape != (dataset.n_rows, dataset.n_columns):
-        raise ValueError(
-            f"new slice shape {slice_array.shape} does not match "
-            f"({dataset.n_rows}, {dataset.n_columns})"
-        )
-    miner = get_fcp_miner(fcp_miner) if isinstance(fcp_miner, str) else fcp_miner
-    start = time.perf_counter()
+    # Imported here: repro.stream imports repro.rsm at module load.
+    from ..stream import AppendSlice, maintain
 
-    extended = _extend_dataset(dataset, slice_array, slice_label)
-    new_index = dataset.n_heights
-    new_bit = 1 << new_index
-    slice_masks = extended.slice_row_masks(new_index)
-
-    # --- Case 1: carry the old cubes forward --------------------------
-    cubes: set[Cube] = set()
-    for cube in result:
-        covers = all(
-            is_subset(cube.columns, slice_masks[i]) for i in cube.row_indices()
-        )
-        if covers:
-            cubes.add(Cube(cube.heights | new_bit, cube.rows, cube.columns))
-        else:
-            cubes.add(cube)
-
-    # --- Case 2: cubes whose height set contains the new slice --------
-    # Enumerate old-height subsets of size >= minH-1 and mine RS(H'+s).
-    min_h, min_r, min_c = thresholds.as_tuple()
-    slices_mined = 0
-    if (
-        min_r <= extended.n_rows
-        and min_c <= extended.n_columns
-        and min_h <= extended.n_heights
-    ):
-        lower = max(min_h - 1, 0)
-        for size in range(lower, dataset.n_heights + 1):
-            for subset in combinations(range(dataset.n_heights), size):
-                heights = mask_of(subset) | new_bit
-                slices_mined += 1
-                masks = list(slice_masks)
-                for k in subset:
-                    old = dataset.slice_row_masks(k)
-                    masks = [m & o for m, o in zip(masks, old)]
-                rs = BinaryMatrix.from_row_masks(masks, extended.n_columns)
-                for pattern in miner.mine(rs, min_rows=min_r, min_columns=min_c):
-                    volume = (
-                        (size + 1) * pattern.row_support * pattern.column_support
-                    )
-                    if volume < thresholds.min_volume:
-                        continue
-                    if height_closed_in(
-                        extended, heights, pattern.rows, pattern.columns
-                    ):
-                        cubes.add(Cube(heights, pattern.rows, pattern.columns))
-
-    updated = MiningResult(
-        cubes=list(cubes),
-        algorithm=f"incremental[{result.algorithm}]",
-        thresholds=thresholds,
-        dataset_shape=extended.shape,
-        elapsed_seconds=time.perf_counter() - start,
-        stats={
-            "old_cubes": len(result),
-            "slices_mined": slices_mined,
-        },
-    )
-    return extended, updated
-
-
-def _extend_dataset(
-    dataset: Dataset3D, slice_array: np.ndarray, slice_label: str | None
-) -> Dataset3D:
-    stacked = np.concatenate(
-        [dataset.data, slice_array.astype(bool)[None, :, :]], axis=0
-    )
-    label = slice_label or f"h{dataset.n_heights + 1}"
-    if label in dataset.height_labels:
-        raise ValueError(f"height label {label!r} already exists")
-    return Dataset3D(
-        stacked,
-        height_labels=[*dataset.height_labels, label],
-        row_labels=dataset.row_labels,
-        column_labels=dataset.column_labels,
-    )
+    append = AppendSlice(0, np.asarray(new_slice, dtype=bool), slice_label)
+    return maintain(dataset, result, [append], thresholds, fcp_miner=fcp_miner)

@@ -7,6 +7,8 @@ ones).  It may still be unclosed in the height set: the same 2D pattern
 can be contained in further slices outside the subset.  Lemma 1 prunes
 exactly those, with double early termination: one zero cell dismisses a
 candidate slice, one fully-covering slice dismisses the pattern.
+The per-subset step that applies it, :func:`repro.rsm.algorithm.mine_slice`,
+tallies the ``postprune_checked`` / ``postprune_discards`` counters.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from ..core.bitset import full_mask
 from ..core.dataset import Dataset3D
 from ..obs.metrics import MiningMetrics
 
-__all__ = ["height_closed_in", "PostPruneStats"]
+__all__ = ["height_closed_in"]
 
 
 def height_closed_in(
@@ -42,33 +44,3 @@ def height_closed_in(
         )
         == 0
     )
-
-
-class PostPruneStats:
-    """Counters for the post-pruning phase.
-
-    A thin recorder over :class:`~repro.obs.metrics.MiningMetrics`: the
-    counts land in the library-wide ``postprune_checked`` /
-    ``postprune_discards`` counters (pass a shared instance to
-    aggregate into a run's metrics), while the historical
-    ``patterns_checked`` / ``patterns_pruned`` attribute names keep
-    working.
-    """
-
-    __slots__ = ("metrics",)
-
-    def __init__(self, metrics: MiningMetrics | None = None) -> None:
-        self.metrics = metrics if metrics is not None else MiningMetrics()
-
-    @property
-    def patterns_checked(self) -> int:
-        return self.metrics.postprune_checked
-
-    @property
-    def patterns_pruned(self) -> int:
-        return self.metrics.postprune_discards
-
-    def record(self, kept: bool) -> None:
-        self.metrics.postprune_checked += 1
-        if not kept:
-            self.metrics.postprune_discards += 1

@@ -15,10 +15,11 @@ from ..core.bitset import indices
 from ..core.constraints import Thresholds
 from ..core.cube import Cube
 from ..core.dataset import Dataset3D
-from ..fcp import FCPMiner, Pattern2D, get_fcp_miner
+from ..fcp import FCPMiner, Pattern2D
 from ..fcp.matrix import BinaryMatrix
-from .postprune import height_closed_in
-from .slices import enumerate_height_subsets, representative_slice
+from ..obs import CollectingSink
+from .algorithm import rsm_mine
+from .slices import count_height_subsets, representative_slice
 
 __all__ = ["SliceTrace", "trace_rsm", "render_rsm_table"]
 
@@ -42,41 +43,56 @@ def trace_rsm(
     *,
     fcp_miner: str | FCPMiner = "dminer",
 ) -> list[SliceTrace]:
-    """Run RSM (height base axis) recording each phase per subset."""
-    miner = get_fcp_miner(fcp_miner) if isinstance(fcp_miner, str) else fcp_miner
-    traces: list[SliceTrace] = []
+    """Run RSM (height base axis) recording each phase per subset.
+
+    The walk-through comes from the live miner: :func:`rsm_mine` runs
+    with a sink, each :class:`~repro.obs.events.SliceEvent` closes one
+    subset, the ``postprune`` prune events before it are its discarded
+    cubes, and the run's cubes with that height set are its kept ones.
+    Only the representative slice is recomputed, for display.
+    """
     if not thresholds.feasible_for_shape(dataset.shape):
-        return traces
-    subsets = list(enumerate_height_subsets(dataset.n_heights, thresholds.min_h))
-    if len(subsets) > _MAX_TRACE_SUBSETS:
+        return []
+    n_subsets = count_height_subsets(dataset.n_heights, thresholds.min_h)
+    if n_subsets > _MAX_TRACE_SUBSETS:
         raise ValueError(
-            f"trace_rsm keeps every slice in memory; {len(subsets)} subsets "
+            f"trace_rsm keeps every slice in memory; {n_subsets} subsets "
             f"exceed the {_MAX_TRACE_SUBSETS} guard"
         )
-    for heights in subsets:
-        rs = representative_slice(dataset, heights)
-        patterns = sorted(
-            miner.mine(rs, min_rows=thresholds.min_r, min_columns=thresholds.min_c),
-            key=Pattern2D.sort_key,
-        )
-        kept: list[Cube] = []
-        pruned: list[Cube] = []
-        for pattern in patterns:
-            cube = Cube(heights, pattern.rows, pattern.columns)
-            if height_closed_in(dataset, heights, pattern.rows, pattern.columns):
-                kept.append(cube)
-            else:
-                pruned.append(cube)
-        traces.append(
-            SliceTrace(
-                heights=heights,
-                slice_matrix=rs,
-                patterns=patterns,
-                kept=kept,
-                pruned=pruned,
+    sink = CollectingSink()
+    result = rsm_mine(
+        dataset, thresholds, base_axis="height", fcp_miner=fcp_miner, on_event=sink
+    )
+    kept_by_subset: dict[int, list[Cube]] = {}
+    for cube in result:
+        kept_by_subset.setdefault(cube.heights, []).append(cube)
+    traces: list[SliceTrace] = []
+    pruned: list[Cube] = []
+    for event in sink.events:
+        if event.kind == "prune":
+            pruned.append(Cube(event.heights, event.rows, event.columns))
+        elif event.kind == "slice":
+            kept = sorted(kept_by_subset.get(event.heights, []), key=_pattern_key)
+            pruned.sort(key=_pattern_key)
+            patterns = sorted(
+                (Pattern2D(cube.rows, cube.columns) for cube in kept + pruned),
+                key=Pattern2D.sort_key,
             )
-        )
+            traces.append(
+                SliceTrace(
+                    heights=event.heights,
+                    slice_matrix=representative_slice(dataset, event.heights),
+                    patterns=patterns,
+                    kept=kept,
+                    pruned=pruned,
+                )
+            )
+            pruned = []
     return traces
+
+
+def _pattern_key(cube: Cube) -> tuple[int, int]:
+    return (cube.rows, cube.columns)
 
 
 def render_rsm_table(traces: list[SliceTrace], dataset: Dataset3D) -> str:

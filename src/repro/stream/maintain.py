@@ -1,10 +1,10 @@
 """Incremental FCC maintenance under arbitrary delta batches.
 
-This module promotes :mod:`repro.rsm.incremental` (height-slice appends
-only) to the general case: any batch of cell edits and slice
-appends/drops along any axis.  Given the old tensor ``O`` with its
-*complete* FCC set ``F`` at thresholds ``T``, and a delta batch
-producing ``O'`` with dirty height set ``D``
+This module handles any batch of cell edits and slice appends/drops
+along any axis (:func:`repro.rsm.incremental.append_height_slice` is a
+thin wrapper over it for one height append).  Given the old tensor
+``O`` with its *complete* FCC set ``F`` at thresholds ``T``, and a
+delta batch producing ``O'`` with dirty height set ``D``
 (:func:`repro.stream.delta.apply_deltas`), every FCC of ``O'`` falls in
 exactly one of two classes:
 
@@ -50,7 +50,10 @@ from ..core.result import MiningResult, MiningStats
 from ..fcp import FCPMiner, get_fcp_miner
 from ..obs.metrics import MiningMetrics
 from ..parallel.sharding import merge_shard_results
-from ..rsm.postprune import height_closed_in
+from ..rsm.algorithm import mine_slice
+# Only mine_slice calls it; the binding stays for perfbench/spans.py,
+# which times the post-prune layer at this name.
+from ..rsm.postprune import height_closed_in  # noqa: F401
 from ..rsm.slices import iter_size_slices
 from .delta import Delta, DeltaApplication, apply_deltas
 
@@ -158,28 +161,20 @@ def _maintain_applied(
     # The prefix-folded enumerator amortizes slice folds across
     # neighbouring subsets exactly like a fresh RSM run; clean subsets
     # only pay that amortized fold, never the 2D mine.
-    min_h, min_r, min_c = thresholds.as_tuple()
     if dirty and thresholds.feasible_for_shape(new.shape):
         slice_cells = new.n_rows * new.n_columns
-        for size in range(max(min_h, 1), new.n_heights + 1):
+        for size in range(max(thresholds.min_h, 1), new.n_heights + 1):
             if size * slice_cells < thresholds.min_volume:
                 continue
             for heights, rs in iter_size_slices(new, size):
                 if heights & dirty == 0:
                     continue
                 subsets_remined += 1
-                for pattern in miner.mine(rs, min_rows=min_r, min_columns=min_c):
-                    volume = size * pattern.row_support * pattern.column_support
-                    if volume < thresholds.min_volume:
-                        continue
-                    if height_closed_in(
-                        new, heights, pattern.rows, pattern.columns, metrics=metrics
-                    ):
-                        triples.add((heights, pattern.rows, pattern.columns))
+                for cube in mine_slice(new, heights, rs, thresholds, miner, metrics):
+                    triples.add((cube.heights, cube.rows, cube.columns))
 
     metrics.cubes_patched += cubes_patched
     metrics.subsets_remined += subsets_remined
-    metrics.rs_slices_mined += subsets_remined
 
     kept = merge_shard_results(new, thresholds, sorted(triples), metrics=metrics)
     base = result.algorithm

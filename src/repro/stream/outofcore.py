@@ -41,7 +41,8 @@ from ..core.result import MiningResult, MiningStats
 from ..fcp import FCPMiner, get_fcp_miner
 from ..fcp.matrix import BinaryMatrix
 from ..obs.metrics import MiningMetrics
-from ..rsm.postprune import height_closed_in
+from ..rsm.algorithm import mine_slice, rsm_mine
+from ..rsm.slices import representative_slice
 
 __all__ = ["DiceRegion", "diamond_dice", "stream_mine"]
 
@@ -252,7 +253,6 @@ def stream_mine(
         metrics = MiningMetrics()
     start = time.perf_counter()
     chunks_before = metrics.stream_chunks_read
-    min_h, min_r, min_c = thresholds.as_tuple()
     cubes: list[Cube] = []
     extra: dict = {"dice": bool(dice)}
 
@@ -267,8 +267,6 @@ def stream_mine(
             diced, height_index, row_index, column_index = _extract_region(
                 dataset, region, metrics
             )
-            from ..rsm.algorithm import rsm_mine
-
             inner = rsm_mine(
                 diced, thresholds, fcp_miner=miner, metrics=metrics
             )
@@ -309,21 +307,19 @@ def _mine_streaming(
 ) -> list[Cube]:
     """RSM's base-height loop with chunk-folded representative slices."""
     l, n, m = dataset.shape
-    min_h, min_r, min_c = thresholds.as_tuple()
     words = words_per_row(m)
     chunk_rows = max(int(chunk_rows), 1)
     slice_cells = n * m
     native = dataset.kernel.words_native
     grid = _packed_grid(dataset) if native else None
     cubes: list[Cube] = []
-    for size in range(min_h, l + 1):
+    for size in range(thresholds.min_h, l + 1):
         if size * slice_cells < thresholds.min_volume:
             continue
         for subset in combinations(range(l), size):
             heights = 0
             for k in subset:
                 heights |= 1 << k
-            metrics.rs_slices_mined += 1
             if native:
                 rs_words = np.empty((n, words), dtype=WORD_DTYPE)
                 members = list(subset)
@@ -345,16 +341,7 @@ def _mine_streaming(
                     release_mapped_pages(grid)
                 rs = BinaryMatrix.from_packed(rs_words, m, kernel=dataset.kernel)
             else:
-                from ..rsm.slices import representative_slice
-
                 rs = representative_slice(dataset, heights)
                 metrics.stream_chunks_read += size
-            for pattern in miner.mine(rs, min_rows=min_r, min_columns=min_c):
-                volume = size * pattern.row_support * pattern.column_support
-                if volume < thresholds.min_volume:
-                    continue
-                if height_closed_in(
-                    dataset, heights, pattern.rows, pattern.columns, metrics=metrics
-                ):
-                    cubes.append(Cube(heights, pattern.rows, pattern.columns))
+            cubes += mine_slice(dataset, heights, rs, thresholds, miner, metrics)
     return cubes

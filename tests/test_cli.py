@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -360,3 +365,25 @@ class TestRobustnessFlags:
             main(["stats", "--input", str(bad)])
         assert excinfo.value.code == 65
         assert "not a readable .npz" in capsys.readouterr().err
+
+
+class TestDeclaredDependencies:
+    def test_cli_runs_without_networkx(self):
+        """The CLI and the analysis package need only the declared deps."""
+        code = (
+            "import sys\n"
+            "sys.modules['networkx'] = None\n"
+            "import repro.cli, repro.analysis\n"
+            "sys.exit(repro.cli.main(['example']))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "[FCC]" in proc.stdout

@@ -121,9 +121,15 @@ class TestMetadataAndValidation:
         _extended, updated = append_height_slice(
             paper_ds, old_result, np.ones((4, 5), dtype=bool), paper_thresholds
         )
-        assert updated.stats["old_cubes"] == 5
-        assert updated.stats["slices_mined"] > 0
-        assert updated.algorithm.startswith("incremental[")
+        stream = updated.stats["stream"]
+        assert stream["old_cubes"] == 5
+        assert stream["deltas_applied"] == 1
+        assert stream["dirty_heights"] == 1
+        # Only the subsets through the new height h4 are re-mined:
+        # {h4} plus 1, 2 or 3 of the old heights, at minH = 2.
+        assert stream["subsets_remined"] == 7
+        assert updated.stats.metrics.rs_slices_mined == 7
+        assert updated.algorithm == f"stream[{old_result.algorithm}]"
 
 
 class TestChainedAppends:

@@ -47,6 +47,19 @@ class TestTraceParity:
         )
         traced = prune_counts(trace_tree(paper_ds, paper_thresholds))
         assert result.stats.metrics.prune_counts() == traced
+        # The live counters and trace_tree come from one run's events,
+        # so their equality alone cannot catch a wrong tally: pin
+        # Figure 1's tree rule by rule.
+        assert traced == {
+            "pruned_min_h": 14,
+            "pruned_min_r": 10,
+            "pruned_min_c": 7,
+            "pruned_min_volume": 0,
+            "pruned_left_track": 5,
+            "pruned_middle_track": 4,
+            "pruned_height_unclosed": 4,
+            "pruned_row_unclosed": 2,
+        }
 
     def test_paper_example_nodes_and_leaves(self, paper_ds, paper_thresholds):
         result = cubeminer_mine(
@@ -54,6 +67,7 @@ class TestTraceParity:
         )
         root = trace_tree(paper_ds, paper_thresholds)
         live_nodes = [n for n in root.iter_nodes() if n.pruned is None]
+        assert len(live_nodes) == 30
         assert result.stats["nodes_visited"] == len(live_nodes)
         assert result.stats["leaves_emitted"] == len(root.leaves())
         assert result.stats["leaves_emitted"] == len(result)
