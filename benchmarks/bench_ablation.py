@@ -3,8 +3,8 @@
 Not figures from the paper — these quantify the individual design
 decisions the paper argues for qualitatively:
 
-* **2D substrate choice** — RSM's phase 2 with each of the four 2D
-  miners (the paper picks D-Miner; here the claim is testable);
+* **2D substrate choice** — RSM's phase 2 with each registered 2D
+  miner, D-Miner (the paper's pick) and CARPENTER;
 * **task granularity** — parallel CubeMiner with different
   ``min_tasks`` frontier sizes (too few tasks -> stragglers, too many
   -> dispatch overhead);
@@ -33,10 +33,10 @@ def _substrate_case():
     """A 14x9x100 microarray substitute for the substrate comparison.
 
     Dense representative slices are exactly the regime the paper picked
-    D-Miner for; the feature-enumeration (CbO/CHARM) and pattern-growth
-    (CLOSET) baselines degrade by 5x-30x here, and far worse as the
-    column count grows, so the workload is kept small enough that every
-    substrate finishes in under a second.
+    D-Miner for; CARPENTER's row enumeration suits the same few-rows,
+    many-columns shape.  The feature-enumeration and pattern-growth
+    miners were dropped after losing by 40x or more on the Fig. 3-5
+    sweeps (EXPERIMENTS.md, "Ablations").
     """
     from repro.datasets import elutriation_like
 

@@ -2,8 +2,8 @@
 
 Every bulk set-intersection in the library — the closure operators
 ``H(R' x C')`` / ``R(H' x C')`` / ``C(H' x R')``, representative-slice
-construction, CubeMiner's cutter scan and closure checks, and the 2D
-binary-matrix supports — goes through a :class:`~repro.core.kernels.base.Kernel`.
+construction, CubeMiner's closure checks, and the 2D binary-matrix
+supports — goes through a :class:`~repro.core.kernels.base.Kernel`.
 Three backends ship by default:
 
 * ``python-int`` — arbitrary-precision int masks, loop-based batch ops

@@ -84,12 +84,6 @@ store_word(unsigned char *base, Py_ssize_t i, uint64_t v)
     memcpy(base + 8 * i, &v, sizeof v);
 }
 
-static inline int64_t
-load_i64(const unsigned char *base, Py_ssize_t i)
-{
-    return (int64_t)load_word(base, i);
-}
-
 /* Is bit `index` set in the packed selection buffer? */
 static inline int
 test_bit(const unsigned char *sel, Py_ssize_t index)
@@ -205,49 +199,6 @@ native_fold_and(PyObject *self, PyObject *args)
     if (early)
         Py_RETURN_TRUE;
     Py_RETURN_FALSE;
-}
-
-/* ------------------------------------------------------------------ */
-/* fold_or(masks, n_rows, n_words, select, out) -> None                */
-/* ------------------------------------------------------------------ */
-
-static PyObject *
-native_fold_or(PyObject *self, PyObject *args)
-{
-    Py_buffer masks, out;
-    PyObject *select_obj;
-    Py_buffer select;
-    int has_select = 0;
-    Py_ssize_t n_rows, n_words;
-
-    if (!PyArg_ParseTuple(args, "y*nnOw*:fold_or",
-                          &masks, &n_rows, &n_words, &select_obj, &out))
-        return NULL;
-    if (get_optional_buffer(select_obj, &select, &has_select) < 0) {
-        PyBuffer_Release(&masks);
-        PyBuffer_Release(&out);
-        return NULL;
-    }
-
-    const unsigned char *rows = (const unsigned char *)masks.buf;
-    unsigned char *acc = (unsigned char *)out.buf;
-    const unsigned char *sel = has_select ? (const unsigned char *)select.buf
-                                          : NULL;
-
-    memset(acc, 0, (size_t)(8 * n_words));
-    for (Py_ssize_t i = 0; i < n_rows; i++) {
-        if (sel != NULL && !test_bit(sel, i))
-            continue;
-        const unsigned char *row = rows + 8 * i * n_words;
-        for (Py_ssize_t w = 0; w < n_words; w++)
-            store_word(acc, w, load_word(acc, w) | load_word(row, w));
-    }
-
-    PyBuffer_Release(&masks);
-    PyBuffer_Release(&out);
-    if (has_select)
-        PyBuffer_Release(&select);
-    Py_RETURN_NONE;
 }
 
 /* ------------------------------------------------------------------ */
@@ -581,59 +532,6 @@ native_grid_supporting_rows(PyObject *self, PyObject *args)
 }
 
 /* ------------------------------------------------------------------ */
-/* first_applicable_cutter(h_idx, r_idx, cols, n_cutters, words,       */
-/*                         heights, rows, columns, start) -> int       */
-/*                                                                     */
-/* Scan the cutter list from `start` for the first cutter whose        */
-/* height and row are members of the node and whose column mask        */
-/* intersects the node's columns (Algorithm 2, line 6).                */
-/* ------------------------------------------------------------------ */
-
-static PyObject *
-native_first_applicable_cutter(PyObject *self, PyObject *args)
-{
-    Py_buffer h_idx, r_idx, cols, heights, rows, columns;
-    Py_ssize_t n_cutters, words, start;
-
-    if (!PyArg_ParseTuple(args, "y*y*y*nny*y*y*n:first_applicable_cutter",
-                          &h_idx, &r_idx, &cols, &n_cutters, &words,
-                          &heights, &rows, &columns, &start))
-        return NULL;
-
-    const unsigned char *hs = (const unsigned char *)h_idx.buf;
-    const unsigned char *rs = (const unsigned char *)r_idx.buf;
-    const unsigned char *cs = (const unsigned char *)cols.buf;
-    const unsigned char *node_h = (const unsigned char *)heights.buf;
-    const unsigned char *node_r = (const unsigned char *)rows.buf;
-    const unsigned char *node_c = (const unsigned char *)columns.buf;
-
-    Py_ssize_t found = n_cutters;
-    for (Py_ssize_t idx = start; idx < n_cutters; idx++) {
-        if (!test_bit(node_h, load_i64(hs, idx)))
-            continue;
-        if (!test_bit(node_r, load_i64(rs, idx)))
-            continue;
-        const unsigned char *cutter_cols = cs + 8 * idx * words;
-        for (Py_ssize_t w = 0; w < words; w++) {
-            if (load_word(cutter_cols, w) & load_word(node_c, w)) {
-                found = idx;
-                break;
-            }
-        }
-        if (found != n_cutters)
-            break;
-    }
-
-    PyBuffer_Release(&h_idx);
-    PyBuffer_Release(&r_idx);
-    PyBuffer_Release(&cols);
-    PyBuffer_Release(&heights);
-    PyBuffer_Release(&rows);
-    PyBuffer_Release(&columns);
-    return PyLong_FromSsize_t(found);
-}
-
-/* ------------------------------------------------------------------ */
 /* features() -> dict                                                  */
 /* ------------------------------------------------------------------ */
 
@@ -650,8 +548,6 @@ native_features(PyObject *self, PyObject *Py_UNUSED(ignored))
 static PyMethodDef native_methods[] = {
     {"fold_and", native_fold_and, METH_VARARGS,
      "AND-fold selected rows of a packed mask array into out."},
-    {"fold_or", native_fold_or, METH_VARARGS,
-     "OR-fold selected rows of a packed mask array into out."},
     {"popcounts", native_popcounts, METH_VARARGS,
      "Per-row popcounts of a packed mask array."},
     {"supersets_of", native_supersets_of, METH_VARARGS,
@@ -666,8 +562,6 @@ static PyMethodDef native_methods[] = {
      "Heights whose slices contain the columns on every selected row."},
     {"grid_supporting_rows", native_grid_supporting_rows, METH_VARARGS,
      "Rows containing the columns on every selected height."},
-    {"first_applicable_cutter", native_first_applicable_cutter, METH_VARARGS,
-     "First cutter at or after start intersecting the node."},
     {"features", native_features, METH_NOARGS,
      "Compile-time feature flags (popcount impl, SIMD, endianness)."},
     {NULL, NULL, 0, NULL},

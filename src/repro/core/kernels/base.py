@@ -1,21 +1,19 @@
 """The kernel backend contract.
 
 A *kernel* supplies the batch bitset operations that dominate mining:
-AND/OR folds over many masks, popcounts over a mask list, subset tests
-against a mask array, representative-slice folding over a dataset's
-(height, row) mask grid, and the cutter-applicability scan of
-CubeMiner's inner loop.  The miners keep exchanging plain Python ``int``
-bitmasks (see :mod:`repro.core.bitset`); a kernel is free to use any
-internal representation — it converts at the boundary via *handles*:
+AND folds over many masks, popcounts over a mask list, subset tests
+against a mask array, and representative-slice folding and support
+scans over a dataset's (height, row) mask grid.  The miners keep
+exchanging plain Python ``int`` bitmasks (see :mod:`repro.core.bitset`);
+a kernel is free to use any internal representation — it converts at
+the boundary via *handles*:
 
 * a **mask-array handle** (:meth:`Kernel.pack_masks`) stands for a
   sequence of masks over one bit universe, e.g. the row masks of a
   :class:`~repro.fcp.matrix.BinaryMatrix`;
 * a **grid handle** (:meth:`Kernel.pack_grid`) stands for the ``l x n``
   grid of per-(height, row) column masks of a
-  :class:`~repro.core.dataset.Dataset3D`;
-* a **cutter handle** (:meth:`Kernel.pack_cutters`) stands for
-  CubeMiner's cutter list Z.
+  :class:`~repro.core.dataset.Dataset3D`.
 
 Handles are immutable once built and are cached by their owners
 (dataset, matrix, miner run), so packing cost is paid once per object,
@@ -23,9 +21,8 @@ not per operation.  Handles never travel between kernels or processes:
 pickled owners drop them and repack lazily on the other side.
 
 Empty-selection conventions match the closure operators' intersection
-semantics: an AND-fold over an empty family is the full universe, an
-OR-fold is empty, and a support query with an empty opposing set
-returns every candidate.
+semantics: an AND-fold over an empty family is the full universe and
+a support query with an empty opposing set returns every candidate.
 """
 
 from __future__ import annotations
@@ -176,10 +173,6 @@ class Kernel(ABC):
         """
 
     @abstractmethod
-    def fold_or(self, handle: Any, n_bits: int, select: int | None = None) -> int:
-        """OR of ``masks[i]`` over ``select`` (empty selection -> 0)."""
-
-    @abstractmethod
     def popcounts(self, handle: Any) -> list[int]:
         """Per-mask set sizes, in pack order."""
 
@@ -233,15 +226,6 @@ class Kernel(ABC):
         return self.pack_masks(
             [a & b for a, b in zip(masks_a, masks_b)], n_bits
         )
-
-    def popcount_many(self, masks: Sequence[int], n_bits: int) -> list[int]:
-        """Set sizes of raw int masks, without a packing round-trip.
-
-        Complements :meth:`popcounts` (which needs a pre-packed handle)
-        for one-shot batches where building a handle would cost more
-        than the count itself.
-        """
-        return [mask.bit_count() for mask in masks]
 
     def intersect_rows(self, grid: Any, heights: int, n_bits: int) -> Any:
         """Per-row AND over the selected heights, as a mask-array handle.
@@ -325,28 +309,6 @@ class Kernel(ABC):
         """Rows containing ``columns`` on every height of ``heights``.
 
         The paper's ``R(H' x C')`` operator restricted to ``candidates``.
-        """
-
-    # ------------------------------------------------------------------
-    # CubeMiner cutters
-    # ------------------------------------------------------------------
-    @abstractmethod
-    def pack_cutters(
-        self,
-        heights: Sequence[int],
-        rows: Sequence[int],
-        columns: Sequence[int],
-        shape: tuple[int, int, int],
-    ) -> Any:
-        """Build a handle for a cutter list (parallel height/row/columns)."""
-
-    @abstractmethod
-    def first_applicable_cutter(
-        self, handle: Any, heights: int, rows: int, columns: int, start: int
-    ) -> int:
-        """Index of the first cutter at or after ``start`` that intersects
-        the node ``(heights, rows, columns)``; the cutter count if none
-        does (Algorithm 2, line 6).
         """
 
     def __repr__(self) -> str:

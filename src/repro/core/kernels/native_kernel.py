@@ -6,10 +6,10 @@ handle formats bit for bit — mask arrays are ``(k, words)`` and grids
 shared-memory attachment and memory-mapped stores all reuse the numpy
 plumbing unchanged (``words_native`` stays true: an shm or mmap word
 buffer *is* the handle, zero-copy).  What changes is who does the batch
-work: every fold, support scan, popcount and cutter scan dispatches to
-the ``_native`` C extension, which walks the buffers directly — no
-selector unpacking, no gather copies, early exits on zero accumulators
-and failed subset tests.
+work: every fold, support scan and popcount dispatches to the
+``_native`` C extension, which walks the buffers directly — no selector
+unpacking, no gather copies, early exits on zero accumulators and
+failed subset tests.
 
 The extension is optional.  ``setup.py`` builds it when a C compiler is
 present (``-O3``; ``__builtin_popcountll`` and optional AVX2 paths are
@@ -22,9 +22,6 @@ fails, :func:`native_available` turns false, the registry leaves the
 """
 
 from __future__ import annotations
-
-from collections.abc import Sequence
-from typing import Any
 
 import numpy as np
 
@@ -112,17 +109,6 @@ class NativeKernel(NumpyKernel):
         )
         return _unpack_int(out)
 
-    def fold_or(self, handle: np.ndarray, n_bits: int, select: int | None = None) -> int:
-        k, words = handle.shape
-        if k == 0 or select == 0:
-            return 0
-        out = np.empty(words, dtype=_WORD_DTYPE)
-        _native.fold_or(
-            _contiguous(handle), k, words,
-            None if select is None else _select_bytes(select, k), out,
-        )
-        return _unpack_int(out)
-
     def popcounts(self, handle: np.ndarray) -> list[int]:
         k, words = handle.shape
         return _native.popcounts(_contiguous(handle), k, words)
@@ -151,12 +137,6 @@ class NativeKernel(NumpyKernel):
             _contiguous(handle_a), _contiguous(handle_b), out, handle_a.size
         )
         return out
-
-    def popcount_many(self, masks: Sequence[int], n_bits: int) -> list[int]:
-        if not masks:
-            return []
-        packed = self.pack_masks(masks, n_bits)
-        return _native.popcounts(packed, *packed.shape)
 
     def intersect_rows(self, grid: np.ndarray, heights: int, n_bits: int) -> np.ndarray:
         l, n, words = grid.shape
@@ -223,36 +203,3 @@ class NativeKernel(NumpyKernel):
             _select_bytes(candidates, n), out,
         )
         return _unpack_int(out)
-
-    # ------------------------------------------------------------------
-    # Cutters
-    # ------------------------------------------------------------------
-    def pack_cutters(
-        self,
-        heights: Sequence[int],
-        rows: Sequence[int],
-        columns: Sequence[int],
-        shape: tuple[int, int, int],
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, int, int]]:
-        l, n, m = shape
-        words = words_per_row(m)
-        h = np.ascontiguousarray(heights, dtype=np.int64)
-        r = np.ascontiguousarray(rows, dtype=np.int64)
-        cols = np.empty((len(columns), words), dtype=_WORD_DTYPE)
-        for i, mask in enumerate(columns):
-            cols[i] = _pack_int(mask, words)
-        return h, r, cols, shape
-
-    def first_applicable_cutter(
-        self, handle: Any, heights: int, rows: int, columns: int, start: int
-    ) -> int:
-        h, r, cols, (l, n, m) = handle
-        n_cutters = len(h)
-        if start >= n_cutters:
-            return n_cutters
-        words = cols.shape[1]
-        return _native.first_applicable_cutter(
-            h, r, cols, n_cutters, words,
-            _select_bytes(heights, l), _select_bytes(rows, n),
-            columns.to_bytes(words * 8, "little"), start,
-        )

@@ -8,7 +8,7 @@ a handful of whole-array bitwise ops instead of a Python-level loop:
 * dataset grids pack to ``(l, n, words)`` tensors (built straight from
   the bool tensor via ``np.packbits``),
 * subset tests are ``(sub & ~A) == 0`` reductions,
-* AND/OR folds are ``np.bitwise_and.reduce`` / ``bitwise_or.reduce``,
+* AND folds are ``np.bitwise_and.reduce``,
 * popcounts use ``np.bitwise_count``.
 
 Conversion to and from the miners' Python-int masks happens only at the
@@ -19,7 +19,6 @@ through the same little-endian layout).
 from __future__ import annotations
 
 from collections.abc import Sequence
-from typing import Any
 
 import numpy as np
 
@@ -86,12 +85,6 @@ class NumpyKernel(Kernel):
             return full_mask(n_bits)
         return _unpack_int(np.bitwise_and.reduce(rows, axis=0))
 
-    def fold_or(self, handle: np.ndarray, n_bits: int, select: int | None = None) -> int:
-        rows = handle if select is None else handle[_select_bools(select, len(handle))]
-        if rows.shape[0] == 0:
-            return 0
-        return _unpack_int(np.bitwise_or.reduce(rows, axis=0))
-
     def popcounts(self, handle: np.ndarray) -> list[int]:
         if handle.size == 0:
             return [0] * len(handle)
@@ -134,13 +127,6 @@ class NumpyKernel(Kernel):
                 f"got {handle_a.shape} and {handle_b.shape}"
             )
         return handle_a & handle_b
-
-    def popcount_many(self, masks: Sequence[int], n_bits: int) -> list[int]:
-        if not masks:
-            return []
-        return np.bitwise_count(self.pack_masks(masks, n_bits)).sum(
-            axis=1, dtype=np.int64
-        ).tolist()
 
     def intersect_rows(self, grid: np.ndarray, heights: int, n_bits: int) -> np.ndarray:
         l, n, words = grid.shape
@@ -218,50 +204,3 @@ class NumpyKernel(Kernel):
         supported = np.zeros(n, dtype=bool)
         supported[cand] = ok
         return _mask_from_bools(supported)
-
-    # ------------------------------------------------------------------
-    # Cutters
-    # ------------------------------------------------------------------
-    def pack_cutters(
-        self,
-        heights: Sequence[int],
-        rows: Sequence[int],
-        columns: Sequence[int],
-        shape: tuple[int, int, int],
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, tuple[int, int, int]]:
-        l, n, m = shape
-        words = _n_words(m)
-        h = np.asarray(heights, dtype=np.int64)
-        r = np.asarray(rows, dtype=np.int64)
-        cols = np.empty((len(columns), words), dtype=_WORD_DTYPE)
-        for i, mask in enumerate(columns):
-            cols[i] = _pack_int(mask, words)
-        # Pre-split the height/row indices into (word, bit) addresses so
-        # the per-node scan is pure vectorized gathers.
-        return (
-            (h >> 6).astype(np.int64),
-            (h & 63).astype(np.uint64),
-            (r >> 6).astype(np.int64),
-            (r & 63).astype(np.uint64),
-            cols,
-            shape,
-        )
-
-    def first_applicable_cutter(
-        self, handle: Any, heights: int, rows: int, columns: int, start: int
-    ) -> int:
-        h_word, h_bit, r_word, r_bit, cols, (l, n, m) = handle
-        n_cutters = len(h_word)
-        if start >= n_cutters:
-            return n_cutters
-        height_words = _pack_int(heights, _n_words(l))
-        row_words = _pack_int(rows, _n_words(n))
-        col_words = _pack_int(columns, cols.shape[1])
-        tail = slice(start, None)
-        applicable = (
-            ((height_words[h_word[tail]] >> h_bit[tail]) & 1).astype(bool)
-            & ((row_words[r_word[tail]] >> r_bit[tail]) & 1).astype(bool)
-            & (cols[tail] & col_words).any(axis=1)
-        )
-        hits = np.flatnonzero(applicable)
-        return start + int(hits[0]) if hits.size else n_cutters

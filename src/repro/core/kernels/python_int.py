@@ -10,7 +10,6 @@ the differential suite pins every other backend against.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from typing import Any
 
 from ..bitset import bit_count, full_mask, is_subset, iter_bits
 from .base import Kernel
@@ -44,16 +43,6 @@ class PythonIntKernel(Kernel):
             acc &= handle[i]
             if acc == 0:
                 return 0
-        return acc
-
-    def fold_or(self, handle: list[int], n_bits: int, select: int | None = None) -> int:
-        acc = 0
-        if select is None:
-            for mask in handle:
-                acc |= mask
-            return acc
-        for i in iter_bits(select):
-            acc |= handle[i]
         return acc
 
     def popcounts(self, handle: list[int]) -> list[int]:
@@ -150,31 +139,3 @@ class PythonIntKernel(Kernel):
             else:
                 result |= 1 << i
         return result
-
-    # ------------------------------------------------------------------
-    # Cutters
-    # ------------------------------------------------------------------
-    def pack_cutters(
-        self,
-        heights: Sequence[int],
-        rows: Sequence[int],
-        columns: Sequence[int],
-        shape: tuple[int, int, int],
-    ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-        return tuple(heights), tuple(rows), tuple(columns)
-
-    def first_applicable_cutter(
-        self, handle: Any, heights: int, rows: int, columns: int, start: int
-    ) -> int:
-        cutter_heights, cutter_rows, cutter_columns = handle
-        n_cutters = len(cutter_heights)
-        index = start
-        while index < n_cutters:
-            if (
-                heights >> cutter_heights[index] & 1
-                and rows >> cutter_rows[index] & 1
-                and columns & cutter_columns[index]
-            ):
-                return index
-            index += 1
-        return n_cutters

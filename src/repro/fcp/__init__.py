@@ -1,21 +1,16 @@
 """2D frequent-closed-pattern substrate.
 
-Five interchangeable miners (all return patterns closed on both axes):
+Two interchangeable miners (both return patterns closed on both axes):
 
 * :class:`DMiner` — the paper's RSM substrate; cutter-based splitting.
-* :class:`CloseByOne` — canonical feature enumeration.
-* :class:`Charm` — CHARM-style vertical IT-tree search.
 * :class:`Carpenter` — CARPENTER-style row enumeration.
-* :class:`Closet` — CLOSET-style FP-tree pattern growth.
 
-``get_fcp_miner(name)`` resolves a miner by its registry name.
+``oracle_mine_2d`` is the brute-force reference both are tested
+against.  ``get_fcp_miner(name)`` resolves a miner by its registry name.
 """
 
 from .base import FCPMiner, Pattern2D, check_pattern
 from .carpenter import Carpenter, carpenter_mine
-from .cbo import CloseByOne, cbo_mine
-from .charm import Charm, charm_mine
-from .closet import Closet, closet_mine
 from .dminer import DMiner, dminer_mine
 from .matrix import BinaryMatrix
 from .oracle import oracle_mine_2d
@@ -27,12 +22,6 @@ __all__ = [
     "BinaryMatrix",
     "DMiner",
     "dminer_mine",
-    "CloseByOne",
-    "cbo_mine",
-    "Charm",
-    "charm_mine",
-    "Closet",
-    "closet_mine",
     "Carpenter",
     "carpenter_mine",
     "oracle_mine_2d",
@@ -41,9 +30,7 @@ __all__ = [
 ]
 
 #: Registry of 2D miners by name.
-FCP_MINERS = {
-    miner.name: miner for miner in (DMiner, CloseByOne, Charm, Carpenter, Closet)
-}
+FCP_MINERS = {miner.name: miner for miner in (DMiner, Carpenter)}
 
 
 def get_fcp_miner(name: str) -> FCPMiner:

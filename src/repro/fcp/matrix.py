@@ -29,7 +29,7 @@ class BinaryMatrix:
     hashing ignore it.
     """
 
-    __slots__ = ("_row_masks", "_n_rows", "_n_columns", "_column_rows", "_kernel_spec", "_kernel", "_packed_rows")
+    __slots__ = ("_row_masks", "_n_rows", "_n_columns", "_kernel_spec", "_kernel", "_packed_rows")
 
     def __init__(
         self,
@@ -48,7 +48,6 @@ class BinaryMatrix:
         self._row_masks: list[int] | None = masks
         self._n_rows = len(masks)
         self._n_columns = n_columns
-        self._column_rows: list[int] | None = None
         self._kernel_spec = kernel
         self._kernel: Kernel | None = None
         self._packed_rows = None
@@ -93,7 +92,6 @@ class BinaryMatrix:
         matrix._row_masks = None
         matrix._n_rows = resolved.check_packed(handle, n_columns)
         matrix._n_columns = n_columns
-        matrix._column_rows = None
         matrix._kernel_spec = kernel
         matrix._kernel = resolved
         matrix._packed_rows = handle
@@ -167,24 +165,6 @@ class BinaryMatrix:
     def cell(self, i: int, j: int) -> bool:
         return bool(self._masks()[i] >> j & 1)
 
-    def column_rows(self, j: int) -> int:
-        """Row bitmask of the one-cells in column ``j`` (the tidset).
-
-        Computed lazily for all columns on first use — the vertical
-        miners (CHARM-style) work in this orientation.
-        """
-        if self._column_rows is None:
-            cols = [0] * self._n_columns
-            for i, mask in enumerate(self._masks()):
-                row_bit = 1 << i
-                remaining = mask
-                while remaining:
-                    low = remaining & -remaining
-                    cols[low.bit_length() - 1] |= row_bit
-                    remaining ^= low
-            self._column_rows = cols
-        return self._column_rows[j]
-
     # ------------------------------------------------------------------
     # Derived quantities
     # ------------------------------------------------------------------
@@ -228,7 +208,6 @@ class BinaryMatrix:
         self._row_masks = state["row_masks"]
         self._n_rows = len(state["row_masks"])
         self._n_columns = state["n_columns"]
-        self._column_rows = None
         self._kernel_spec = state.get("kernel")
         self._kernel = None
         self._packed_rows = None

@@ -26,6 +26,7 @@ from enum import Enum
 from typing import ClassVar, Union
 
 from .cubeminer.cutter import HeightOrder
+from .fcp import get_fcp_miner
 
 __all__ = [
     "CubeMinerOptions",
@@ -86,6 +87,9 @@ class RSMOptions(_OptionsBase):
     #: Registry name of the 2D closed-pattern miner for phase 2.
     fcp_miner: str = "dminer"
 
+    def __post_init__(self) -> None:
+        get_fcp_miner(self.fcp_miner)  # ValueError on an unknown name
+
     def to_kwargs(self, algorithm: str = "rsm") -> dict:
         self._check(algorithm)
         return {"base_axis": self.base_axis, "fcp_miner": self.fcp_miner}
@@ -138,6 +142,9 @@ class ParallelOptions(_OptionsBase):
     checkpoint_path: str | None = None
     #: Resume from ``checkpoint_path`` instead of truncating it.
     resume: bool = False
+
+    def __post_init__(self) -> None:
+        get_fcp_miner(self.fcp_miner)  # ValueError on an unknown name
 
     def to_kwargs(self, algorithm: str = "parallel-cubeminer") -> dict:
         self._check(algorithm)

@@ -100,8 +100,8 @@ def rsm_mine(
         ``"auto"`` for the smallest dimension (the paper's recommended
         heuristic, cf. RSM-R vs RSM-H in Figure 3).
     fcp_miner:
-        The 2D phase-2 algorithm: a registry name (``"dminer"``,
-        ``"cbo"``, ``"charm"``, ``"carpenter"``) or any
+        The 2D phase-2 algorithm: a registry name (``"dminer"`` or
+        ``"carpenter"``, see :data:`repro.fcp.FCP_MINERS`) or any
         :class:`~repro.fcp.base.FCPMiner` instance.
     metrics / on_event / progress / deadline:
         Instrumentation surface — see :func:`repro.api.mine`.  A

@@ -76,6 +76,12 @@ class TestTypedOptions:
         with pytest.raises(Exception):
             CubeMinerOptions().order = HeightOrder.ORIGINAL
 
+    @pytest.mark.parametrize("options_class", [RSMOptions, ParallelOptions])
+    @pytest.mark.parametrize("name", ["bogus", "charm"])
+    def test_unknown_fcp_miner_rejected(self, options_class, name):
+        with pytest.raises(ValueError, match=r"\['carpenter', 'dminer'\]"):
+            options_class(fcp_miner=name)
+
 
 class TestLooseKwargsRemoved:
     """The pre-2.0 loose-keyword channel is gone: typed options only."""

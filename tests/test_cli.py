@@ -112,10 +112,10 @@ class TestMine:
     def test_rsm_options(self, dataset_file, capsys):
         assert main([
             "mine", "--input", dataset_file, "--algorithm", "rsm",
-            "--base-axis", "row", "--fcp-miner", "charm",
+            "--base-axis", "row", "--fcp-miner", "carpenter",
             "--min-h", "2", "--min-r", "2", "--min-c", "2",
         ]) == 0
-        assert "rsm-r[charm]" in capsys.readouterr().out
+        assert "rsm-r[carpenter]" in capsys.readouterr().out
 
 
 class TestRules:

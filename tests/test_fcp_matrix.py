@@ -99,11 +99,6 @@ class TestAccess:
         assert small.zeros_mask(0) == 0b010
         assert small.row_mask(0) | small.zeros_mask(0) == 0b111
 
-    def test_column_rows(self, small):
-        assert small.column_rows(0) == 0b011  # rows 0, 1 have column 0
-        assert small.column_rows(1) == 0b110
-        assert small.column_rows(2) == 0b101
-
     def test_row_masks_copy(self, small):
         masks = small.row_masks()
         masks[0] = 0

@@ -1,4 +1,4 @@
-"""Unit and cross-equivalence tests for the four 2D FCP miners."""
+"""Unit and cross-equivalence tests for the two 2D FCP miners."""
 
 from __future__ import annotations
 
@@ -11,18 +11,15 @@ from repro.fcp import (
     BinaryMatrix,
     Pattern2D,
     carpenter_mine,
-    cbo_mine,
-    charm_mine,
     check_pattern,
-    closet_mine,
     dminer_mine,
     get_fcp_miner,
     oracle_mine_2d,
 )
 from repro.fcp.dminer import build_cutters_2d
 
-ALL_MINERS = [dminer_mine, cbo_mine, charm_mine, carpenter_mine, closet_mine]
-MINER_IDS = ["dminer", "cbo", "charm", "carpenter", "closet"]
+ALL_MINERS = [dminer_mine, carpenter_mine]
+MINER_IDS = ["dminer", "carpenter"]
 
 
 @pytest.fixture

@@ -2,11 +2,10 @@
 
 For each registered kernel, hypothesis checks that the batch operations
 agree with an independent Python-``set`` model: pack/unpack round-trips,
-AND/OR folds, popcounts, superset scans, grid closure queries,
-representative-slice folding and the cutter scan.  Universes above 64
-bits are drawn deliberately so packed-word backends exercise multi-word
-masks, and empty/full selections pin the empty-intersection
-conventions.
+AND folds, popcounts, superset scans, grid closure queries and
+representative-slice folding.  Universes above 64 bits are drawn
+deliberately so packed-word backends exercise multi-word masks, and
+empty/full selections pin the empty-intersection conventions.
 """
 
 from __future__ import annotations
@@ -50,20 +49,6 @@ def grids(draw):
     return n_bits, grid
 
 
-@st.composite
-def cutter_scans(draw):
-    l = draw(st.integers(min_value=1, max_value=4))
-    n = draw(st.integers(min_value=1, max_value=4))
-    m = draw(st.sampled_from([3, 70]))
-    count = draw(st.integers(min_value=0, max_value=8))
-    heights = draw(st.lists(st.integers(0, l - 1), min_size=count, max_size=count))
-    rows = draw(st.lists(st.integers(0, n - 1), min_size=count, max_size=count))
-    columns = draw(st.lists(_masks(m), min_size=count, max_size=count))
-    node = (draw(_masks(l)), draw(_masks(n)), draw(_masks(m)))
-    start = draw(st.integers(0, count))
-    return (l, n, m), heights, rows, columns, node, start
-
-
 def _sets(masks):
     return [set(indices(mask)) for mask in masks]
 
@@ -99,23 +84,6 @@ class TestMaskArrays:
         assert kernel.fold_and(handle, n_bits, select) == mask_of(expected)
 
     @settings(max_examples=60, deadline=None)
-    @given(data=mask_arrays(), use_select=st.booleans(), select_bits=st.integers(0))
-    def test_fold_or_matches_set_model(self, kernel_name, data, use_select, select_bits):
-        n_bits, masks = data
-        kernel = get_kernel(kernel_name)
-        handle = kernel.pack_masks(masks, n_bits)
-        select = select_bits & full_mask(len(masks)) if use_select else None
-        chosen = (
-            _sets(masks)
-            if select is None
-            else [set(indices(masks[i])) for i in indices(select)]
-        )
-        expected: set[int] = set()  # empty OR-fold = empty set
-        for s in chosen:
-            expected |= s
-        assert kernel.fold_or(handle, n_bits, select) == mask_of(expected)
-
-    @settings(max_examples=60, deadline=None)
     @given(data=mask_arrays())
     def test_popcounts_match_set_sizes(self, kernel_name, data):
         n_bits, masks = data
@@ -141,7 +109,6 @@ class TestMaskArrays:
         handle = kernel.pack_masks([], 70)
         assert kernel.unpack_masks(handle) == []
         assert kernel.fold_and(handle, 70) == full_mask(70)
-        assert kernel.fold_or(handle, 70) == 0
         assert kernel.popcounts(handle) == []
         assert kernel.supersets_of(handle, 0b1) == 0
 
@@ -149,13 +116,11 @@ class TestMaskArrays:
         kernel = get_kernel(kernel_name)
         handle = kernel.pack_masks([0b101, 0], 70)
         assert kernel.fold_and(handle, 70, select=0) == full_mask(70)
-        assert kernel.fold_or(handle, 70, select=0) == 0
 
     def test_zero_bit_universe(self, kernel_name):
         kernel = get_kernel(kernel_name)
         handle = kernel.pack_masks([0, 0, 0], 0)
         assert kernel.fold_and(handle, 0) == 0
-        assert kernel.fold_or(handle, 0) == 0
         assert kernel.supersets_of(handle, 0) == 0b111
 
 
@@ -269,35 +234,3 @@ class TestGrids:
             assert kernel.grid_fold_rows(from_tensor, heights, 70) == kernel.grid_fold_rows(
                 from_masks, heights, 70
             )
-
-
-# ----------------------------------------------------------------------
-# Cutter scans
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("kernel_name", KERNELS)
-class TestCutters:
-    @settings(max_examples=80, deadline=None)
-    @given(data=cutter_scans())
-    def test_first_applicable_matches_naive_scan(self, kernel_name, data):
-        shape, heights, rows, columns, node, start = data
-        kernel = get_kernel(kernel_name)
-        handle = kernel.pack_cutters(heights, rows, columns, shape)
-        node_h, node_r, node_c = node
-        expected = len(heights)
-        for j in range(start, len(heights)):
-            if (
-                node_h >> heights[j] & 1
-                and node_r >> rows[j] & 1
-                and node_c & columns[j]
-            ):
-                expected = j
-                break
-        assert (
-            kernel.first_applicable_cutter(handle, node_h, node_r, node_c, start)
-            == expected
-        )
-
-    def test_empty_cutter_list(self, kernel_name):
-        kernel = get_kernel(kernel_name)
-        handle = kernel.pack_cutters([], [], [], (2, 2, 2))
-        assert kernel.first_applicable_cutter(handle, 0b11, 0b11, 0b11, 0) == 0

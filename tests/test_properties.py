@@ -29,9 +29,6 @@ from repro.cubeminer import HeightOrder, cubeminer_mine
 from repro.fcp import (
     BinaryMatrix,
     carpenter_mine,
-    cbo_mine,
-    charm_mine,
-    closet_mine,
     dminer_mine,
     oracle_mine_2d,
 )
@@ -118,10 +115,7 @@ def test_auto_transpose_invariance(case):
 def test_2d_miners_equal_oracle(matrix, min_rows, min_cols):
     truth = set(oracle_mine_2d(matrix, min_rows, min_cols))
     assert set(dminer_mine(matrix, min_rows, min_cols)) == truth
-    assert set(cbo_mine(matrix, min_rows, min_cols)) == truth
-    assert set(charm_mine(matrix, min_rows, min_cols)) == truth
     assert set(carpenter_mine(matrix, min_rows, min_cols)) == truth
-    assert set(closet_mine(matrix, min_rows, min_cols)) == truth
 
 
 # ----------------------------------------------------------------------

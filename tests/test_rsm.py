@@ -9,7 +9,7 @@ from repro.core.bitset import bit_count, mask_of
 from repro.core.constraints import Thresholds
 from repro.core.dataset import Dataset3D
 from repro.core.reference import reference_mine
-from repro.fcp import CloseByOne
+from repro.fcp import Carpenter
 from repro.rsm import (
     RSMMiner,
     count_height_subsets,
@@ -134,7 +134,7 @@ class TestRSMMining:
             assert results[1].same_cubes(results[2])
 
     def test_fcp_miner_instance_accepted(self, paper_ds, paper_thresholds):
-        result = rsm_mine(paper_ds, paper_thresholds, fcp_miner=CloseByOne())
+        result = rsm_mine(paper_ds, paper_thresholds, fcp_miner=Carpenter())
         assert len(result) == 5
 
     def test_unknown_fcp_miner_raises(self, paper_ds, paper_thresholds):
@@ -143,9 +143,9 @@ class TestRSMMining:
 
     def test_algorithm_name_reflects_configuration(self, paper_ds, paper_thresholds):
         result = rsm_mine(
-            paper_ds, paper_thresholds, base_axis="row", fcp_miner="charm"
+            paper_ds, paper_thresholds, base_axis="row", fcp_miner="carpenter"
         )
-        assert result.algorithm == "rsm-r[charm]"
+        assert result.algorithm == "rsm-r[carpenter]"
 
     def test_stats_exposed(self, paper_ds, paper_thresholds):
         stats = rsm_mine(paper_ds, paper_thresholds).stats

@@ -136,6 +136,23 @@ class TestRouting:
         )
         assert response.status == 400
 
+    @pytest.mark.parametrize("algorithm", ["rsm", "parallel-rsm"])
+    def test_unknown_fcp_miner_400(self, app, algorithm):
+        fp = app.registry.register(small_dataset()).fingerprint
+        response = post(
+            app,
+            "/v1/jobs",
+            {
+                "dataset": fp,
+                "algorithm": algorithm,
+                "thresholds": {"min_h": 1, "min_r": 1, "min_c": 1},
+                "options": {"fcp_miner": "bogus"},
+            },
+        )
+        assert response.status == 400
+        assert "unknown 2D miner 'bogus'" in response.payload["error"]["message"]
+        assert app.jobs.list_jobs() == []
+
     def test_unknown_job_404(self, app):
         assert get(app, "/v1/jobs/deadbeef0000").status == 404
 
@@ -196,6 +213,29 @@ class TestMiningJobs:
         assert repeat.status == 200
         assert repeat.payload["status"] == "done"
         assert repeat.payload["cache_hit"] is True
+
+    def test_done_job_is_already_cached(self, app, monkeypatch):
+        """A client that reads ``done`` must hit the cache, however slow
+        the cache write is."""
+        cache = app.jobs.cache
+        real_put = cache.put
+
+        def slow_put(*args, **kwargs):
+            time.sleep(1.0)
+            real_put(*args, **kwargs)
+
+        monkeypatch.setattr(cache, "put", slow_put)
+        fp = app.registry.register(small_dataset()).fingerprint
+        thresholds = Thresholds(1, 2, 2)
+        job_id = post(
+            app, "/v1/jobs", {"dataset": fp, "thresholds": thresholds.to_dict()}
+        ).payload["id"]
+        deadline = time.monotonic() + 120
+        while not app.jobs.get(job_id).terminal:
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        assert app.jobs.get(job_id).status == "done"
+        assert cache.lookup(fp, "cubeminer", thresholds) is not None
 
     def test_tighter_query_served_from_lattice(self, app):
         dataset = small_dataset()
