@@ -28,10 +28,8 @@ mining commands accept ``--progress`` (periodic status on stderr),
 exits 124 after printing its partial result) and ``--metrics-json PATH``
 (dump the run's instrumentation counters).  Parallel algorithms add
 fault-tolerance knobs: ``--retries`` / ``--task-timeout`` /
-``--backoff`` configure the supervisor, ``--checkpoint PATH`` /
-``--resume`` enable chunk-level checkpoint/resume, ``--shards N`` /
-``--shard-dim`` partition the enumerated dimension, and ``--shm`` /
-``--no-shm`` force or disable the shared-memory dataset hand-off.  A malformed
+``--backoff`` configure the supervisor, and ``--checkpoint PATH`` /
+``--resume`` enable chunk-level checkpoint/resume.  A malformed
 dataset file exits 65 (``EX_DATAERR``) with the offending line — and the
 same code covers every *corrupt store* the service commands can hit:
 ``serve`` refuses to start over a structurally broken data directory,
@@ -316,18 +314,6 @@ def _add_mine_arguments(cmd: argparse.ArgumentParser) -> None:
                      help="CubeMiner height-slice ordering")
     cmd.add_argument("--workers", type=int, default=2,
                      help="worker processes for parallel algorithms")
-    cmd.add_argument("--shards", type=int, default=1,
-                     help="parallel: partition the enumerated dimension "
-                          "into this many independently minable shards")
-    cmd.add_argument("--shard-dim", default="auto",
-                     help="parallel-rsm: dimension to shard along (must "
-                          "match the enumerated base dimension; 'auto' "
-                          "follows it)")
-    cmd.add_argument("--shm", dest="use_shm", default=None,
-                     action=argparse.BooleanOptionalAction,
-                     help="parallel: force (--shm) or disable (--no-shm) "
-                          "the shared-memory dataset hand-off; default "
-                          "auto-enables it for pooled runs")
     cmd.add_argument("--retries", type=int, default=2,
                      help="parallel: retry budget per task chunk")
     cmd.add_argument("--task-timeout", type=float, default=None,
@@ -396,9 +382,6 @@ def _options_from_args(args: argparse.Namespace):
         return RSMOptions(base_axis=args.base_axis, fcp_miner=args.fcp_miner)
     if args.algorithm in ("parallel-rsm", "parallel-cubeminer"):
         fault_tolerance = {
-            "shards": args.shards,
-            "shard_dim": args.shard_dim,
-            "use_shm": args.use_shm,
             "retries": args.retries,
             "task_timeout": args.task_timeout,
             "backoff": args.backoff,

@@ -113,11 +113,12 @@ class MiningMetrics(_Counters):
     # back to numpy).  Zero on every run whose requested backend ran.
     kernel_fallbacks: int = 0
     workers_merged: int = 0
-    # Driver-side transport/shard counters: incremented once per run by
-    # the parallel drivers (never per worker attach, so clean and
+    # Driver-side transport counters: incremented once per run by the
+    # parallel drivers (never per worker attach, so clean and
     # fault-recovered runs of one config report identical totals).
     shm_datasets_published: int = 0
     shm_copy_fallbacks: int = 0
+    # stream.maintain()'s final merge: passes run and cubes it dropped.
     shard_merges: int = 0
     shard_merge_dropped: int = 0
     # -- closure-memoization cache (repro.core.closure.ClosureCache) ---

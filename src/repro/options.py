@@ -109,19 +109,6 @@ class ParallelOptions(_OptionsBase):
 
     #: Worker process count (1 falls back to inline execution).
     n_workers: int = 2
-    #: Task chunks handed to each worker (load-balancing granularity).
-    chunks_per_worker: int = 4
-    #: Partition the enumerated dimension's task space into this many
-    #: independently minable shards (results merge with closure
-    #: re-validation at the shard boundary).
-    shards: int = 1
-    #: Dimension to shard along: must match the enumerated base
-    #: dimension for parallel-rsm; parallel-cubeminer only accepts
-    #: ``"auto"`` (its frontier has no named axis).
-    shard_dim: int | str = "auto"
-    #: Dataset transport: ``None`` auto-selects shared memory for pooled
-    #: runs, ``True`` forces it, ``False`` keeps the pickled copy path.
-    use_shm: bool | None = None
     #: parallel-cubeminer: cutter ordering heuristic.
     order: HeightOrder = HeightOrder.ZERO_DECREASING
     #: parallel-cubeminer: frontier size floor for task expansion
@@ -144,16 +131,26 @@ class ParallelOptions(_OptionsBase):
     resume: bool = False
 
     def __post_init__(self) -> None:
+        # Imported here: repro.parallel pulls in the process-pool stack,
+        # which a bare ``import repro`` should not pay for.
+        from .parallel.supervisor import RetryPolicy
+
+        if not isinstance(self.n_workers, int) or self.n_workers < 1:
+            raise ValueError(f"n_workers must be an int >= 1, got {self.n_workers!r}")
+        if self.min_tasks is not None and (
+            not isinstance(self.min_tasks, int) or self.min_tasks < 1
+        ):
+            raise ValueError(
+                f"min_tasks must be None or an int >= 1, got {self.min_tasks!r}"
+            )
         get_fcp_miner(self.fcp_miner)  # ValueError on an unknown name
+        # ValueError on a negative retry budget, timeout or backoff.
+        RetryPolicy(self.retries, self.task_timeout, self.backoff)
 
     def to_kwargs(self, algorithm: str = "parallel-cubeminer") -> dict:
         self._check(algorithm)
         kwargs = {
             "n_workers": self.n_workers,
-            "chunks_per_worker": self.chunks_per_worker,
-            "shards": self.shards,
-            "shard_dim": self.shard_dim,
-            "use_shm": self.use_shm,
             "retries": self.retries,
             "task_timeout": self.task_timeout,
             "backoff": self.backoff,

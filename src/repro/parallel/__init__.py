@@ -9,13 +9,6 @@ from .checkpoint import (
 )
 from .executor import parallel_cubeminer_mine, parallel_rsm_mine
 from .faults import FAULT_KINDS, Fault, FaultInjected, FaultPlan
-from .sharding import (
-    merge_shard_results,
-    partition_cubeminer_tasks,
-    partition_rsm_tasks,
-    shard_blocks,
-    shard_of_mask,
-)
 from .shm import (
     SHM_PREFIX,
     ShmAttachment,
@@ -66,9 +59,4 @@ __all__ = [
     "active_segments",
     "attach_dataset",
     "publish_dataset",
-    "merge_shard_results",
-    "partition_cubeminer_tasks",
-    "partition_rsm_tasks",
-    "shard_blocks",
-    "shard_of_mask",
 ]

@@ -42,6 +42,12 @@ SCHEMA_VERSION = 1
 #: fault trace, and it is never requeued again.
 JOB_STATUSES = ("queued", "running", "done", "failed", "cancelled", "quarantined")
 
+#: Parallel options the daemon sets itself (the journal lives in the
+#: job directory); a request that sets one away from its default is
+#: rejected.  Typed clients serialize every field, so the defaults
+#: (``None``/``False``) must pass.
+_DAEMON_OWNED_OPTIONS = ("checkpoint_path", "resume")
+
 
 class ServiceError(Exception):
     """A request-level failure with an HTTP status and a stable code.
@@ -108,6 +114,14 @@ class JobSpec:
     def validate(self) -> None:
         """Fail loudly on an unknown algorithm or malformed options."""
         get_algorithm(self.algorithm)  # raises ValueError on unknown names
+        owned = [key for key in _DAEMON_OWNED_OPTIONS if self.options.get(key)]
+        if owned:
+            # The daemon picks the journal path inside the job directory;
+            # a client path would let a request overwrite any file.
+            raise ValueError(
+                f"option(s) {owned} are set by the daemon, not the client; "
+                "use the job's 'checkpoint' flag to turn journaling on or off"
+            )
         options_from_dict(self.algorithm, self.options)
         if self.deadline_seconds is not None and not self.deadline_seconds > 0:
             raise ValueError(

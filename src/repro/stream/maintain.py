@@ -24,11 +24,11 @@ exactly one of two classes:
    here intersects ``D``.  Re-running RSM restricted to subsets that
    intersect ``D`` finds all of them and skips everything else.
 
-The union of both passes is deduplicated and closure-revalidated by the
-parallel layer's :func:`~repro.parallel.sharding.merge_shard_results`,
-so the returned result is bit-identical (same canonical cube list) to a
-fresh ``mine()`` of ``O'`` — the property the hypothesis differential
-suite in ``tests/test_stream_maintain.py`` checks on random batches.
+The union of both passes is deduplicated and closure-revalidated by
+:func:`merge_shard_results`, so the returned result is bit-identical
+(same canonical cube list) to a fresh ``mine()`` of ``O'`` — the
+property the hypothesis differential suite in
+``tests/test_stream_maintain.py`` checks on random batches.
 
 Cost: row/column structure edits dirty every height (full re-mine, by
 construction), but the common streaming workload — cell edits and
@@ -42,14 +42,13 @@ from __future__ import annotations
 import time
 
 from ..core.bitset import bit_count
-from ..core.closure import ClosureCache, close
+from ..core.closure import ClosureCache, close, is_closed_cube
 from ..core.constraints import Thresholds
 from ..core.cube import Cube
 from ..core.dataset import Dataset3D
 from ..core.result import MiningResult, MiningStats
 from ..fcp import FCPMiner, get_fcp_miner
 from ..obs.metrics import MiningMetrics
-from ..parallel.sharding import merge_shard_results
 from ..rsm.algorithm import mine_slice
 # Only mine_slice calls it; the binding stays for perfbench/spans.py,
 # which times the post-prune layer at this name.
@@ -57,7 +56,9 @@ from ..rsm.postprune import height_closed_in  # noqa: F401
 from ..rsm.slices import iter_size_slices
 from .delta import Delta, DeltaApplication, apply_deltas
 
-__all__ = ["maintain", "IncrementalMaintainer"]
+__all__ = ["maintain", "IncrementalMaintainer", "merge_shard_results"]
+
+Triple = tuple[int, int, int]
 
 
 def _remap(mask: int, index_map: tuple) -> int:
@@ -70,6 +71,47 @@ def _remap(mask: int, index_map: tuple) -> int:
             out |= 1 << new_index
         mask ^= low
     return out
+
+
+def merge_shard_results(
+    dataset: Dataset3D,
+    thresholds: Thresholds,
+    triples: list[Triple],
+    *,
+    metrics: MiningMetrics | None = None,
+    revalidate: bool = True,
+) -> list[Triple]:
+    """Merge partial cube-triple lists into one canonical result.
+
+    Deduplicates, re-validates each survivor against the full dataset
+    (closure via :func:`repro.core.closure.is_closed_cube` plus the
+    thresholds — violations are counted in ``shard_merge_dropped`` and
+    dropped; a correct maintenance pass never produces any) and
+    returns the triples in canonical sorted order.  The output depends
+    only on the input set, which makes the merge associative and
+    idempotent however the inputs are grouped or ordered.
+    """
+    cache = ClosureCache()
+    seen: set[Triple] = set()
+    kept: list[Triple] = []
+    dropped = 0
+    for triple in triples:
+        if triple in seen:
+            continue
+        seen.add(triple)
+        if revalidate:
+            cube = Cube(*triple)
+            if not thresholds.satisfied_by(cube) or not is_closed_cube(
+                dataset, cube, cache=cache
+            ):
+                dropped += 1
+                continue
+        kept.append(triple)
+    kept.sort()
+    if metrics is not None:
+        metrics.shard_merges += 1
+        metrics.shard_merge_dropped += dropped
+    return kept
 
 
 def maintain(

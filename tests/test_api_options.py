@@ -82,6 +82,35 @@ class TestTypedOptions:
         with pytest.raises(ValueError, match=r"\['carpenter', 'dminer'\]"):
             options_class(fcp_miner=name)
 
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"n_workers": 0}, "n_workers"),
+            ({"n_workers": -2}, "n_workers"),
+            ({"n_workers": "2"}, "n_workers"),
+            ({"min_tasks": 0}, "min_tasks"),
+            ({"retries": -1}, "retries"),
+            ({"task_timeout": 0}, "task_timeout"),
+            ({"backoff": -0.5}, "backoff"),
+        ],
+    )
+    def test_parallel_options_reject_bad_numbers(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            ParallelOptions(**kwargs)
+
+    def test_parallel_options_accept_edge_values(self):
+        options = ParallelOptions(
+            n_workers=1, min_tasks=1, retries=0, task_timeout=None, backoff=0
+        )
+        assert options.to_kwargs("parallel-cubeminer")["min_tasks"] == 1
+
+    def test_removed_parallel_knobs_are_unknown_keys(self):
+        from repro.options import options_from_dict
+
+        for key in ("shards", "shard_dim", "use_shm", "chunks_per_worker"):
+            with pytest.raises(ValueError, match="unknown option"):
+                options_from_dict("parallel-rsm", {key: 1})
+
 
 class TestLooseKwargsRemoved:
     """The pre-2.0 loose-keyword channel is gone: typed options only."""
@@ -175,7 +204,7 @@ class TestOptionsWireFormat:
         cases = [
             ("cubeminer", CubeMinerOptions(order=HeightOrder.ZERO_DECREASING)),
             ("rsm", RSMOptions(base_axis="row", fcp_miner="dminer")),
-            ("parallel-cubeminer", ParallelOptions(n_workers=3, shards=2)),
+            ("parallel-cubeminer", ParallelOptions(n_workers=3, min_tasks=5)),
             ("reference", ReferenceOptions()),
         ]
         for algorithm, options in cases:

@@ -23,6 +23,7 @@ from repro.core.constraints import Thresholds
 from repro.core.dataset import Dataset3D
 from repro.core.result import MiningResult
 from repro.io import dataset_fingerprint, dataset_to_payload
+from repro.options import ParallelOptions
 from repro.service import (
     DatasetRegistry,
     JobManager,
@@ -151,6 +152,48 @@ class TestRouting:
         )
         assert response.status == 400
         assert "unknown 2D miner 'bogus'" in response.payload["error"]["message"]
+        assert app.jobs.list_jobs() == []
+
+    @pytest.mark.parametrize("key", ["checkpoint_path", "resume"])
+    def test_client_cannot_set_journal_options(self, app, tmp_path, key):
+        target = tmp_path / "precious.txt"
+        target.write_text("keep me\n")
+        fp = app.registry.register(small_dataset()).fingerprint
+        value = str(target) if key == "checkpoint_path" else True
+        response = post(
+            app,
+            "/v1/jobs",
+            {
+                "dataset": fp,
+                "algorithm": "parallel-rsm",
+                "thresholds": {"min_h": 1, "min_r": 1, "min_c": 1},
+                "checkpoint": False,
+                "options": {key: value},
+            },
+        )
+        assert response.status == 400
+        assert response.payload["error"]["code"] == "bad-spec"
+        assert key in response.payload["error"]["message"]
+        assert app.jobs.list_jobs() == []
+        assert target.read_text() == "keep me\n"
+
+    @pytest.mark.parametrize(
+        "options", [{"n_workers": 0}, {"min_tasks": 0}, {"retries": -1}]
+    )
+    def test_bad_parallel_numbers_400(self, app, options):
+        fp = app.registry.register(small_dataset()).fingerprint
+        response = post(
+            app,
+            "/v1/jobs",
+            {
+                "dataset": fp,
+                "algorithm": "parallel-cubeminer",
+                "thresholds": {"min_h": 1, "min_r": 1, "min_c": 1},
+                "options": options,
+            },
+        )
+        assert response.status == 400
+        assert response.payload["error"]["code"] == "bad-spec"
         assert app.jobs.list_jobs() == []
 
     def test_unknown_job_404(self, app):
@@ -318,6 +361,23 @@ class TestOverHTTP:
         assert again.cache_hit
         assert again.filtered_from == Thresholds(1, 2, 2)
 
+    def test_typed_parallel_options_roundtrip(self, app, server):
+        # The typed form serializes checkpoint_path=None and resume=False;
+        # those defaults are not client-set journal options.
+        client = ServiceClient(f"http://127.0.0.1:{server.server_address[1]}")
+        dataset = small_dataset()
+        served = client.mine(
+            dataset,
+            Thresholds(1, 2, 2),
+            algorithm="parallel-rsm",
+            options=ParallelOptions(n_workers=2),
+            timeout=120,
+        )
+        assert served.result.algorithm.startswith("parallel-rsm")
+        assert cube_set(served.result) == cube_set(
+            mine(dataset, Thresholds(1, 2, 2))
+        )
+
     def test_concurrent_submissions(self, app, server):
         client = ServiceClient(f"http://127.0.0.1:{server.server_address[1]}")
         datasets = [small_dataset(seed) for seed in (21, 22, 23, 24)]
@@ -457,6 +517,50 @@ class TestRestartResume:
             assert MiningResult.from_payload(payload).algorithm.startswith(
                 "cubeminer"
             )
+        finally:
+            reborn.shutdown()
+
+    def test_requeued_job_with_removed_option_fails_clearly(self, tmp_path):
+        manager, registry, cache = self._manager(tmp_path)
+        fp = registry.register(small_dataset(31)).fingerprint
+        manager.shutdown()
+
+        # A job persisted before the sharding knobs were removed.
+        record_dir = tmp_path / "jobs" / "feedc0ffee02"
+        record_dir.mkdir(parents=True)
+        spec = JobSpec(
+            dataset=fp, thresholds=Thresholds(1, 1, 1), algorithm="parallel-rsm"
+        ).to_dict()
+        spec["options"] = {"shards": 2}
+        (record_dir / "job.json").write_text(
+            json.dumps(
+                {
+                    "schema": 1,
+                    "id": "feedc0ffee02",
+                    "spec": spec,
+                    "status": "queued",
+                    "created": time.time(),
+                    "started": None,
+                    "finished": None,
+                    "error": None,
+                    "cache_hit": False,
+                    "filtered_from": None,
+                    "n_cubes": None,
+                    "attempts": 0,
+                    "progress": {},
+                }
+            )
+        )
+
+        reborn = JobManager(tmp_path / "jobs", registry, cache, max_workers=1)
+        try:
+            deadline = time.monotonic() + 240
+            while not reborn.get("feedc0ffee02").terminal:
+                assert time.monotonic() < deadline
+                time.sleep(0.1)
+            record = reborn.get("feedc0ffee02")
+            assert record.status == "failed"
+            assert "unknown option key(s) ['shards']" in record.error
         finally:
             reborn.shutdown()
 

@@ -2,8 +2,9 @@
 
 The acceptance bar: a pooled run that ships workers a
 :class:`~repro.parallel.shm.ShmDatasetRef` must be *bit-identical* to
-the legacy pickled-dataset run and to the sequential miner — same cube
-list, same mining counters — on both kernels, and it must clean up
+the pickled-dataset fallback (taken when publishing fails) and to the
+sequential miner — same cube list, same mining counters — on every
+kernel, and it must clean up
 after itself: after every run (clean, cancelled, or fault-recovered)
 the process-wide segment registry is empty and ``/dev/shm`` holds no
 ``repro-fcc-`` leftovers.
@@ -33,6 +34,7 @@ from repro.parallel import (
     parallel_rsm_mine,
     publish_dataset,
 )
+from repro.parallel import executor
 from repro.rsm.algorithm import rsm_mine
 
 DRIVERS = [parallel_rsm_mine, parallel_cubeminer_mine]
@@ -176,21 +178,22 @@ class TestPublishAttach:
 
 
 # ----------------------------------------------------------------------
-# Differential: shm == pickled == sequential
+# Differential: shm == pickled fallback == sequential
 # ----------------------------------------------------------------------
+def failing_publish(dataset, manager):
+    raise ShmError("publishing disabled for this test")
+
+
 class TestDifferential:
     @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("driver", DRIVERS)
     def test_shm_pickled_sequential_bit_identical(
-        self, dataset, thresholds, driver, kernel
+        self, dataset, thresholds, driver, kernel, monkeypatch
     ):
         seq = SEQUENTIAL[driver](dataset.with_kernel(kernel), thresholds)
-        shm_run = driver(
-            dataset, thresholds, n_workers=2, kernel=kernel, use_shm=True
-        )
-        pickled = driver(
-            dataset, thresholds, n_workers=2, kernel=kernel, use_shm=False
-        )
+        shm_run = driver(dataset, thresholds, n_workers=2, kernel=kernel)
+        monkeypatch.setattr(executor, "publish_dataset", failing_publish)
+        pickled = driver(dataset, thresholds, n_workers=2, kernel=kernel)
         assert sorted(cube_triples(shm_run)) == sorted(cube_triples(seq))
         assert cube_triples(shm_run) == cube_triples(pickled)
         # Node-count parity: identical mining work, not just results.
@@ -207,6 +210,21 @@ class TestDifferential:
         assert not pickled.stats.extra["shm"]["enabled"]
         assert_no_leaks()
 
+    @pytest.mark.parametrize("driver", DRIVERS)
+    def test_publish_failure_falls_back_to_pickled(
+        self, dataset, thresholds, driver, monkeypatch
+    ):
+        monkeypatch.setattr(executor, "publish_dataset", failing_publish)
+        result = driver(dataset, thresholds, n_workers=2)
+        seq = SEQUENTIAL[driver](dataset, thresholds)
+        assert sorted(cube_triples(result)) == sorted(cube_triples(seq))
+        shm = result.stats.extra["shm"]
+        assert shm["enabled"] is False
+        assert "publishing disabled" in shm["error"]
+        assert result.stats.metrics.shm_datasets_published == 0
+        assert result.stats.extra["recovery"]["task_failures"] == 0
+        assert_no_leaks()
+
     def test_auto_enables_shm_for_pooled_runs(self, dataset, thresholds):
         result = parallel_rsm_mine(dataset, thresholds, n_workers=2)
         assert result.stats.extra["shm"]["enabled"]
@@ -214,34 +232,30 @@ class TestDifferential:
         assert_no_leaks()
 
     def test_inline_run_skips_shm_by_default(self, dataset, thresholds):
-        result = parallel_rsm_mine(dataset, thresholds, n_workers=1)
-        assert not result.stats.extra["shm"]["enabled"]
-        assert result.stats.metrics.shm_datasets_published == 0
-        assert_no_leaks()
-
-    @pytest.mark.parametrize("driver", DRIVERS)
-    def test_forced_shm_works_inline(self, dataset, thresholds, driver):
-        forced = driver(dataset, thresholds, n_workers=1, use_shm=True)
-        plain = driver(dataset, thresholds, n_workers=1, use_shm=False)
-        assert cube_triples(forced) == cube_triples(plain)
-        assert forced.stats.metrics.shm_datasets_published == 1
-        assert_no_leaks()
+        for driver in DRIVERS:
+            result = driver(dataset, thresholds, n_workers=1)
+            assert result.stats.extra["shm"] == {"enabled": False}
+            assert result.stats.metrics.shm_datasets_published == 0
+            assert_no_leaks()
 
     def test_copy_fallback_counted_on_python_int(self, dataset, thresholds):
         result = parallel_rsm_mine(
-            dataset, thresholds, n_workers=2, kernel="python-int", use_shm=True
+            dataset, thresholds, n_workers=2, kernel="python-int"
         )
         assert result.stats.metrics.shm_copy_fallbacks == 1
         numpy_run = parallel_rsm_mine(
-            dataset, thresholds, n_workers=2, kernel="numpy", use_shm=True
+            dataset, thresholds, n_workers=2, kernel="numpy"
         )
         assert numpy_run.stats.metrics.shm_copy_fallbacks == 0
         assert_no_leaks()
 
     def test_paper_example_over_shm(self, thresholds):
+        # parallel-rsm: parallel-cubeminer finds all five cubes while
+        # expanding the frontier, so its pool never runs.
         ds = paper_example()
-        result = parallel_cubeminer_mine(ds, thresholds, n_workers=2, use_shm=True)
-        seq = cubeminer_mine(ds, thresholds)
+        result = parallel_rsm_mine(ds, thresholds, n_workers=2)
+        assert result.stats.extra["shm"]["enabled"]
+        seq = rsm_mine(ds, thresholds)
         assert sorted(cube_triples(result)) == sorted(cube_triples(seq))
         assert_no_leaks()
 
@@ -253,13 +267,12 @@ class TestDifferential:
 class TestShmUnderFaults:
     @pytest.mark.parametrize("driver", DRIVERS)
     def test_crash_and_exception_recovery_parity(self, dataset, thresholds, driver):
-        clean = driver(dataset, thresholds, n_workers=2, use_shm=True)
+        clean = driver(dataset, thresholds, n_workers=2)
         plan = FaultPlan.random(8, 3, kinds=("crash", "exception"), seed=11)
         faulty = driver(
             dataset,
             thresholds,
             n_workers=2,
-            use_shm=True,
             fault_plan=plan,
             backoff=0.01,
         )
@@ -268,13 +281,12 @@ class TestShmUnderFaults:
         assert_no_leaks()
 
     def test_hang_recovery_under_timeout(self, dataset, thresholds):
-        clean = parallel_rsm_mine(dataset, thresholds, n_workers=2, use_shm=True)
+        clean = parallel_rsm_mine(dataset, thresholds, n_workers=2)
         plan = FaultPlan.single(1, "hang", seconds=30.0)
         faulty = parallel_rsm_mine(
             dataset,
             thresholds,
             n_workers=2,
-            use_shm=True,
             fault_plan=plan,
             task_timeout=0.5,
             backoff=0.01,
@@ -286,13 +298,12 @@ class TestShmUnderFaults:
     def test_permanent_crash_degrades_inline_without_leaks(
         self, dataset, thresholds
     ):
-        clean = parallel_rsm_mine(dataset, thresholds, n_workers=2, use_shm=True)
+        clean = parallel_rsm_mine(dataset, thresholds, n_workers=2)
         plan = FaultPlan.single(0, "crash", attempts=None)
         degraded = parallel_rsm_mine(
             dataset,
             thresholds,
             n_workers=2,
-            use_shm=True,
             fault_plan=plan,
             backoff=0.01,
         )

@@ -18,6 +18,8 @@ from hypothesis import strategies as st
 from repro.api import mine
 from repro.core.constraints import Thresholds
 from repro.core.dataset import Dataset3D
+from repro.cubeminer.algorithm import cubeminer_mine
+from repro.datasets import random_tensor
 from repro.obs.metrics import MiningMetrics
 from repro.stream import (
     AppendSlice,
@@ -27,6 +29,7 @@ from repro.stream import (
     SetCell,
     maintain,
 )
+from repro.stream.maintain import merge_shard_results
 
 KERNELS = ("python-int", "numpy")
 
@@ -200,3 +203,80 @@ def test_maintain_without_thresholds_anywhere_raises():
     )
     with pytest.raises(ValueError):
         maintain(ds, stripped, [SetCell(0, 0, 0)])
+
+
+# ----------------------------------------------------------------------
+# maintain()'s final merge (merge_shard_results)
+# ----------------------------------------------------------------------
+def cube_triples(result):
+    return sorted((c.heights, c.rows, c.columns) for c in result)
+
+
+@st.composite
+def tensors_with_thresholds(draw, max_dim: int = 5):
+    l = draw(st.integers(2, max_dim))
+    n = draw(st.integers(1, max_dim))
+    m = draw(st.integers(1, max_dim))
+    cells = draw(st.lists(st.booleans(), min_size=l * n * m, max_size=l * n * m))
+    dataset = Dataset3D(np.array(cells, dtype=bool).reshape(l, n, m))
+    thresholds = Thresholds(
+        draw(st.integers(1, 2)), draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    )
+    return dataset, thresholds
+
+
+class TestMergeAlgebra:
+    @settings(max_examples=25, deadline=None)
+    @given(tensors_with_thresholds(), st.data())
+    def test_merge_is_associative_and_order_insensitive(self, case, data):
+        dataset, thresholds = case
+        triples = cube_triples(cubeminer_mine(dataset, thresholds))
+        permuted = data.draw(st.permutations(triples))
+        split_at = data.draw(st.integers(0, len(permuted)))
+        left, right = permuted[:split_at], permuted[split_at:]
+        one_pass = merge_shard_results(dataset, thresholds, list(permuted))
+        grouped = merge_shard_results(
+            dataset,
+            thresholds,
+            merge_shard_results(dataset, thresholds, left)
+            + merge_shard_results(dataset, thresholds, right),
+        )
+        assert one_pass == grouped == sorted(triples)
+
+    @settings(max_examples=25, deadline=None)
+    @given(tensors_with_thresholds())
+    def test_merge_is_idempotent_and_deduplicates(self, case):
+        dataset, thresholds = case
+        triples = cube_triples(cubeminer_mine(dataset, thresholds))
+        once = merge_shard_results(dataset, thresholds, triples)
+        again = merge_shard_results(dataset, thresholds, once + once)
+        assert once == again == sorted(triples)
+
+    def test_merge_drops_planted_violations(self):
+        dataset = random_tensor((5, 8, 10), 0.4, seed=7)
+        thresholds = Thresholds(2, 2, 2)
+        good = cube_triples(cubeminer_mine(dataset, thresholds))
+        assert good, "seed must yield at least one cube"
+        # An unclosed/over-threshold-violating impostor at the shard
+        # boundary must be re-validated away, and counted.
+        h, r, c = good[0]
+        impostors = [(h, r & -r, c), (0b1, 0b1, 0b1)]
+        from repro.obs import MiningMetrics
+
+        metrics = MiningMetrics()
+        merged = merge_shard_results(
+            dataset, thresholds, good + impostors, metrics=metrics
+        )
+        survivors = [t for t in impostors if t in merged]
+        assert merged == sorted(set(good) | set(survivors))
+        assert metrics.shard_merge_dropped == len(impostors) - len(survivors)
+        assert metrics.shard_merge_dropped >= 1
+
+    def test_merge_without_revalidation_only_dedupes_and_sorts(self):
+        dataset = random_tensor((4, 5, 6), 0.5, seed=3)
+        thresholds = Thresholds(2, 2, 2)
+        junk = [(1, 1, 1), (3, 3, 3), (1, 1, 1)]
+        merged = merge_shard_results(
+            dataset, thresholds, junk, revalidate=False
+        )
+        assert merged == [(1, 1, 1), (3, 3, 3)]
