@@ -8,8 +8,8 @@ A dataset rarely holds still: cells flip as measurements are corrected,
 new time slices arrive, samples get dropped.  The
 :class:`repro.stream.IncrementalMaintainer` carries a mined result
 through arbitrary delta batches — cell edits and slice appends/drops on
-any axis — re-mining only the height subsets a batch actually touched,
-and provably lands on exactly what a fresh mine of the edited tensor
+any axis — re-mining only the cubes through the heights a batch
+actually touched, and provably lands on exactly what a fresh mine of the edited tensor
 returns.  Every batch is journalled in a :class:`repro.stream.DeltaLog`
 bound to the base tensor's content fingerprint, so the edit history
 replays and verifies end to end.
@@ -79,7 +79,7 @@ def main() -> None:
                 f"after {len(batch)} delta(s): {len(maintained):>4} FCCs on "
                 f"{maintainer.dataset.shape} "
                 f"({stream['cubes_patched']} patched, "
-                f"{stream['subsets_remined']} subsets re-mined)"
+                f"{stream['subsets_remined']} dirty cubes re-mined)"
             )
 
         print(f"\ncumulative incremental time: {incremental_total:.3f}s")

@@ -184,6 +184,7 @@ def _run(
     closure_cache: ClosureCache | None = None,
     sink: EventSink | None = None,
     progress: ProgressController | None = None,
+    required_heights: int = -1,
 ) -> tuple[list[Cube], MiningMetrics]:
     """Drain a work stack of ``((H', R', C'), cutter_index, TL, TM)`` items.
 
@@ -193,6 +194,14 @@ def _run(
     found so far in ``partial_cubes``.  ``closure_cache`` memoizes the
     Lemma 4-5 closure checks (``None`` recomputes every check); its
     counter deltas are folded into ``stats`` even on cancellation.
+
+    ``required_heights`` restricts the run to cubes whose height set
+    meets that mask (``-1``, the default, is every height).  Only left
+    sons drop heights and a node's descendants keep a subset of its
+    heights, so a left son that loses every required height is pruned
+    with its whole subtree (``pruned_required_heights``) and the run
+    returns exactly the unrestricted cubes that meet the mask.
+    ``stream.maintain()`` uses it to re-mine only the dirty heights.
     """
     min_h, min_r, min_c = thresholds.as_tuple()
     min_volume = thresholds.min_volume
@@ -255,6 +264,10 @@ def _run(
                 stats.pruned_left_track += 1
                 if sink is not None:
                     sink(prune_event(("left", "pruned_left_track", son_heights, rows, columns)))
+            elif not son_heights & required_heights:
+                stats.pruned_required_heights += 1
+                if sink is not None:
+                    sink(prune_event(("left", "pruned_required_heights", son_heights, rows, columns)))
             elif not row_set_closed(dataset, son_heights, rows, columns, cache=cache):
                 stats.kernel_ops += 1
                 stats.pruned_row_unclosed += 1

@@ -98,6 +98,10 @@ class MiningMetrics(_Counters):
     pruned_middle_track: int = 0      # Lemma 3
     pruned_height_unclosed: int = 0   # Lemma 4 (Hcheck)
     pruned_row_unclosed: int = 0      # Lemma 5 (Rcheck)
+    # Left sons with no required height (a restricted run, such as
+    # stream.maintain()'s dirty pass); not one of Figure 1's rules, so
+    # it stays out of PRUNE_FIELDS.
+    pruned_required_heights: int = 0
     max_stack_depth: int = 0
     cutters_built: int = 0
     # -- RSM phases ----------------------------------------------------
@@ -128,7 +132,7 @@ class MiningMetrics(_Counters):
     # -- streaming / out-of-core (repro.stream) ------------------------
     deltas_applied: int = 0
     cubes_patched: int = 0
-    subsets_remined: int = 0
+    subsets_remined: int = 0          # cubes maintain()'s dirty pass emitted
     stream_chunks_read: int = 0
 
     #: Fields merged with ``max`` instead of ``+`` (high-water marks).

@@ -6,8 +6,8 @@ about the old tensor; :func:`append_height_slice` updates an existing
 result instead.  It is the one-height-append case of
 :func:`repro.stream.maintain`: the new slice is the only dirty height,
 so old cubes are patched forward (gaining the new height where it
-covers their region) and only the height subsets through the new slice
-are re-mined — about half of a fresh RSM run.
+covers their region) and the only cubes re-mined are those through the
+new slice, by a CubeMiner run restricted to that height.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import numpy as np
 from ..core.constraints import Thresholds
 from ..core.dataset import Dataset3D
 from ..core.result import MiningResult
-from ..fcp import FCPMiner
 
 __all__ = ["append_height_slice"]
 
@@ -29,7 +28,6 @@ def append_height_slice(
     thresholds: Thresholds | None = None,
     *,
     slice_label: str | None = None,
-    fcp_miner: str | FCPMiner = "dminer",
 ) -> tuple[Dataset3D, MiningResult]:
     """Extend ``dataset`` by one height slice and update ``result``.
 
@@ -55,4 +53,4 @@ def append_height_slice(
     from ..stream import AppendSlice, maintain
 
     append = AppendSlice(0, np.asarray(new_slice, dtype=bool), slice_label)
-    return maintain(dataset, result, [append], thresholds, fcp_miner=fcp_miner)
+    return maintain(dataset, result, [append], thresholds)

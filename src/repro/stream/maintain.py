@@ -19,10 +19,13 @@ exactly one of two classes:
    its region, and no closed cube can strictly contain a closed cube
    (growing rows/columns only shrinks the height support back).  One
    linear pass over ``F`` therefore recovers every clean-heights FCC.
-2. **Dirty cubes** (``H ∩ D ≠ ∅``).  RSM produces each FCC exactly
-   once, from the height subset equal to its height support — which
-   here intersects ``D``.  Re-running RSM restricted to subsets that
-   intersect ``D`` finds all of them and skips everything else.
+2. **Dirty cubes** (``H ∩ D ≠ ∅``).  One CubeMiner run over ``O'``
+   with ``required_heights=D`` finds exactly these: only left sons
+   drop heights and every descendant keeps a subset of its ancestor's
+   heights, so a left son with no dirty height is pruned with its whole
+   subtree, and every other test is the unrestricted run's.  When every
+   height is dirty (row/column structure edits) no FCC is clean, so the
+   run alone is the answer and pass 1 is skipped.
 
 The union of both passes is deduplicated and closure-revalidated by
 :func:`merge_shard_results`, so the returned result is bit-identical
@@ -30,30 +33,31 @@ The union of both passes is deduplicated and closure-revalidated by
 property the hypothesis differential suite in
 ``tests/test_stream_maintain.py`` checks on random batches.
 
-Cost: row/column structure edits dirty every height (full re-mine, by
-construction), but the common streaming workload — cell edits and
-height appends/drops — re-mines only the subsets through the touched
-heights, which ``BENCH_stream.json`` shows is several times cheaper
-than mining from scratch.
+Cost: pass 1 is one ``close()`` per old cube.  Pass 2 walks only the
+part of CubeMiner's tree whose nodes keep a dirty height; for cell
+edits in one or two heights that is a small share of the fresh tree
+(``BENCH_stream.json``: the cell-edit batch maintains tens of times
+faster than a fresh mine).  Row/column structure edits dirty every
+height and cost one fresh CubeMiner run plus the merge.
 """
 
 from __future__ import annotations
 
 import time
 
-from ..core.bitset import bit_count
+from ..core.bitset import bit_count, full_mask
 from ..core.closure import ClosureCache, close, is_closed_cube
 from ..core.constraints import Thresholds
 from ..core.cube import Cube
 from ..core.dataset import Dataset3D
 from ..core.result import MiningResult, MiningStats
-from ..fcp import FCPMiner, get_fcp_miner
+from ..cubeminer.algorithm import _run
+from ..cubeminer.cutter import HeightOrder, build_cutters
 from ..obs.metrics import MiningMetrics
-from ..rsm.algorithm import mine_slice
-# Only mine_slice calls it; the binding stays for perfbench/spans.py,
-# which times the post-prune layer at this name.
+# Not called here; the bindings stay for perfbench/spans.py, which
+# times the RSM slice and post-prune layers at these names.
 from ..rsm.postprune import height_closed_in  # noqa: F401
-from ..rsm.slices import iter_size_slices
+from ..rsm.slices import iter_size_slices  # noqa: F401
 from .delta import Delta, DeltaApplication, apply_deltas
 
 __all__ = ["maintain", "IncrementalMaintainer", "merge_shard_results"]
@@ -120,7 +124,6 @@ def maintain(
     deltas: "list[Delta] | tuple[Delta, ...]",
     thresholds: "Thresholds | None" = None,
     *,
-    fcp_miner: "str | FCPMiner" = "dminer",
     metrics: "MiningMetrics | None" = None,
 ) -> tuple[Dataset3D, MiningResult]:
     """Apply a delta batch and update an FCC result to the new tensor.
@@ -148,16 +151,13 @@ def maintain(
         thresholds = result.thresholds
     if thresholds is None:
         raise ValueError("thresholds are required (argument or result metadata)")
-    miner = get_fcp_miner(fcp_miner) if isinstance(fcp_miner, str) else fcp_miner
     if metrics is None:
         metrics = MiningMetrics()
     start = time.perf_counter()
 
     application = apply_deltas(dataset, deltas)
     new = application.dataset
-    updated = _maintain_applied(
-        new, result, application, thresholds, miner, metrics, start
-    )
+    updated = _maintain_applied(new, result, application, thresholds, metrics, start)
     return new, updated
 
 
@@ -166,57 +166,63 @@ def _maintain_applied(
     result: MiningResult,
     application: DeltaApplication,
     thresholds: Thresholds,
-    miner: FCPMiner,
     metrics: MiningMetrics,
     start: float,
 ) -> MiningResult:
     dirty = application.dirty_heights
     metrics.deltas_applied += application.n_deltas
     cubes_patched = 0
-    subsets_remined = 0
+    dirty_cubes = 0
 
     triples: set[tuple[int, int, int]] = set()
-    kernel = new.kernel
-    grid = new.ones_grid()
+    all_heights = full_mask(new.n_heights)
     cache = ClosureCache()
 
     # --- Pass 1: patch the surviving cubes ----------------------------
-    for cube in result:
-        rows = _remap(cube.rows, application.row_map)
-        columns = _remap(cube.columns, application.column_map)
-        if rows == 0 or columns == 0:
-            continue
-        clean = _remap(cube.heights, application.height_map) & ~dirty
-        covering = (
-            kernel.grid_supporting_heights(grid, rows, columns, candidates=dirty)
-            if dirty
-            else 0
-        )
-        heights = clean | covering
-        if heights == 0:
-            continue
-        patched = close(new, Cube(heights, rows, columns), cache=cache)
-        triples.add((patched.heights, patched.rows, patched.columns))
-        cubes_patched += 1
-
-    # --- Pass 2: re-mine the height subsets touching the dirty set ---
-    # The prefix-folded enumerator amortizes slice folds across
-    # neighbouring subsets exactly like a fresh RSM run; clean subsets
-    # only pay that amortized fold, never the 2D mine.
-    if dirty and thresholds.feasible_for_shape(new.shape):
-        slice_cells = new.n_rows * new.n_columns
-        for size in range(max(thresholds.min_h, 1), new.n_heights + 1):
-            if size * slice_cells < thresholds.min_volume:
+    # Skipped when every height is dirty: then no FCC is clean.
+    if dirty != all_heights:
+        kernel = new.kernel
+        grid = new.ones_grid()
+        for cube in result:
+            rows = _remap(cube.rows, application.row_map)
+            columns = _remap(cube.columns, application.column_map)
+            if rows == 0 or columns == 0:
                 continue
-            for heights, rs in iter_size_slices(new, size):
-                if heights & dirty == 0:
-                    continue
-                subsets_remined += 1
-                for cube in mine_slice(new, heights, rs, thresholds, miner, metrics):
-                    triples.add((cube.heights, cube.rows, cube.columns))
+            clean = _remap(cube.heights, application.height_map) & ~dirty
+            covering = (
+                kernel.grid_supporting_heights(grid, rows, columns, candidates=dirty)
+                if dirty
+                else 0
+            )
+            heights = clean | covering
+            if heights == 0:
+                continue
+            patched = close(new, Cube(heights, rows, columns), cache=cache)
+            triples.add((patched.heights, patched.rows, patched.columns))
+            cubes_patched += 1
+
+    # --- Pass 2: CubeMiner restricted to cubes with a dirty height ----
+    if dirty and thresholds.feasible_for_shape(new.shape):
+        cutters = build_cutters(new, HeightOrder.ZERO_DECREASING)
+        metrics.cutters_built += len(cutters)
+        metrics.n_cutters = len(cutters)
+        root = (all_heights, full_mask(new.n_rows), full_mask(new.n_columns))
+        found, _ = _run(
+            new,
+            thresholds,
+            cutters,
+            [(root, 0, 0, 0)],
+            metrics,
+            closure_cache=cache,
+            required_heights=dirty,
+        )
+        dirty_cubes = len(found)
+        triples.update((cube.heights, cube.rows, cube.columns) for cube in found)
 
     metrics.cubes_patched += cubes_patched
-    metrics.subsets_remined += subsets_remined
+    # ``subsets_remined`` keeps its name from the RSM subset
+    # enumeration this pass replaced; it counts the dirty pass's cubes.
+    metrics.subsets_remined += dirty_cubes
 
     kept = merge_shard_results(new, thresholds, sorted(triples), metrics=metrics)
     base = result.algorithm
@@ -235,7 +241,7 @@ def _maintain_applied(
                     "deltas_applied": application.n_deltas,
                     "dirty_heights": bit_count(dirty),
                     "cubes_patched": cubes_patched,
-                    "subsets_remined": subsets_remined,
+                    "subsets_remined": dirty_cubes,
                     "old_cubes": len(result),
                 }
             },
@@ -262,8 +268,6 @@ class IncrementalMaintainer:
         dataset: Dataset3D,
         result: MiningResult,
         thresholds: "Thresholds | None" = None,
-        *,
-        fcp_miner: "str | FCPMiner" = "dminer",
     ) -> None:
         thresholds = thresholds if thresholds is not None else result.thresholds
         if thresholds is None:
@@ -273,9 +277,6 @@ class IncrementalMaintainer:
         self._dataset = dataset
         self._result = result
         self.thresholds = thresholds
-        self._miner = (
-            get_fcp_miner(fcp_miner) if isinstance(fcp_miner, str) else fcp_miner
-        )
 
     @property
     def dataset(self) -> Dataset3D:
@@ -299,7 +300,6 @@ class IncrementalMaintainer:
             self._result,
             deltas,
             self.thresholds,
-            fcp_miner=self._miner,
             metrics=metrics,
         )
         return self._result

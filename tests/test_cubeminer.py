@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.bitset import full_mask, mask_of
 from repro.core.closure import is_closed_cube
@@ -11,7 +13,10 @@ from repro.core.constraints import Thresholds
 from repro.core.dataset import Dataset3D
 from repro.core.reference import reference_mine
 from repro.cubeminer import CubeMiner, HeightOrder, cubeminer_mine
+from repro.cubeminer.algorithm import _run
 from repro.cubeminer.checks import height_set_closed, row_set_closed
+from repro.cubeminer.cutter import build_cutters
+from repro.obs import CollectingSink, MiningMetrics
 from tests.conftest import random_dataset
 
 
@@ -171,8 +176,78 @@ class TestFacade:
         assert "original" in repr(miner)
 
     def test_explicit_cutters_override(self, paper_ds, paper_thresholds):
-        from repro.cubeminer.cutter import build_cutters
-
         cutters = build_cutters(paper_ds, HeightOrder.ZERO_INCREASING)
         result = cubeminer_mine(paper_ds, paper_thresholds, cutters=cutters)
         assert len(result) == 5
+
+
+# ----------------------------------------------------------------------
+# Restricted runs: _run(..., required_heights=D)
+# ----------------------------------------------------------------------
+@st.composite
+def tensor_thresholds_mask(draw, max_dim: int = 5):
+    l = draw(st.integers(1, max_dim))
+    n = draw(st.integers(1, max_dim))
+    m = draw(st.integers(1, max_dim))
+    cells = draw(st.lists(st.booleans(), min_size=l * n * m, max_size=l * n * m))
+    dataset = Dataset3D(np.array(cells, dtype=bool).reshape(l, n, m))
+    thresholds = Thresholds(
+        draw(st.integers(1, l)), draw(st.integers(1, n)), draw(st.integers(1, m))
+    )
+    required = draw(st.integers(1, full_mask(l)))
+    return dataset, thresholds, required
+
+
+def restricted_run(dataset, thresholds, required, sink=None):
+    cutters = build_cutters(dataset, HeightOrder.ZERO_DECREASING)
+    root = (
+        full_mask(dataset.n_heights),
+        full_mask(dataset.n_rows),
+        full_mask(dataset.n_columns),
+    )
+    metrics = MiningMetrics()
+    found, _ = _run(
+        dataset, thresholds, cutters, [(root, 0, 0, 0)], metrics,
+        sink=sink, required_heights=required,
+    )
+    return sorted((c.heights, c.rows, c.columns) for c in found), metrics
+
+
+class TestRequiredHeights:
+    @settings(max_examples=80, deadline=None)
+    @given(tensor_thresholds_mask())
+    def test_returns_the_fresh_cubes_that_meet_the_mask(self, case):
+        dataset, thresholds, required = case
+        restricted, metrics = restricted_run(dataset, thresholds, required)
+        fresh = cubeminer_mine(dataset, thresholds)
+        assert restricted == sorted(
+            (c.heights, c.rows, c.columns) for c in fresh if c.heights & required
+        )
+        assert metrics.nodes_visited <= fresh.stats["nodes_visited"]
+
+    @settings(max_examples=40, deadline=None)
+    @given(tensor_thresholds_mask())
+    def test_every_height_required_is_the_unrestricted_run(self, case):
+        dataset, thresholds, _ = case
+        restricted, metrics = restricted_run(
+            dataset, thresholds, full_mask(dataset.n_heights)
+        )
+        fresh = cubeminer_mine(dataset, thresholds)
+        assert restricted == sorted((c.heights, c.rows, c.columns) for c in fresh)
+        assert metrics.nodes_visited == fresh.stats["nodes_visited"]
+        assert metrics.pruned_required_heights == 0
+
+    def test_prune_is_counted_and_emitted(self, paper_ds, paper_thresholds):
+        # Requiring h3 drops the one FCC without it, (h1h2, r1r4, c3c5).
+        h3 = 1 << 2
+        sink = CollectingSink()
+        restricted, metrics = restricted_run(paper_ds, paper_thresholds, h3, sink)
+        fresh = cubeminer_mine(paper_ds, paper_thresholds)
+        assert len(restricted) == len(fresh) - 1 == 4
+        assert metrics.nodes_visited < fresh.stats["nodes_visited"]
+        pruned = [
+            event for event in sink.of_kind("prune")
+            if event.reason == "pruned_required_heights"
+        ]
+        assert len(pruned) == metrics.pruned_required_heights > 0
+        assert all(e.branch == "left" and not e.heights & h3 for e in pruned)

@@ -118,17 +118,21 @@ class TestMetadataAndValidation:
 
     def test_stats_recorded(self, paper_ds, paper_thresholds):
         old_result = mine(paper_ds, paper_thresholds)
-        _extended, updated = append_height_slice(
+        extended, updated = append_height_slice(
             paper_ds, old_result, np.ones((4, 5), dtype=bool), paper_thresholds
         )
         stream = updated.stats["stream"]
         assert stream["old_cubes"] == 5
         assert stream["deltas_applied"] == 1
         assert stream["dirty_heights"] == 1
-        # Only the subsets through the new height h4 are re-mined:
-        # {h4} plus 1, 2 or 3 of the old heights, at minH = 2.
-        assert stream["subsets_remined"] == 7
-        assert updated.stats.metrics.rs_slices_mined == 7
+        # The dirty pass re-mines exactly the fresh cubes through the
+        # new height h4, and no RSM slice.
+        h4 = 1 << 3
+        through_h4 = [c for c in mine(extended, paper_thresholds) if c.heights & h4]
+        assert len(through_h4) == 14
+        assert stream["subsets_remined"] == len(through_h4)
+        assert updated.stats.metrics.subsets_remined == len(through_h4)
+        assert updated.stats.metrics.rs_slices_mined == 0
         assert updated.algorithm == f"stream[{old_result.algorithm}]"
 
 

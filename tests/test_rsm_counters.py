@@ -1,11 +1,15 @@
 """Every RSM path tallies the same per-slice work.
 
-``rsm_mine``, ``maintain()``, ``stream_mine`` and ``parallel-rsm`` each
-enumerate height subsets their own way but mine every representative
-slice through one step (:func:`repro.rsm.algorithm.mine_slice`).  A row
-append dirties every height, so ``maintain()`` re-mines exactly the
-subsets a fresh RSM run mines: all four paths must report the same
-cubes and the same slice, pattern and post-prune counters.
+``rsm_mine``, ``stream_mine`` and ``parallel-rsm`` each enumerate
+height subsets their own way but mine every representative slice
+through one step (:func:`repro.rsm.algorithm.mine_slice`): all three
+paths must report the same cubes and the same slice, pattern and
+post-prune counters.
+
+``maintain()`` re-mines with CubeMiner restricted to the dirty heights.
+A row append dirties every height, so that run is a full fresh
+CubeMiner run: the maintained cubes must equal the RSM paths' and its
+``nodes_visited`` must equal a fresh ``cubeminer_mine``'s.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import pytest
 from repro.api import mine
 from repro.core.constraints import Thresholds
 from repro.core.dataset import Dataset3D
+from repro.cubeminer import cubeminer_mine
 from repro.obs import MiningMetrics
 from repro.parallel import parallel_rsm_mine
 from repro.rsm.algorithm import rsm_mine
@@ -30,25 +35,37 @@ def counters(result) -> dict[str, int]:
 
 
 def run_every_path(old: Dataset3D, thresholds: Thresholds, row: np.ndarray):
-    """Mine the row-appended tensor along every RSM path."""
+    """Mine the row-appended tensor along every RSM path, maintain the
+    old result through the append, and mine it fresh with CubeMiner."""
     new, maintained = maintain(
         old, mine(old, thresholds), [AppendSlice(1, row)], thresholds
     )
-    return {
+    rsm_paths = {
         "rsm": rsm_mine(new, thresholds, base_axis="height"),
-        "maintain": maintained,
         "stream": stream_mine(new, thresholds, dice=False),
         "parallel-rsm": parallel_rsm_mine(
             new, thresholds, n_workers=1, base_axis="height"
         ),
     }
+    return rsm_paths, maintained, cubeminer_mine(new, thresholds)
 
 
 def assert_paths_agree(results) -> dict[str, int]:
-    expected = results["rsm"]
-    for name, result in results.items():
+    rsm_paths, maintained, fresh = results
+    expected = rsm_paths["rsm"]
+    for name, result in rsm_paths.items():
         assert result.same_cubes(expected), name
         assert counters(result) == counters(expected), name
+    # Every height is dirty: the dirty pass is the whole fresh tree.
+    assert maintained.same_cubes(expected)
+    assert maintained.same_cubes(fresh)
+    metrics = maintained.stats.metrics
+    assert metrics.nodes_visited == fresh.stats["nodes_visited"]
+    assert metrics.pruned_required_heights == 0
+    assert metrics.subsets_remined == len(fresh)
+    assert metrics.rs_slices_mined == 0
+    # ... and no old cube is clean, so the patch pass is skipped.
+    assert metrics.cubes_patched == 0
     return counters(expected)
 
 
