@@ -95,6 +95,11 @@ class Cube:
         return bit_count(self.columns)
 
     @property
+    def shape(self) -> tuple[int, int, int]:
+        """``(|H'|, |R'|, |C'|)``, the size of the sub-tensor."""
+        return (self.h_support, self.r_support, self.c_support)
+
+    @property
     def volume(self) -> int:
         """Number of cells covered by the cube."""
         return self.h_support * self.r_support * self.c_support

@@ -1,6 +1,6 @@
 """CubeMiner: direct 3D mining of frequent closed cubes (Section 5)."""
 
-from .algorithm import CubeMiner, CubeMinerStats, cubeminer_mine
+from .algorithm import CubeMiner, CubeMinerStats, cubeminer_mine, search_root
 from .checks import height_set_closed, row_set_closed
 from .cutter import Cutter, HeightOrder, build_cutters, height_permutation
 from .trace import (
@@ -17,6 +17,7 @@ __all__ = [
     "CubeMiner",
     "CubeMinerStats",
     "cubeminer_mine",
+    "search_root",
     "height_set_closed",
     "row_set_closed",
     "Cutter",

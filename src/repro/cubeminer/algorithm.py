@@ -1,8 +1,11 @@
 """The CubeMiner algorithm (Section 5, Algorithms 1-4).
 
-CubeMiner splits the full tensor ``(H, R, C)`` depth-first with the
-cutter list Z.  At a node ``(H', R', C')`` the first applicable cutter
-``(W, X, Y)`` spawns up to three sons:
+CubeMiner splits its root depth-first with the cutter list Z.  The
+paper's root is the full tensor ``(H, R, C)``; here it is the
+diamond-diced region (:func:`search_root`): the heights, rows and
+columns that can belong to a cube meeting the thresholds, in the
+caller's own coordinates.  At a node ``(H', R', C')`` the first
+applicable cutter ``(W, X, Y)`` spawns up to three sons:
 
 * **left**   ``(H' \\ W, R', C')`` — kept if ``minH`` still holds, the
   left-track set is clean (Lemma 2), and the row set stays closed
@@ -34,11 +37,12 @@ from __future__ import annotations
 import time
 from collections.abc import Callable
 
-from ..core.bitset import bit_count, full_mask
+from ..core.bitset import bit_count
 from ..core.closure import ClosureCache, resolve_closure_cache
 from ..core.constraints import Thresholds
 from ..core.cube import Cube
 from ..core.dataset import Dataset3D
+from ..core.dice import DICE_KEPT_SHAPE, diamond_dice
 from ..core.result import MiningResult, MiningStats
 from ..obs import (
     EventSink,
@@ -54,12 +58,42 @@ from ..obs import (
 from .checks import height_set_closed, row_set_closed
 from .cutter import Cutter, CutterIndex, HeightOrder, build_cutters
 
-__all__ = ["CubeMinerStats", "cubeminer_mine", "CubeMiner"]
+__all__ = ["CubeMinerStats", "cubeminer_mine", "search_root", "CubeMiner"]
 
 #: Backward-compatible alias: CubeMiner's run counters are now the
 #: library-wide :class:`~repro.obs.metrics.MiningMetrics` (a superset of
 #: the historical ``CubeMinerStats`` fields).
 CubeMinerStats = MiningMetrics
+
+
+def search_root(
+    dataset: Dataset3D,
+    thresholds: Thresholds,
+    order: HeightOrder = HeightOrder.ZERO_DECREASING,
+    *,
+    cutters: list[Cutter] | None = None,
+    metrics: MiningMetrics | None = None,
+) -> tuple[Cube, list[Cutter]]:
+    """The root of the CubeMiner tree and the cutter list Z over it.
+
+    The root is the :func:`~repro.core.dice.diamond_dice` region: every
+    member of a cube meeting ``thresholds`` lies inside it, and no
+    height, row or column outside it can cover a node that meets them,
+    so the Lemma 4-5 closure checks (run against the whole tensor) and
+    the emitted cubes are those of a search from the full tensor.  Z
+    is built over the region (:func:`build_cutters`) unless the caller
+    pins ``cutters``; cutters outside the region never apply.  When
+    ``metrics`` is given, the cutter list is tallied into it.  A root
+    that fails ``root.satisfies(thresholds)`` holds no cube.
+    """
+    root = diamond_dice(dataset, thresholds).as_cube()
+    if cutters is None:
+        cutters = build_cutters(dataset, order, root)
+        if metrics is not None:
+            metrics.cutters_built += len(cutters)
+    if metrics is not None:
+        metrics.n_cutters = len(cutters)
+    return root, cutters
 
 
 def cubeminer_mine(
@@ -86,8 +120,9 @@ def cubeminer_mine(
         Height-slice ordering heuristic for the cutter list; the default
         is the paper's winning zero-decreasing order (Section 7.1.1).
     cutters:
-        Pre-built cutter list (overrides ``order``); used by the parallel
-        driver and by tests that pin a specific Z.
+        Pre-built cutter list (overrides ``order``); used by tests and
+        :func:`~repro.cubeminer.trace.trace_tree` to pin a specific Z.
+        The search still starts at the diced root (:func:`search_root`).
     closure_cache:
         Closure-memoization control: ``None`` (default) runs with a
         fresh :class:`~repro.core.closure.ClosureCache`, ``0`` disables
@@ -113,10 +148,10 @@ def cubeminer_mine(
     start = time.perf_counter()
     stats = metrics if metrics is not None else MiningMetrics()
     controller = resolve_progress(progress, deadline)
-    if cutters is None:
-        cutters = build_cutters(dataset, order)
-        stats.cutters_built += len(cutters)
-    stats.n_cutters = len(cutters)
+    root, cutters = search_root(
+        dataset, thresholds, order, cutters=cutters, metrics=stats
+    )
+    extra = {DICE_KEPT_SHAPE: list(root.shape)}
     algorithm = f"cubeminer[{order.value}]"
     if on_event is not None:
         on_event(
@@ -128,18 +163,17 @@ def cubeminer_mine(
         )
 
     found: list[Cube] = []
-    root = (full_mask(dataset.n_heights), full_mask(dataset.n_rows), full_mask(dataset.n_columns))
     try:
         if controller is not None:
             # Checkpoint once up front so a zero/expired deadline or a
             # pre-cancelled controller aborts deterministically.
             controller.checkpoint(stats, phase="cubeminer", done=0)
-        if thresholds.feasible_for_shape(dataset.shape):
+        if root.satisfies(thresholds):
             found, stats = _run(
                 dataset,
                 thresholds,
                 cutters,
-                [(root, 0, 0, 0)],
+                [((root.heights, root.rows, root.columns), 0, 0, 0)],
                 stats,
                 closure_cache=resolve_closure_cache(closure_cache),
                 sink=on_event,
@@ -155,7 +189,7 @@ def cubeminer_mine(
             thresholds=thresholds,
             dataset_shape=dataset.shape,
             elapsed_seconds=elapsed,
-            stats=MiningStats(metrics=stats),
+            stats=MiningStats(metrics=stats, extra=extra),
         )
         if on_event is not None:
             on_event(MineDone(algorithm, len(exc.partial), elapsed, cancelled=True))
@@ -167,7 +201,7 @@ def cubeminer_mine(
         thresholds=thresholds,
         dataset_shape=dataset.shape,
         elapsed_seconds=time.perf_counter() - start,
-        stats=MiningStats(metrics=stats),
+        stats=MiningStats(metrics=stats, extra=extra),
     )
     if on_event is not None:
         on_event(MineDone(algorithm, len(result), result.elapsed_seconds))

@@ -18,7 +18,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from ..core.bitset import bit_count, indices
+from ..core.bitset import bit_count, full_mask, indices
+from ..core.cube import Cube
 from ..core.dataset import Dataset3D
 
 __all__ = [
@@ -73,36 +74,59 @@ class HeightOrder(enum.Enum):
     ZERO_INCREASING = "zero-increasing"
 
 
-def height_permutation(dataset: Dataset3D, order: HeightOrder) -> list[int]:
+def height_permutation(
+    dataset: Dataset3D, order: HeightOrder, region: Cube | None = None
+) -> list[int]:
     """Return the height indices in the order their cutters should apply.
 
     Zero-decreasing places slices with *more* zeros first (the paper's
     winning heuristic); ties keep the original relative order so runs
-    are deterministic.
+    are deterministic.  With a ``region`` only its heights are ordered,
+    by the zeros inside its rows and columns.
     """
-    heights = list(range(dataset.n_heights))
+    region = _whole(dataset) if region is None else region
+    heights = list(indices(region.heights))
     if order is HeightOrder.ORIGINAL:
         return heights
-    zero_counts = [dataset.zeros_in_height(k) for k in heights]
+    rows = indices(region.rows)
+    zero_counts = {
+        k: sum(bit_count(dataset.zeros_mask(k, i) & region.columns) for i in rows)
+        for k in heights
+    }
     reverse = order is HeightOrder.ZERO_DECREASING
     return sorted(heights, key=lambda k: (-zero_counts[k] if reverse else zero_counts[k], k))
 
 
 def build_cutters(
-    dataset: Dataset3D, order: HeightOrder = HeightOrder.ORIGINAL
+    dataset: Dataset3D,
+    order: HeightOrder = HeightOrder.ORIGINAL,
+    region: Cube | None = None,
 ) -> list[Cutter]:
     """Compute the cutter set Z in the requested height order.
 
     Within one height slice, cutters follow ascending row index (the
     paper's "ascending order of left atom first and middle atom second").
+    With a ``region`` (CubeMiner's diced root) Z holds only the region's
+    (height, row) pairs and their zeros inside its columns: a zero
+    outside the region never intersects a node of its tree.
     """
+    region = _whole(dataset) if region is None else region
+    rows = indices(region.rows)
     cutters: list[Cutter] = []
-    for k in height_permutation(dataset, order):
-        for i in range(dataset.n_rows):
-            zeros = dataset.zeros_mask(k, i)
+    for k in height_permutation(dataset, order, region):
+        for i in rows:
+            zeros = dataset.zeros_mask(k, i) & region.columns
             if zeros:
                 cutters.append(Cutter(height=k, row=i, columns=zeros))
     return cutters
+
+
+def _whole(dataset: Dataset3D) -> Cube:
+    return Cube(
+        full_mask(dataset.n_heights),
+        full_mask(dataset.n_rows),
+        full_mask(dataset.n_columns),
+    )
 
 
 def total_zero_cells(cutters: list[Cutter]) -> int:

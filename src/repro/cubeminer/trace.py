@@ -19,12 +19,11 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from ..core.bitset import full_mask
 from ..core.constraints import Thresholds
 from ..core.cube import Cube
 from ..core.dataset import Dataset3D
-from .algorithm import cubeminer_mine
-from .cutter import Cutter, HeightOrder, build_cutters
+from .algorithm import cubeminer_mine, search_root
+from .cutter import Cutter, HeightOrder
 
 __all__ = [
     "Branch",
@@ -176,9 +175,10 @@ def trace_tree(
 
     The tree is rebuilt from the event stream of
     :func:`~repro.cubeminer.algorithm.cubeminer_mine` itself, so it shows
-    exactly the search the live miner makes.  The default ``ORIGINAL``
-    cutter order matches the paper's Figure 1, which applies Table 3's
-    cutters in their listed order.
+    exactly the search the live miner makes; its root is the miner's
+    diced root (:func:`~repro.cubeminer.algorithm.search_root`).  The
+    default ``ORIGINAL`` cutter order matches the paper's Figure 1,
+    which applies Table 3's cutters in their listed order.
     """
     l, n, m = dataset.shape
     if l * n * m > _MAX_TRACE_CELLS:
@@ -186,17 +186,17 @@ def trace_tree(
             f"trace_tree keeps every node in memory; {l}x{n}x{m} exceeds the "
             f"{_MAX_TRACE_CELLS}-cell guard"
         )
-    root = TraceNode(
-        cube=Cube(full_mask(l), full_mask(n), full_mask(m)),
-        level=0,
-        branch=Branch.ROOT,
-    )
-    if not thresholds.feasible_for_shape(dataset.shape):
-        root.pruned = PruneReason.MIN_H if l < thresholds.min_h else (
-            PruneReason.MIN_R if n < thresholds.min_r else PruneReason.MIN_C
+    cube, cutters = search_root(dataset, thresholds, order)
+    root = TraceNode(cube=cube, level=0, branch=Branch.ROOT)
+    if not cube.satisfies(thresholds):
+        h, r, c = cube.shape
+        root.pruned = (
+            PruneReason.MIN_H if h < thresholds.min_h
+            else PruneReason.MIN_R if r < thresholds.min_r
+            else PruneReason.MIN_C if c < thresholds.min_c
+            else PruneReason.MIN_VOLUME
         )
         return root
-    cutters = build_cutters(dataset, order)
     builder = _TreeBuilder(root, cutters)
     cubeminer_mine(dataset, thresholds, cutters=cutters, on_event=builder)
     builder.push_kept_sons()

@@ -26,7 +26,6 @@ from enum import Enum
 from typing import ClassVar, Union
 
 from .cubeminer.cutter import HeightOrder
-from .fcp import get_fcp_miner
 
 __all__ = [
     "CubeMinerOptions",
@@ -88,6 +87,8 @@ class RSMOptions(_OptionsBase):
     fcp_miner: str = "dminer"
 
     def __post_init__(self) -> None:
+        from .fcp import get_fcp_miner
+
         get_fcp_miner(self.fcp_miner)  # ValueError on an unknown name
 
     def to_kwargs(self, algorithm: str = "rsm") -> dict:
@@ -143,6 +144,8 @@ class ParallelOptions(_OptionsBase):
             raise ValueError(
                 f"min_tasks must be None or an int >= 1, got {self.min_tasks!r}"
             )
+        from .fcp import get_fcp_miner
+
         get_fcp_miner(self.fcp_miner)  # ValueError on an unknown name
         # ValueError on a negative retry budget, timeout or backoff.
         RetryPolicy(self.retries, self.task_timeout, self.backoff)

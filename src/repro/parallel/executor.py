@@ -55,11 +55,12 @@ from ..core.closure import ClosureCache
 from ..core.constraints import Thresholds
 from ..core.cube import Cube
 from ..core.dataset import Dataset3D
+from ..core.dice import DICE_KEPT_SHAPE
 from ..core.kernels import Kernel
 from ..core.permute import map_cube_from_transposed, order_moving_axis_first
 from ..core.result import MiningResult, MiningStats
-from ..cubeminer.algorithm import _run
-from ..cubeminer.cutter import HeightOrder, build_cutters
+from ..cubeminer.algorithm import _run, search_root
+from ..cubeminer.cutter import HeightOrder
 from ..fcp import get_fcp_miner
 from ..obs import (
     EventSink,
@@ -472,17 +473,18 @@ def parallel_cubeminer_mine(
     stats = metrics if metrics is not None else MiningMetrics()
     if kernel is not None:
         dataset = dataset.with_kernel(kernel)
-    cutters = build_cutters(dataset, order)
-    stats.cutters_built += len(cutters)
-    stats.n_cutters = len(cutters)
+    root, cutters = search_root(dataset, thresholds, order, metrics=stats)
     if min_tasks is None:
         min_tasks = max(8 * n_workers, 1)
 
     def plan() -> tuple[list[CubeMinerTask], list[Cube], dict]:
         tasks, done = cubeminer_tasks(
-            dataset, thresholds, cutters, min_tasks, metrics=stats
+            dataset, thresholds, root, cutters, min_tasks, metrics=stats
         )
-        return tasks, done, {"fccs_during_expansion": len(done)}
+        return tasks, done, {
+            "fccs_during_expansion": len(done),
+            DICE_KEPT_SHAPE: list(root.shape),
+        }
 
     return _drive(
         dataset,

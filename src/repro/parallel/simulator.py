@@ -29,8 +29,8 @@ from dataclasses import dataclass
 from ..core.constraints import Thresholds
 from ..core.dataset import Dataset3D
 from ..core.permute import order_moving_axis_first
-from ..cubeminer.algorithm import _run
-from ..cubeminer.cutter import HeightOrder, build_cutters
+from ..cubeminer.algorithm import _run, search_root
+from ..cubeminer.cutter import HeightOrder
 from ..fcp import get_fcp_miner
 from ..obs.metrics import MiningMetrics
 from ..rsm.algorithm import mine_slice, resolve_base_axis
@@ -155,8 +155,8 @@ def measure_cubeminer_task_times(
     parallel driver does) and each branch is run to completion
     sequentially, timed individually.
     """
-    cutters = build_cutters(dataset, order)
-    tasks, _done = cubeminer_tasks(dataset, thresholds, cutters, min_tasks)
+    root, cutters = search_root(dataset, thresholds, order)
+    tasks, _done = cubeminer_tasks(dataset, thresholds, root, cutters, min_tasks)
     times: list[float] = []
     for task in tasks:
         t0 = time.perf_counter()

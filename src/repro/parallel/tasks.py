@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core.bitset import bit_count, full_mask
+from ..core.bitset import bit_count
 from ..core.constraints import Thresholds
 from ..core.cube import Cube
 from ..core.dataset import Dataset3D
@@ -58,14 +58,17 @@ def rsm_tasks(n_heights: int, min_h: int) -> list[int]:
 def cubeminer_tasks(
     dataset: Dataset3D,
     thresholds: Thresholds,
+    root: Cube,
     cutters: list[Cutter],
     min_tasks: int,
     metrics: MiningMetrics | None = None,
 ) -> tuple[list[CubeMinerTask], list[Cube]]:
     """Expand the CubeMiner tree breadth-first into >= ``min_tasks`` tasks.
 
-    Returns the frontier tasks plus any FCCs already completed during
-    expansion (nodes that ran out of applicable cutters early).  The
+    The tree grows from ``root`` with ``cutters``, the pair
+    :func:`~repro.cubeminer.algorithm.search_root` returns.  Returns
+    the frontier tasks plus any FCCs already completed during expansion
+    (nodes that ran out of applicable cutters early).  The
     expansion applies exactly the sequential pruning rules, so replaying
     every task yields exactly the sequential result set.  When
     ``metrics`` is given, the expansion's own node visits and closure
@@ -80,17 +83,8 @@ def cubeminer_tasks(
     n_cutters = len(cutters)
     done: list[Cube] = []
     frontier: list[CubeMinerTask] = []
-    if thresholds.feasible_for_shape(dataset.shape):
-        frontier = [
-            CubeMinerTask(
-                full_mask(dataset.n_heights),
-                full_mask(dataset.n_rows),
-                full_mask(dataset.n_columns),
-                0,
-                0,
-                0,
-            )
-        ]
+    if root.satisfies(thresholds):
+        frontier = [CubeMinerTask(root.heights, root.rows, root.columns, 0, 0, 0)]
 
     while frontier and len(frontier) < min_tasks:
         next_frontier: list[CubeMinerTask] = []

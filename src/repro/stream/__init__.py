@@ -18,12 +18,14 @@ the two workloads beyond that setting:
   :func:`stream_mine` runs RSM over such a mapping in bounded memory:
   representative slices fold chunk-by-chunk with mapped pages released
   as soon as they are consumed, optionally after a diamond-dicing
-  prefilter (:func:`diamond_dice`) shrinks the active region.
+  prefilter (:func:`diamond_dice`, re-exported from
+  :mod:`repro.core.dice`) shrinks the active region.
 
 See ``docs/streaming.md`` for delta semantics, the mmap layout, and the
 service's cache-patching rules.
 """
 
+from ..core.dice import DiceRegion, diamond_dice
 from .delta import (
     AppendSlice,
     ClearCell,
@@ -40,7 +42,7 @@ from .delta import (
     deltas_to_payload,
 )
 from .maintain import IncrementalMaintainer, maintain
-from .outofcore import DiceRegion, diamond_dice, stream_mine
+from .outofcore import stream_mine
 from .store import MmapDatasetStore, StreamingSliceWriter
 
 __all__ = [

@@ -20,6 +20,7 @@ exactly one of two classes:
    (growing rows/columns only shrinks the height support back).  One
    linear pass over ``F`` therefore recovers every clean-heights FCC.
 2. **Dirty cubes** (``H ∩ D ≠ ∅``).  One CubeMiner run over ``O'``
+   from its diced root (:func:`repro.cubeminer.algorithm.search_root`)
    with ``required_heights=D`` finds exactly these: only left sons
    drop heights and every descendant keeps a subset of its ancestor's
    heights, so a left son with no dirty height is pruned with its whole
@@ -51,8 +52,7 @@ from ..core.constraints import Thresholds
 from ..core.cube import Cube
 from ..core.dataset import Dataset3D
 from ..core.result import MiningResult, MiningStats
-from ..cubeminer.algorithm import _run
-from ..cubeminer.cutter import HeightOrder, build_cutters
+from ..cubeminer.algorithm import _run, search_root
 from ..obs.metrics import MiningMetrics
 # Not called here; the bindings stay for perfbench/spans.py, which
 # times the RSM slice and post-prune layers at these names.
@@ -202,22 +202,22 @@ def _maintain_applied(
             cubes_patched += 1
 
     # --- Pass 2: CubeMiner restricted to cubes with a dirty height ----
-    if dirty and thresholds.feasible_for_shape(new.shape):
-        cutters = build_cutters(new, HeightOrder.ZERO_DECREASING)
-        metrics.cutters_built += len(cutters)
-        metrics.n_cutters = len(cutters)
-        root = (all_heights, full_mask(new.n_rows), full_mask(new.n_columns))
-        found, _ = _run(
-            new,
-            thresholds,
-            cutters,
-            [(root, 0, 0, 0)],
-            metrics,
-            closure_cache=cache,
-            required_heights=dirty,
-        )
-        dirty_cubes = len(found)
-        triples.update((cube.heights, cube.rows, cube.columns) for cube in found)
+    # Its root is the diced region of the new tensor; a root without a
+    # dirty height holds no cube this pass must find.
+    if dirty:
+        root, cutters = search_root(new, thresholds, metrics=metrics)
+        if root.heights & dirty and root.satisfies(thresholds):
+            found, _ = _run(
+                new,
+                thresholds,
+                cutters,
+                [((root.heights, root.rows, root.columns), 0, 0, 0)],
+                metrics,
+                closure_cache=cache,
+                required_heights=dirty,
+            )
+            dirty_cubes = len(found)
+            triples.update((cube.heights, cube.rows, cube.columns) for cube in found)
 
     metrics.cubes_patched += cubes_patched
     # ``subsets_remined`` keeps its name from the RSM subset

@@ -11,14 +11,9 @@ representative slice, independent of the tensor's packed size.
 
 For large sparse tensors the 2D mining of full-size representative
 slices still dominates, so ``dice=True`` first runs **diamond dicing**
-(Webb, Kaser & Lemire — see ``PAPERS.md``): iteratively prune every
-height/row/column that provably cannot belong to any
-threshold-satisfying cube, using only streaming count passes.  The
-conditions are necessary *and* the pruning is exact for FCC mining —
-members of a surviving cube keep each other qualified in every round,
-and a pruned slice can never cover a surviving cube's region (it would
-have qualified) — so mining the small diced subtensor and mapping the
-masks back yields exactly the FCCs of the original tensor.
+(:func:`repro.core.dice.diamond_dice`, exact for FCC mining) and mines
+only the extracted diced subtensor, mapping the masks back so the
+result is exactly the FCCs of the original tensor.
 """
 
 from __future__ import annotations
@@ -31,11 +26,8 @@ import numpy as np
 from ..core.constraints import Thresholds
 from ..core.cube import Cube
 from ..core.dataset import Dataset3D
-from ..core.kernels import (
-    release_mapped_pages,
-    words_from_tensor,
-    words_per_row,
-)
+from ..core.dice import DICE_KEPT_SHAPE, DiceRegion, diamond_dice, packed_grid
+from ..core.kernels import release_mapped_pages, words_per_row
 from ..core.kernels.base import WORD_DTYPE
 from ..core.result import MiningResult, MiningStats
 from ..fcp import FCPMiner, get_fcp_miner
@@ -44,55 +36,7 @@ from ..obs.metrics import MiningMetrics
 from ..rsm.algorithm import mine_slice, rsm_mine
 from ..rsm.slices import representative_slice
 
-__all__ = ["DiceRegion", "diamond_dice", "stream_mine"]
-
-
-class DiceRegion:
-    """The surviving region of a diamond-dicing pass.
-
-    ``heights`` / ``rows`` / ``columns`` are boolean keep-vectors over
-    the original axes.
-    """
-
-    def __init__(
-        self, heights: np.ndarray, rows: np.ndarray, columns: np.ndarray
-    ) -> None:
-        self.heights = heights
-        self.rows = rows
-        self.columns = columns
-
-    @property
-    def shape(self) -> tuple[int, int, int]:
-        """Size of the surviving subtensor."""
-        return (
-            int(self.heights.sum()),
-            int(self.rows.sum()),
-            int(self.columns.sum()),
-        )
-
-    def is_empty(self) -> bool:
-        return min(self.shape) == 0
-
-
-def _packed_grid(dataset: Dataset3D) -> np.ndarray:
-    """The ``(l, n, words)`` word grid to stream over.
-
-    On a words-native kernel this is the dataset's own ones-grid — for
-    a dataset opened with :meth:`Dataset3D.open_mmap`, the live file
-    mapping.  Other kernels pack an in-memory copy (correct, but
-    without the out-of-core benefit).
-    """
-    if dataset.kernel.words_native:
-        return np.asarray(dataset.ones_grid())
-    return words_from_tensor(np.asarray(dataset.data, dtype=bool))
-
-
-def _pack_keep_columns(keep: np.ndarray, words: int) -> np.ndarray:
-    """A boolean column keep-vector as one packed word row."""
-    bits = np.packbits(keep, bitorder="little")
-    padded = np.zeros(words * 8, dtype=np.uint8)
-    padded[: len(bits)] = bits
-    return padded.view(WORD_DTYPE)
+__all__ = ["stream_mine"]
 
 
 def _remap_up(mask: int, index: np.ndarray) -> int:
@@ -105,89 +49,6 @@ def _remap_up(mask: int, index: np.ndarray) -> int:
     return out
 
 
-# ----------------------------------------------------------------------
-# Diamond dicing
-# ----------------------------------------------------------------------
-def diamond_dice(
-    dataset: Dataset3D,
-    thresholds: Thresholds,
-    *,
-    chunk_rows: int = 2048,
-    metrics: "MiningMetrics | None" = None,
-    max_rounds: int = 64,
-) -> DiceRegion:
-    """Prune every slice that cannot join a threshold-satisfying cube.
-
-    Iterates three necessary conditions to a fixpoint:
-
-    * a row survives when, in at least ``min_h`` surviving heights, it
-      holds ``>= min_c`` ones within the surviving columns;
-    * a column survives when at least ``min_h`` surviving heights give
-      it ``>= min_r`` ones within the surviving rows;
-    * a height survives when it has ``>= min_r`` qualifying rows and
-      ``>= min_c`` qualifying columns.
-
-    Each pass reads the packed grid one row-chunk at a time and
-    releases the mapped pages per height slice, so the resident set
-    stays ``O(chunk_rows x words)`` regardless of tensor size.
-    """
-    l, n, m = dataset.shape
-    min_h, min_r, min_c = thresholds.as_tuple()
-    grid = _packed_grid(dataset)
-    words = words_per_row(m)
-    kept_h = np.ones(l, dtype=bool)
-    kept_r = np.ones(n, dtype=bool)
-    kept_c = np.ones(m, dtype=bool)
-    chunk_rows = max(int(chunk_rows), 1)
-
-    for _ in range(max_rounds):
-        column_words = _pack_keep_columns(kept_c, words)
-        row_qualifies = np.zeros(n, dtype=np.int64)
-        column_qualifies = np.zeros(m, dtype=np.int64)
-        new_kept_h = kept_h.copy()
-        for k in range(l):
-            if not kept_h[k]:
-                continue
-            qualifying_rows = 0
-            column_sum = np.zeros(m, dtype=np.int64)
-            for r0 in range(0, n, chunk_rows):
-                r1 = min(n, r0 + chunk_rows)
-                block = np.bitwise_and(grid[k, r0:r1], column_words)
-                counts = np.bitwise_count(block).sum(axis=1)
-                qualifies = (counts >= min_c) & kept_r[r0:r1]
-                qualifying_rows += int(qualifies.sum())
-                row_qualifies[r0:r1] += qualifies
-                selected = block[kept_r[r0:r1]]
-                if selected.size:
-                    bits = np.unpackbits(
-                        selected.view(np.uint8),
-                        axis=1,
-                        count=m,
-                        bitorder="little",
-                    )
-                    column_sum += bits.sum(axis=0, dtype=np.int64)
-                if metrics is not None:
-                    metrics.stream_chunks_read += 1
-            release_mapped_pages(grid)
-            qualifying_columns = column_sum >= min_r
-            column_qualifies += qualifying_columns
-            new_kept_h[k] = (
-                qualifying_rows >= min_r
-                and int(qualifying_columns.sum()) >= min_c
-            )
-        new_kept_r = kept_r & (row_qualifies >= min_h)
-        new_kept_c = kept_c & (column_qualifies >= min_h)
-        unchanged = (
-            bool((new_kept_h == kept_h).all())
-            and bool((new_kept_r == kept_r).all())
-            and bool((new_kept_c == kept_c).all())
-        )
-        kept_h, kept_r, kept_c = new_kept_h, new_kept_r, new_kept_c
-        if unchanged:
-            break
-    return DiceRegion(kept_h, kept_r, kept_c)
-
-
 def _extract_region(
     dataset: Dataset3D,
     region: DiceRegion,
@@ -195,7 +56,7 @@ def _extract_region(
 ) -> tuple[Dataset3D, np.ndarray, np.ndarray, np.ndarray]:
     """Materialize the diced subtensor (kept rows unpack one height at a
     time, with mapped pages released in between)."""
-    grid = _packed_grid(dataset)
+    grid = packed_grid(dataset)
     m = dataset.n_columns
     height_index = np.flatnonzero(region.heights)
     row_index = np.flatnonzero(region.rows)
@@ -262,7 +123,7 @@ def stream_mine(
         region = diamond_dice(
             dataset, thresholds, chunk_rows=chunk_rows, metrics=metrics
         )
-        extra["dice_kept_shape"] = list(region.shape)
+        extra[DICE_KEPT_SHAPE] = list(region.shape)
         if not region.is_empty() and thresholds.feasible_for_shape(region.shape):
             diced, height_index, row_index, column_index = _extract_region(
                 dataset, region, metrics
@@ -311,7 +172,7 @@ def _mine_streaming(
     chunk_rows = max(int(chunk_rows), 1)
     slice_cells = n * m
     native = dataset.kernel.words_native
-    grid = _packed_grid(dataset) if native else None
+    grid = packed_grid(dataset) if native else None
     cubes: list[Cube] = []
     for size in range(thresholds.min_h, l + 1):
         if size * slice_cells < thresholds.min_volume:

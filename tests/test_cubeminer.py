@@ -13,7 +13,7 @@ from repro.core.constraints import Thresholds
 from repro.core.dataset import Dataset3D
 from repro.core.reference import reference_mine
 from repro.cubeminer import CubeMiner, HeightOrder, cubeminer_mine
-from repro.cubeminer.algorithm import _run
+from repro.cubeminer.algorithm import _run, search_root
 from repro.cubeminer.checks import height_set_closed, row_set_closed
 from repro.cubeminer.cutter import build_cutters
 from repro.obs import CollectingSink, MiningMetrics
@@ -199,17 +199,17 @@ def tensor_thresholds_mask(draw, max_dim: int = 5):
 
 
 def restricted_run(dataset, thresholds, required, sink=None):
-    cutters = build_cutters(dataset, HeightOrder.ZERO_DECREASING)
-    root = (
-        full_mask(dataset.n_heights),
-        full_mask(dataset.n_rows),
-        full_mask(dataset.n_columns),
-    )
+    # The tree maintain()'s dirty pass walks: the diced root, skipped
+    # when it cannot hold a cube or holds no required height.
     metrics = MiningMetrics()
-    found, _ = _run(
-        dataset, thresholds, cutters, [(root, 0, 0, 0)], metrics,
-        sink=sink, required_heights=required,
-    )
+    root, cutters = search_root(dataset, thresholds)
+    found = []
+    if root.heights & required and root.satisfies(thresholds):
+        found, _ = _run(
+            dataset, thresholds, cutters,
+            [((root.heights, root.rows, root.columns), 0, 0, 0)], metrics,
+            sink=sink, required_heights=required,
+        )
     return sorted((c.heights, c.rows, c.columns) for c in found), metrics
 
 

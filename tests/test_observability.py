@@ -22,6 +22,7 @@ import pytest
 from tests.conftest import random_dataset
 from repro.api import mine
 from repro.core.constraints import Thresholds
+from repro.core.dataset import Dataset3D
 from repro.core.result import MiningResult, MiningStats
 from repro.options import ParallelOptions
 from repro.cubeminer import HeightOrder, cubeminer_mine, prune_counts, trace_tree
@@ -232,19 +233,29 @@ class TestCancellation:
 class TestParallelAggregation:
     def test_pool_counters_match_sequential(self):
         rng = np.random.default_rng(3)
-        dataset = random_dataset(rng, max_dim=6, density_range=(0.5, 0.7))
-        thresholds = Thresholds(1, 1, 1)
-        seq = mine(dataset, thresholds, algorithm="cubeminer")
-        par = mine(
-            dataset,
-            thresholds,
-            algorithm="parallel-cubeminer",
-            options=ParallelOptions(n_workers=2),
-        )
-        assert set(par.cubes) == set(seq.cubes)
-        # Expansion nodes + worker nodes == the sequential tree, exactly.
-        assert par.stats["nodes_visited"] == seq.stats["nodes_visited"]
-        assert par.stats["leaves_emitted"] == seq.stats["leaves_emitted"]
+        dense = random_dataset(rng, max_dim=6, density_range=(0.5, 0.7))
+        # Sparse noise around a block: dicing prunes part of the root.
+        data = rng.random((5, 8, 12)) < 0.2
+        data[:3, :4, :5] = True
+        sparse = Dataset3D(data)
+        for dataset, thresholds, diced in (
+            (dense, Thresholds(1, 1, 1), False),
+            (sparse, Thresholds(2, 2, 2), True),
+        ):
+            seq = mine(dataset, thresholds, algorithm="cubeminer")
+            par = mine(
+                dataset,
+                thresholds,
+                algorithm="parallel-cubeminer",
+                options=ParallelOptions(n_workers=2),
+            )
+            kept = tuple(seq.stats["dice_kept_shape"])
+            assert (kept != dataset.shape) == diced
+            assert par.stats["dice_kept_shape"] == list(kept)
+            assert set(par.cubes) == set(seq.cubes)
+            # Expansion nodes + worker nodes == the sequential tree, exactly.
+            assert par.stats["nodes_visited"] == seq.stats["nodes_visited"]
+            assert par.stats["leaves_emitted"] == seq.stats["leaves_emitted"]
 
     def test_pool_rsm_aggregates_slices(self):
         rng = np.random.default_rng(5)

@@ -8,8 +8,8 @@ import pytest
 from repro.core.constraints import Thresholds
 from repro.core.dataset import Dataset3D
 from repro.core.reference import reference_mine
-from repro.cubeminer import cubeminer_mine
-from repro.cubeminer.cutter import HeightOrder, build_cutters
+from repro.cubeminer import cubeminer_mine, search_root
+from repro.cubeminer.cutter import HeightOrder
 from repro.parallel import (
     CommunicationModel,
     cubeminer_tasks,
@@ -35,16 +35,16 @@ class TestRSMTasks:
 
 class TestCubeMinerTasks:
     def test_expansion_reaches_min_tasks(self, paper_ds, paper_thresholds):
-        cutters = build_cutters(paper_ds)
-        tasks, done = cubeminer_tasks(paper_ds, paper_thresholds, cutters, 4)
+        root, cutters = search_root(paper_ds, paper_thresholds)
+        tasks, done = cubeminer_tasks(paper_ds, paper_thresholds, root, cutters, 4)
         assert len(tasks) >= 4 or (len(tasks) == 0 and len(done) > 0)
 
     def test_replay_equals_sequential(self, rng):
         for _ in range(15):
             ds = random_dataset(rng)
             th = Thresholds(*(int(x) for x in rng.integers(1, 3, size=3)))
-            cutters = build_cutters(ds, HeightOrder.ZERO_DECREASING)
-            tasks, done = cubeminer_tasks(ds, th, cutters, 6)
+            root, cutters = search_root(ds, th, HeightOrder.ZERO_DECREASING)
+            tasks, done = cubeminer_tasks(ds, th, root, cutters, 6)
             from repro.cubeminer.algorithm import CubeMinerStats, _run
 
             replayed, _ = _run(
@@ -55,17 +55,20 @@ class TestCubeMinerTasks:
             assert combined == sequential
 
     def test_infeasible_thresholds_no_tasks(self, paper_ds):
-        cutters = build_cutters(paper_ds)
-        tasks, done = cubeminer_tasks(paper_ds, Thresholds(9, 9, 9), cutters, 4)
+        th = Thresholds(9, 9, 9)
+        root, cutters = search_root(paper_ds, th)
+        tasks, done = cubeminer_tasks(paper_ds, th, root, cutters, 4)
         assert tasks == [] and done == []
 
     def test_invalid_min_tasks(self, paper_ds, paper_thresholds):
         with pytest.raises(ValueError):
-            cubeminer_tasks(paper_ds, paper_thresholds, build_cutters(paper_ds), 0)
+            cubeminer_tasks(
+                paper_ds, paper_thresholds, *search_root(paper_ds, paper_thresholds), 0
+            )
 
     def test_task_round_trip_format(self, paper_ds, paper_thresholds):
-        cutters = build_cutters(paper_ds)
-        tasks, _ = cubeminer_tasks(paper_ds, paper_thresholds, cutters, 2)
+        root, cutters = search_root(paper_ds, paper_thresholds)
+        tasks, _ = cubeminer_tasks(paper_ds, paper_thresholds, root, cutters, 2)
         for task in tasks:
             (masks, index, tl, tm) = task.as_stack_item()
             assert masks == (task.heights, task.rows, task.columns)
