@@ -5,9 +5,9 @@ decisions the paper argues for qualitatively:
 
 * **2D substrate choice** — RSM's phase 2 with each registered 2D
   miner, D-Miner (the paper's pick) and CARPENTER;
-* **task granularity** — parallel CubeMiner with different
-  ``min_tasks`` frontier sizes (too few tasks -> stragglers, too many
-  -> dispatch overhead);
+* **task granularity** — CubeMiner split into at least 1/8/64/256
+  branch tasks, each timed alone and list-scheduled onto 4 processors
+  (too few tasks -> stragglers, too many -> per-task overhead);
 * **base-dimension choice** — RSM enumerating each axis of the same
   dataset (the paper's "pick the smallest dimension" heuristic);
 * **auto-transpose** — CubeMiner with and without the canonical
@@ -22,7 +22,7 @@ from common import elutriation_bench, print_series_table, scale_minc, timed
 from repro.api import mine
 from repro.core.constraints import Thresholds
 from repro.fcp import FCP_MINERS
-from repro.parallel import parallel_cubeminer_mine
+from repro.parallel import measure_cubeminer_task_times, schedule_makespan
 from repro.rsm import rsm_mine
 
 MINC = scale_minc(1000, 7161)
@@ -56,15 +56,20 @@ def test_ablation_fcp_substrate(benchmark, miner_name):
     assert result is not None
 
 
-@pytest.mark.parametrize("min_tasks", [1, 8, 64, 256], ids=lambda v: f"tasks>={v}")
+GRANULARITIES = [1, 8, 64, 256]
+
+
+@pytest.mark.parametrize("min_tasks", GRANULARITIES, ids=lambda v: f"tasks>={v}")
 def test_ablation_task_granularity(benchmark, min_tasks):
-    benchmark.pedantic(
-        parallel_cubeminer_mine,
+    times = benchmark.pedantic(
+        measure_cubeminer_task_times,
         args=(elutriation_bench(), THRESHOLDS),
-        kwargs={"n_workers": 4, "min_tasks": min_tasks},
+        kwargs={"min_tasks": min_tasks},
         rounds=1,
         iterations=1,
     )
+    benchmark.extra_info["n_tasks"] = len(times)
+    benchmark.extra_info["makespan_4_s"] = schedule_makespan(times, 4)
 
 
 def _base_axis_case():
@@ -142,6 +147,18 @@ def sweep() -> None:
     print_series_table(
         "Ablation: RSM base-dimension choice (shape 8x10x12)",
         "base axis", axes, {"RSM time": axis_times},
+    )
+
+    work, makespans = [], []
+    for min_tasks in GRANULARITIES:
+        times = measure_cubeminer_task_times(
+            elutriation_bench(), THRESHOLDS, min_tasks=min_tasks
+        )
+        work.append(sum(times))
+        makespans.append(schedule_makespan(times, 4))
+    print_series_table(
+        "Ablation: CubeMiner task granularity (simulated 4 processors)",
+        "min tasks", GRANULARITIES, {"total work": work, "makespan": makespans},
     )
 
     transposed, permuted = _transposed_case()

@@ -35,6 +35,7 @@ the partial result attached.
 from __future__ import annotations
 
 import time
+from collections import deque
 from collections.abc import Callable
 
 from ..core.bitset import bit_count
@@ -58,7 +59,18 @@ from ..obs import (
 from .checks import height_set_closed, row_set_closed
 from .cutter import Cutter, CutterIndex, HeightOrder, build_cutters
 
-__all__ = ["CubeMinerStats", "cubeminer_mine", "search_root", "CubeMiner"]
+__all__ = [
+    "CubeMinerStats",
+    "cubeminer_mine",
+    "search_root",
+    "cubeminer_tasks",
+    "CubeMiner",
+]
+
+#: A node of the tree with its resume state: ``((H', R', C'),
+#: cutter_index, TL, TM)``.  The engine's work items and the parallel
+#: driver's tasks are both these tuples.
+StackItem = tuple[tuple[int, int, int], int, int, int]
 
 #: Backward-compatible alias: CubeMiner's run counters are now the
 #: library-wide :class:`~repro.obs.metrics.MiningMetrics` (a superset of
@@ -94,6 +106,43 @@ def search_root(
     if metrics is not None:
         metrics.n_cutters = len(cutters)
     return root, cutters
+
+
+def cubeminer_tasks(
+    dataset: Dataset3D,
+    thresholds: Thresholds,
+    root: Cube,
+    cutters: list[Cutter],
+    min_tasks: int,
+    metrics: MiningMetrics | None = None,
+    on_event: EventSink | None = None,
+) -> tuple[list[StackItem], list[Cube]]:
+    """Split the tree grown from ``root`` into >= ``min_tasks`` branches.
+
+    ``root`` and ``cutters`` are the pair :func:`search_root` returns.
+    The engine runs breadth-first until its stack holds ``min_tasks``
+    items (``_run(frontier=)``); those items are the tasks, each a
+    self-contained continuation of the sequential search, and the
+    leaves reached on the way are returned as already-found cubes.
+    Replaying every task therefore yields exactly the sequential cubes
+    and, with the expansion tallied into ``metrics``, its counters.
+    """
+    if min_tasks < 1:
+        raise ValueError(f"min_tasks must be >= 1, got {min_tasks}")
+    stack: deque[StackItem] = deque()
+    if root.satisfies(thresholds):
+        stack.append(((root.heights, root.rows, root.columns), 0, 0, 0))
+    done, _ = _run(
+        dataset,
+        thresholds,
+        cutters,
+        stack,
+        metrics if metrics is not None else MiningMetrics(),
+        closure_cache=ClosureCache(),
+        sink=on_event,
+        frontier=min_tasks,
+    )
+    return list(stack), done
 
 
 def cubeminer_mine(
@@ -212,18 +261,19 @@ def _run(
     dataset: Dataset3D,
     thresholds: Thresholds,
     cutters: list[Cutter],
-    stack: list[tuple[tuple[int, int, int], int, int, int]],
+    stack: list[StackItem] | deque[StackItem],
     stats: MiningMetrics,
     *,
     closure_cache: ClosureCache | None = None,
     sink: EventSink | None = None,
     progress: ProgressController | None = None,
     required_heights: int = -1,
+    frontier: int = 0,
 ) -> tuple[list[Cube], MiningMetrics]:
     """Drain a work stack of ``((H', R', C'), cutter_index, TL, TM)`` items.
 
-    Exposed separately so the parallel driver can seed the stack with a
-    single branch of the tree and replay exactly the sequential search.
+    Exposed separately so the parallel driver can seed the stack with
+    branches of the tree and replay exactly the sequential search.
     On cancellation the raised ``MiningCancelled`` carries the cubes
     found so far in ``partial_cubes``.  ``closure_cache`` memoizes the
     Lemma 4-5 closure checks (``None`` recomputes every check); its
@@ -236,6 +286,11 @@ def _run(
     with its whole subtree (``pruned_required_heights``) and the run
     returns exactly the unrestricted cubes that meet the mask.
     ``stream.maintain()`` uses it to re-mine only the dirty heights.
+
+    ``frontier > 0`` is the parallel driver's task split
+    (:func:`cubeminer_tasks`): ``stack`` must then be a ``deque``, it
+    is drained first-in first-out (breadth-first), and the run returns
+    as soon as it holds ``frontier`` items, leaving them in ``stack``.
     """
     min_h, min_r, min_c = thresholds.as_tuple()
     min_volume = thresholds.min_volume
@@ -247,13 +302,15 @@ def _run(
     check_every = progress.check_every if progress is not None else 0
     found: list[Cube] = []
     push = stack.append
-    pop = stack.pop
+    pop = stack.popleft if frontier else stack.pop  # type: ignore[union-attr]
     # Events fire up to four times per node; ``_make`` skips the keyword
     # machinery of the NamedTuple constructor, which is measurable here.
     node_event = NodeEvent._make
     prune_event = PruneEvent._make
     try:
         while stack:
+            if frontier and len(stack) >= frontier:
+                break
             stats.max_stack_depth = max(stats.max_stack_depth, len(stack))
             (heights, rows, columns), index, track_left, track_middle = pop()
             stats.nodes_visited += 1

@@ -101,9 +101,8 @@ class ParallelOptions(_OptionsBase):
     """Options for both parallel variants (Section 6).
 
     Carries the union of both algorithms' knobs; :meth:`to_kwargs`
-    selects the subset the chosen variant understands (``order`` /
-    ``min_tasks`` are CubeMiner-only, ``base_axis`` / ``fcp_miner`` are
-    RSM-only).
+    selects the subset the chosen variant understands (``order`` is
+    CubeMiner-only, ``base_axis`` / ``fcp_miner`` are RSM-only).
     """
 
     algorithms: ClassVar[tuple[str, ...]] = ("parallel-cubeminer", "parallel-rsm")
@@ -112,9 +111,6 @@ class ParallelOptions(_OptionsBase):
     n_workers: int = 2
     #: parallel-cubeminer: cutter ordering heuristic.
     order: HeightOrder = HeightOrder.ZERO_DECREASING
-    #: parallel-cubeminer: frontier size floor for task expansion
-    #: (``None`` = ``8 * n_workers``).
-    min_tasks: int | None = None
     #: parallel-rsm: base dimension to enumerate.
     base_axis: int | str = "auto"
     #: parallel-rsm: 2D miner name for phase 2.
@@ -138,12 +134,6 @@ class ParallelOptions(_OptionsBase):
 
         if not isinstance(self.n_workers, int) or self.n_workers < 1:
             raise ValueError(f"n_workers must be an int >= 1, got {self.n_workers!r}")
-        if self.min_tasks is not None and (
-            not isinstance(self.min_tasks, int) or self.min_tasks < 1
-        ):
-            raise ValueError(
-                f"min_tasks must be None or an int >= 1, got {self.min_tasks!r}"
-            )
         from .fcp import get_fcp_miner
 
         get_fcp_miner(self.fcp_miner)  # ValueError on an unknown name
@@ -162,7 +152,6 @@ class ParallelOptions(_OptionsBase):
         }
         if algorithm == "parallel-cubeminer":
             kwargs["order"] = self.order
-            kwargs["min_tasks"] = self.min_tasks
         else:
             kwargs["base_axis"] = self.base_axis
             kwargs["fcp_miner"] = self.fcp_miner

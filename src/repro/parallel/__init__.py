@@ -1,6 +1,7 @@
 """Parallel FCC mining (Section 6): supervised pools, checkpointing,
 fault injection, and a scheduler simulator."""
 
+from ..cubeminer.algorithm import cubeminer_tasks
 from .checkpoint import (
     CheckpointJournal,
     CheckpointMismatchError,
@@ -27,7 +28,6 @@ from .simulator import (
     simulate_response_times,
 )
 from .supervisor import RetryPolicy, TaskFailedError, run_supervised
-from .tasks import CubeMinerTask, cubeminer_tasks, rsm_tasks
 
 __all__ = [
     "parallel_cubeminer_mine",
@@ -48,9 +48,7 @@ __all__ = [
     "measure_rsm_task_times",
     "schedule_makespan",
     "simulate_response_times",
-    "CubeMinerTask",
     "cubeminer_tasks",
-    "rsm_tasks",
     "SHM_PREFIX",
     "ShmAttachment",
     "ShmDatasetRef",

@@ -14,8 +14,10 @@ to pickling the dataset into each worker.
   worker builds each representative slice, mines it with the 2D miner
   and post-prunes locally.
 * :func:`parallel_cubeminer_mine` — tasks are frontier branches of the
-  splitting tree; a worker resumes the sequential engine from the
-  branch's node, cutter index and track sets.
+  splitting tree, which the driver grows by running the sequential
+  engine breadth-first (:func:`~repro.cubeminer.algorithm.cubeminer_tasks`);
+  a worker resumes that engine from the branch's node, cutter index and
+  track sets.
 
 Both drivers are thin fronts over one driver body (``_drive``): each
 supplies its task list, its chunk worker and initializer state, its
@@ -35,12 +37,15 @@ Instrumentation: each worker accumulates its own
 :class:`~repro.obs.metrics.MiningMetrics` and ships it back with its
 chunk result; the driver merges each chunk's tallies exactly once
 (failed attempts return nothing), so a parallel run — even one that
-retried faults — reports the same counter totals a sequential run
-would.  Progress checkpoints and deadlines are evaluated in the driver
-between chunk completions (and inside the engine on the inline path).
-Worker-side event sinks, being arbitrary callables, do not cross
-process boundaries and only fire on the inline path; the supervision
-events (``TaskFailed``, ``TaskRetried``, ``PoolRestarted``,
+retried faults — reports the counter totals a sequential run would,
+except ``max_stack_depth`` (each chunk has its own stack),
+``closure_cache_*`` (each chunk has its own cache) and the pool-only
+``workers_merged`` and ``shm_*``.  Progress checkpoints and deadlines
+are evaluated in the driver between chunk completions (and inside the
+engine on the inline path).  Worker-side event sinks, being arbitrary
+callables, do not cross process boundaries and only fire on the inline
+path; CubeMiner's frontier expansion and the supervision events
+(``TaskFailed``, ``TaskRetried``, ``PoolRestarted``,
 ``CheckpointWritten``) fire driver-side and therefore always reach
 ``on_event``.
 """
@@ -59,7 +64,7 @@ from ..core.dice import DICE_KEPT_SHAPE
 from ..core.kernels import Kernel
 from ..core.permute import map_cube_from_transposed, order_moving_axis_first
 from ..core.result import MiningResult, MiningStats
-from ..cubeminer.algorithm import _run, search_root
+from ..cubeminer.algorithm import StackItem, _run, cubeminer_tasks, search_root
 from ..cubeminer.cutter import HeightOrder
 from ..fcp import get_fcp_miner
 from ..obs import (
@@ -72,17 +77,19 @@ from ..obs import (
     resolve_progress,
 )
 from ..rsm.algorithm import mine_slice, resolve_base_axis
-from ..rsm.slices import representative_slice
+from ..rsm.slices import enumerate_height_subsets, representative_slice
 from .checkpoint import CheckpointJournal, run_fingerprint
 from .faults import FaultPlan
 from .shm import ShmDatasetRef, ShmError, ShmManager, attach_dataset, publish_dataset
 from .supervisor import RetryPolicy, run_supervised
-from .tasks import CubeMinerTask, cubeminer_tasks, rsm_tasks
 
 __all__ = ["parallel_rsm_mine", "parallel_cubeminer_mine"]
 
 #: Task chunks handed to each worker (load-balancing granularity).
 CHUNKS_PER_WORKER = 4
+#: parallel-cubeminer splits its tree into at least this many branch
+#: tasks per worker.
+TASKS_PER_WORKER = 8
 
 Triple = tuple[int, int, int]
 
@@ -158,7 +165,7 @@ def _rsm_worker_chunk(
 
 
 def _cubeminer_worker_chunk(
-    tasks: list[CubeMinerTask],
+    tasks: list[StackItem],
     progress: ProgressController | None = None,
     sink: EventSink | None = None,
     metrics: MiningMetrics | None = None,
@@ -169,7 +176,7 @@ def _cubeminer_worker_chunk(
     cutters = _worker_context
     assert dataset is not None and thresholds is not None and cutters is not None
     stats = metrics if metrics is not None else MiningMetrics()
-    stack = [task.as_stack_item() for task in tasks]
+    stack = list(tasks)  # _run drains it; a retried chunk needs its tasks
     try:
         # A fresh chunk-scoped closure cache: witnesses cannot travel
         # between processes, but within one chunk the engine gets the
@@ -433,7 +440,8 @@ def parallel_rsm_mine(
     def plan() -> tuple[list[int], list[Cube], dict]:
         if not working_thresholds.feasible_for_shape(working.shape):
             return [], [], {}
-        return rsm_tasks(working.n_heights, working_thresholds.min_h), [], {}
+        subsets = enumerate_height_subsets(working.n_heights, working_thresholds.min_h)
+        return list(subsets), [], {}
 
     return _drive(
         dataset,
@@ -458,7 +466,6 @@ def parallel_cubeminer_mine(
     *,
     n_workers: int = 2,
     order: HeightOrder = HeightOrder.ZERO_DECREASING,
-    min_tasks: int | None = None,
     kernel: str | Kernel | None = None,
     metrics: MiningMetrics | None = None,
     **supervision,
@@ -474,12 +481,16 @@ def parallel_cubeminer_mine(
     if kernel is not None:
         dataset = dataset.with_kernel(kernel)
     root, cutters = search_root(dataset, thresholds, order, metrics=stats)
-    if min_tasks is None:
-        min_tasks = max(8 * n_workers, 1)
 
-    def plan() -> tuple[list[CubeMinerTask], list[Cube], dict]:
+    def plan() -> tuple[list[StackItem], list[Cube], dict]:
         tasks, done = cubeminer_tasks(
-            dataset, thresholds, root, cutters, min_tasks, metrics=stats
+            dataset,
+            thresholds,
+            root,
+            cutters,
+            TASKS_PER_WORKER * n_workers,
+            metrics=stats,
+            on_event=supervision.get("on_event"),
         )
         return tasks, done, {
             "fccs_during_expansion": len(done),

@@ -26,16 +26,16 @@ import heapq
 import time
 from dataclasses import dataclass
 
+from ..core.closure import ClosureCache
 from ..core.constraints import Thresholds
 from ..core.dataset import Dataset3D
 from ..core.permute import order_moving_axis_first
-from ..cubeminer.algorithm import _run, search_root
+from ..cubeminer.algorithm import _run, cubeminer_tasks, search_root
 from ..cubeminer.cutter import HeightOrder
 from ..fcp import get_fcp_miner
 from ..obs.metrics import MiningMetrics
 from ..rsm.algorithm import mine_slice, resolve_base_axis
 from ..rsm.slices import representative_slice, enumerate_height_subsets
-from .tasks import cubeminer_tasks
 
 __all__ = [
     "CommunicationModel",
@@ -153,13 +153,21 @@ def measure_cubeminer_task_times(
 
     The tree is expanded to at least ``min_tasks`` branches (as the
     parallel driver does) and each branch is run to completion
-    sequentially, timed individually.
+    sequentially, timed individually, with a fresh closure cache as a
+    worker's chunk has.
     """
     root, cutters = search_root(dataset, thresholds, order)
     tasks, _done = cubeminer_tasks(dataset, thresholds, root, cutters, min_tasks)
     times: list[float] = []
     for task in tasks:
         t0 = time.perf_counter()
-        _run(dataset, thresholds, cutters, [task.as_stack_item()], MiningMetrics())
+        _run(
+            dataset,
+            thresholds,
+            cutters,
+            [task],
+            MiningMetrics(),
+            closure_cache=ClosureCache(),
+        )
         times.append(time.perf_counter() - t0)
     return times

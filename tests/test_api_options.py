@@ -88,7 +88,7 @@ class TestTypedOptions:
             ({"n_workers": 0}, "n_workers"),
             ({"n_workers": -2}, "n_workers"),
             ({"n_workers": "2"}, "n_workers"),
-            ({"min_tasks": 0}, "min_tasks"),
+            ({"n_workers": 2.0}, "n_workers"),
             ({"retries": -1}, "retries"),
             ({"task_timeout": 0}, "task_timeout"),
             ({"backoff": -0.5}, "backoff"),
@@ -100,14 +100,15 @@ class TestTypedOptions:
 
     def test_parallel_options_accept_edge_values(self):
         options = ParallelOptions(
-            n_workers=1, min_tasks=1, retries=0, task_timeout=None, backoff=0
+            n_workers=1, retries=0, task_timeout=None, backoff=0
         )
-        assert options.to_kwargs("parallel-cubeminer")["min_tasks"] == 1
+        kwargs = options.to_kwargs("parallel-cubeminer")
+        assert (kwargs["n_workers"], kwargs["retries"], kwargs["backoff"]) == (1, 0, 0)
 
     def test_removed_parallel_knobs_are_unknown_keys(self):
         from repro.options import options_from_dict
 
-        for key in ("shards", "shard_dim", "use_shm", "chunks_per_worker"):
+        for key in ("shards", "shard_dim", "use_shm", "chunks_per_worker", "min_tasks"):
             with pytest.raises(ValueError, match="unknown option"):
                 options_from_dict("parallel-rsm", {key: 1})
 
@@ -204,7 +205,7 @@ class TestOptionsWireFormat:
         cases = [
             ("cubeminer", CubeMinerOptions(order=HeightOrder.ZERO_DECREASING)),
             ("rsm", RSMOptions(base_axis="row", fcp_miner="dminer")),
-            ("parallel-cubeminer", ParallelOptions(n_workers=3, min_tasks=5)),
+            ("parallel-cubeminer", ParallelOptions(n_workers=3, retries=5)),
             ("reference", ReferenceOptions()),
         ]
         for algorithm, options in cases:

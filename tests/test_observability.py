@@ -230,18 +230,23 @@ class TestCancellation:
 # ----------------------------------------------------------------------
 # Parallel metric aggregation
 # ----------------------------------------------------------------------
+def _parity_cases():
+    """A dense case and a sparse one whose diced root is smaller."""
+    rng = np.random.default_rng(3)
+    dense = random_dataset(rng, max_dim=6, density_range=(0.5, 0.7))
+    # Sparse noise around a block: dicing prunes part of the root.
+    data = rng.random((5, 8, 12)) < 0.2
+    data[:3, :4, :5] = True
+    sparse = Dataset3D(data)
+    return [
+        (dense, Thresholds(1, 1, 1), False),
+        (sparse, Thresholds(2, 2, 2), True),
+    ]
+
+
 class TestParallelAggregation:
     def test_pool_counters_match_sequential(self):
-        rng = np.random.default_rng(3)
-        dense = random_dataset(rng, max_dim=6, density_range=(0.5, 0.7))
-        # Sparse noise around a block: dicing prunes part of the root.
-        data = rng.random((5, 8, 12)) < 0.2
-        data[:3, :4, :5] = True
-        sparse = Dataset3D(data)
-        for dataset, thresholds, diced in (
-            (dense, Thresholds(1, 1, 1), False),
-            (sparse, Thresholds(2, 2, 2), True),
-        ):
+        for dataset, thresholds, diced in _parity_cases():
             seq = mine(dataset, thresholds, algorithm="cubeminer")
             par = mine(
                 dataset,
@@ -253,9 +258,34 @@ class TestParallelAggregation:
             assert (kept != dataset.shape) == diced
             assert par.stats["dice_kept_shape"] == list(kept)
             assert set(par.cubes) == set(seq.cubes)
-            # Expansion nodes + worker nodes == the sequential tree, exactly.
-            assert par.stats["nodes_visited"] == seq.stats["nodes_visited"]
-            assert par.stats["leaves_emitted"] == seq.stats["leaves_emitted"]
+            # Expansion and workers run one engine over the sequential
+            # tree, so every work counter matches exactly.  Stack depth
+            # and closure-cache tallies depend on the chunking, and the
+            # pool-only counters have no sequential counterpart.
+            excluded = {"max_stack_depth", "workers_merged"}
+            work = [
+                name
+                for name in seq.stats.metrics.as_dict()
+                if name not in excluded
+                and not name.startswith(("closure_cache_", "shm_"))
+            ]
+            assert {"kernel_ops", "sons_left", "pruned_min_c"} <= set(work)
+            for name in work:
+                assert par.stats[name] == seq.stats[name], name
+
+    def test_inline_parallel_emits_one_node_event_per_node(self):
+        sparse, thresholds, _ = _parity_cases()[1]
+        sink = CollectingSink()
+        par = mine(
+            sparse,
+            thresholds,
+            algorithm="parallel-cubeminer",
+            options=ParallelOptions(n_workers=1),
+            on_event=sink,
+        )
+        # The frontier expansion emits its nodes too.
+        assert par.stats["n_tasks"] > 1
+        assert len(sink.of_kind("node")) == par.stats["nodes_visited"]
 
     def test_pool_rsm_aggregates_slices(self):
         rng = np.random.default_rng(5)

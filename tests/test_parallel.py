@@ -17,20 +17,10 @@ from repro.parallel import (
     measure_rsm_task_times,
     parallel_cubeminer_mine,
     parallel_rsm_mine,
-    rsm_tasks,
     schedule_makespan,
     simulate_response_times,
 )
 from tests.conftest import random_dataset
-
-
-class TestRSMTasks:
-    def test_task_count_matches_subsets(self):
-        assert len(rsm_tasks(4, 2)) == 6 + 4 + 1
-
-    def test_tasks_unique(self):
-        tasks = rsm_tasks(5, 1)
-        assert len(tasks) == len(set(tasks)) == 31
 
 
 class TestCubeMinerTasks:
@@ -47,9 +37,7 @@ class TestCubeMinerTasks:
             tasks, done = cubeminer_tasks(ds, th, root, cutters, 6)
             from repro.cubeminer.algorithm import CubeMinerStats, _run
 
-            replayed, _ = _run(
-                ds, th, cutters, [t.as_stack_item() for t in tasks], CubeMinerStats()
-            )
+            replayed, _ = _run(ds, th, cutters, tasks, CubeMinerStats())
             combined = set(done) | set(replayed)
             sequential = cubeminer_mine(ds, th).cube_set()
             assert combined == sequential
@@ -65,14 +53,6 @@ class TestCubeMinerTasks:
             cubeminer_tasks(
                 paper_ds, paper_thresholds, *search_root(paper_ds, paper_thresholds), 0
             )
-
-    def test_task_round_trip_format(self, paper_ds, paper_thresholds):
-        root, cutters = search_root(paper_ds, paper_thresholds)
-        tasks, _ = cubeminer_tasks(paper_ds, paper_thresholds, root, cutters, 2)
-        for task in tasks:
-            (masks, index, tl, tm) = task.as_stack_item()
-            assert masks == (task.heights, task.rows, task.columns)
-            assert (index, tl, tm) == (task.cutter_index, task.track_left, task.track_middle)
 
 
 class TestParallelExecution:

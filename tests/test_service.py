@@ -177,6 +177,7 @@ class TestRouting:
         assert app.jobs.list_jobs() == []
         assert target.read_text() == "keep me\n"
 
+    # ``min_tasks`` is a removed knob: it now fails as an unknown key.
     @pytest.mark.parametrize(
         "options", [{"n_workers": 0}, {"min_tasks": 0}, {"retries": -1}]
     )
