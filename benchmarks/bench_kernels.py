@@ -1,7 +1,7 @@
 """Kernel backend comparison on the Figure 3-5 workloads.
 
-Runs every registered kernel backend (``python-int``, ``numpy``,
-``native`` when the C extension is built) over representative points of
+Runs both kernel backends (``python-int`` and ``numpy``) over
+representative points of
 the paper's Figure 3 minC sweeps and the Figure 4/5 minH/minR settings,
 for both CubeMiner and RSM.  Each point asserts that all backends
 return the *identical* cube list (the differential test suite proves
@@ -17,14 +17,11 @@ diluted by tree bookkeeping.
 Standalone runs write ``BENCH_kernels.json`` at the repo root — the
 machine-readable perf trajectory for the backend layer::
 
-    python benchmarks/bench_kernels.py [--output BENCH_kernels.json]
+    python benchmarks/bench_kernels.py [BENCH_kernels.json]
 
-``--check`` replays the fold microbench and enforces the native floor
-committed with the native backend: native must hold >= 1.5x over numpy
-on the fold microbench (interleaved timing, best-of-rounds median) and
-every backend must produce bit-identical cube lists.  CI's native legs
-run this; without the extension ``--check`` fails unless
-``--skip-missing`` declares the narrowing instead.
+``--check`` is the cross-backend identity gate: on one point per
+figure family, both algorithms, every backend must produce the
+bit-identical cube list.
 """
 
 from __future__ import annotations
@@ -37,7 +34,6 @@ from pathlib import Path
 import pytest
 
 from common import (
-    SweepSkipped,
     cdc15_bench,
     elutriation_bench,
     print_series_table,
@@ -50,9 +46,6 @@ from repro.cubeminer import cubeminer_mine
 from repro.rsm import rsm_mine
 
 KERNELS = list(available_kernels())
-
-#: The committed perf floor: native over numpy on the fold microbench.
-NATIVE_FOLD_FLOOR = 1.5
 
 _DEFAULT_OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_kernels.json"
 
@@ -212,7 +205,6 @@ def sweep(output: Path | None = None, fold_repeats: int = 25) -> dict:
         "fold_microbench": {
             "repeats": fold_repeats,
             "seconds": {name: round(fold[name], 4) for name in KERNELS},
-            "native_floor_over_numpy": NATIVE_FOLD_FLOOR,
         },
         "workloads": records,
     }
@@ -222,41 +214,10 @@ def sweep(output: Path | None = None, fold_repeats: int = 25) -> dict:
     return payload
 
 
-def sweep_skips() -> list[str]:
-    """Environmental narrowings of this module's sweep, for run_all.py."""
-    if "native" not in KERNELS:
-        from repro.core.kernels import native_import_error
-
-        return [
-            "native kernel series omitted: the _native C extension is not "
-            f"built ({native_import_error() or 'unknown reason'})"
-        ]
-    return []
-
-
-def check(rounds: int = 3, fold_repeats: int = 10, skip_missing: bool = False) -> None:
-    """Enforce the native perf floor and cross-backend cube identity.
-
-    Raises :class:`AssertionError` on a violated gate, or
-    :class:`~common.SweepSkipped` when native is absent and
-    ``skip_missing`` declares that narrowing acceptable.
-    """
-    if "native" not in KERNELS:
-        from repro.core.kernels import native_import_error
-
-        message = (
-            "native kernel unavailable "
-            f"({native_import_error() or 'extension not built'})"
-        )
-        if skip_missing:
-            raise SweepSkipped(f"bench_kernels --check skipped: {message}")
-        raise AssertionError(
-            f"--check needs the native backend: {message} "
-            "(pass --skip-missing to declare this narrowing instead)"
-        )
-
-    # Gate 1: bit-identical cube lists on a representative workload mix
-    # (one point per figure family, both algorithms).
+def check() -> None:
+    """Enforce cross-backend cube identity; raises :class:`AssertionError`."""
+    # Bit-identical cube lists on a representative workload mix (one
+    # point per figure family, both algorithms).
     for point in (WORKLOADS[0], WORKLOADS[1], WORKLOADS[6], WORKLOADS[11]):
         name, _fig, factory, _ds, runner, _alg, thresholds = point
         cubes = None
@@ -271,24 +232,6 @@ def check(rounds: int = 3, fold_repeats: int = 10, skip_missing: bool = False) -
                 )
         print(f"cube identity OK across {KERNELS}: {name} ({len(cubes or ())} cubes)")
 
-    # Gate 2: the fold floor, best ratio across rounds so one noisy
-    # round cannot fail a healthy build.
-    ratios = []
-    for _ in range(max(1, rounds)):
-        fold = fold_microbench(["numpy", "native"], repeats=fold_repeats)
-        ratios.append(fold["numpy"] / fold["native"])
-    best = max(ratios)
-    print(
-        f"fold microbench: native {best:.2f}x over numpy "
-        f"(rounds: {', '.join(f'{r:.2f}x' for r in ratios)}; "
-        f"floor {NATIVE_FOLD_FLOOR}x)"
-    )
-    if best < NATIVE_FOLD_FLOOR:
-        raise AssertionError(
-            f"native kernel is only {best:.2f}x over numpy on the fold "
-            f"microbench; the committed floor is {NATIVE_FOLD_FLOOR}x"
-        )
-
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -298,35 +241,18 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--check", action="store_true",
-        help="enforce the native>=1.5x fold floor and cross-backend cube "
-             "identity instead of running the full sweep",
+        help="enforce cross-backend cube identity instead of running the "
+             "full sweep",
     )
     parser.add_argument(
-        "--skip-missing", action="store_true",
-        help="with --check: declare a skip (exit 0) when the native "
-             "extension is not built, instead of failing",
-    )
-    parser.add_argument(
-        "--rounds", type=int, default=3,
-        help="--check timing rounds; the best round must clear the floor",
-    )
-    parser.add_argument(
-        "--fold-repeats", type=int, default=10,
-        help="fold-microbench passes per kernel per round",
+        "--fold-repeats", type=int, default=25,
+        help="fold-microbench passes per kernel",
     )
     args = parser.parse_args(argv)
     if args.check:
-        try:
-            check(
-                rounds=args.rounds,
-                fold_repeats=args.fold_repeats,
-                skip_missing=args.skip_missing,
-            )
-        except SweepSkipped as skip:
-            print(skip)
-            return 0
+        check()
         return 0
-    sweep(args.output, fold_repeats=max(args.fold_repeats, 25))
+    sweep(args.output, fold_repeats=args.fold_repeats)
     return 0
 
 

@@ -77,11 +77,6 @@ _CUBEMINER_THRESHOLDS = Thresholds(8, 8, 10)
 _RSM_MIN_H = 4
 
 
-def _default_kernel() -> str:
-    kernels = available_kernels()
-    return "numpy" if "numpy" in kernels else kernels[0]
-
-
 def _cubeminer_workload(kernel: str):
     dataset = large_synthetic_bench().with_kernel(kernel)
     dataset.ones_grid()  # pre-pack so timing excludes one-time setup
@@ -285,12 +280,6 @@ def make_baseline(repeats: int, kernels: list[str] | None = None) -> dict:
                 "thresholds": list(_CUBEMINER_THRESHOLDS.as_tuple()),
                 "counters": counters["cubeminer-memoization"],
                 "gates": {"memo_speedup_floor": MEMO_SPEEDUP_FLOOR},
-                # The cache trades a dict lookup for a closure
-                # computation; under the native backend the closure is
-                # cheaper than the lookup, so the ratio promise only
-                # holds where memoization is actually profitable (the
-                # native backend's own floor lives in bench_kernels.py:
-                # >= 1.5x over numpy on the raw fold primitive).
                 "gate_kernels": ["numpy", "python-int"],
             },
             "rsm-prefix-fold": {
@@ -298,9 +287,6 @@ def make_baseline(repeats: int, kernels: list[str] | None = None) -> dict:
                 "min_h": _RSM_MIN_H,
                 "counters": counters["rsm-prefix-fold"],
                 "gates": {"fold_speedup_floor": FOLD_SPEEDUP_FLOOR},
-                # Same story: incremental folding amortizes per-slice
-                # AND cost, which the native backend has already driven
-                # below the bookkeeping overhead.
                 "gate_kernels": ["numpy", "python-int"],
             },
             "parallel-shm": {
@@ -311,11 +297,9 @@ def make_baseline(repeats: int, kernels: list[str] | None = None) -> dict:
                 # Attach latency varies with the machine far more than
                 # the mining ratios do; gate on the floor alone.
                 "baseline_relative": False,
-                # Only the zero-copy (words-native) kernels promise a
+                # Only the zero-copy (words-native) kernel promises a
                 # faster hand-off; python-int's copy fallback is ~parity.
-                "gate_kernels": [
-                    k for k in ("numpy", "native") if k in available_kernels()
-                ],
+                "gate_kernels": ["numpy"],
             },
         },
         "kernels": {
@@ -416,18 +400,6 @@ def sweep() -> None:
         _print_series(kernel, measure(kernel, repeats=3))
 
 
-def sweep_skips() -> list[str]:
-    """Environmental narrowings of this module's sweep, for run_all.py."""
-    if "native" not in available_kernels():
-        from repro.core.kernels import native_import_error
-
-        return [
-            "native kernel series omitted: the _native C extension is not "
-            f"built ({native_import_error() or 'unknown reason'})"
-        ]
-    return []
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=3,
@@ -436,9 +408,8 @@ def main(argv: list[str] | None = None) -> int:
                         help="max measurement rounds for --check; the gate "
                              "passes as soon as one round passes")
     parser.add_argument("--kernel", choices=available_kernels(),
-                        default=_default_kernel(),
-                        help="bitset backend to measure (default: numpy "
-                             "when available)")
+                        default="numpy",
+                        help="bitset backend to measure (default: numpy)")
     parser.add_argument("--baseline", default="BENCH_perf.json", metavar="PATH",
                         help="committed baseline file (default BENCH_perf.json)")
     parser.add_argument("--tolerance", type=float, default=25.0,

@@ -29,15 +29,6 @@ from repro.core.dataset import Dataset3D
 from repro.datasets import cdc15_like, elutriation_like, planted_tensor
 
 
-class SweepSkipped(Exception):
-    """A sweep declined to run for an environmental reason.
-
-    Raised by a module's ``sweep()`` (e.g. the native-kernel series when
-    the C extension is not built on this interpreter).  ``run_all.py``
-    reports these as declared skips — visible in the summary, but not
-    failures — instead of silently narrowing the sweep.
-    """
-
 # ----------------------------------------------------------------------
 # Benchmark datasets (cached — built once per session)
 # ----------------------------------------------------------------------

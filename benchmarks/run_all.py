@@ -45,7 +45,6 @@ import bench_fig5_vary_minr
 import bench_fig6_parallel
 import bench_fig7_vary_heights
 import bench_fig8_large
-from common import SweepSkipped
 
 MODULES = [
     bench_fig2_ordering,
@@ -99,8 +98,6 @@ def main(
     grand_start = time.perf_counter()
     records: dict[str, dict] = {}
     failed: list[str] = []
-    skipped: list[str] = []
-    narrowed: list[str] = []
     for module in MODULES:
         name = module.__name__
         print(f"\n### {name} ###")
@@ -109,19 +106,6 @@ def main(
         try:
             with contextlib.redirect_stdout(buffer):
                 module.sweep()
-        except SweepSkipped as skip:
-            # A declared environmental skip (e.g. the native kernel is
-            # not built): reported in the summary, not a failure.
-            skipped.append(name)
-            text = buffer.getvalue()
-            print(text, end="")
-            print(f"### {name} SKIPPED: {skip} ###")
-            records[name] = {
-                "elapsed_seconds": round(time.perf_counter() - start, 3),
-                "table_lines": text.splitlines(),
-                "skipped": str(skip),
-            }
-            continue
         except Exception:
             # A broken sweep must not hide the remaining figures, but
             # the run as a whole reports failure (non-zero exit).
@@ -145,15 +129,6 @@ def main(
             "elapsed_seconds": round(elapsed, 3),
             "table_lines": text.splitlines(),
         }
-        # Sweeps may narrow themselves for environmental reasons (a
-        # backend series omitted); surface every declared narrowing so
-        # a partial sweep cannot pass for a complete one.
-        narrowings = getattr(module, "sweep_skips", lambda: [])()
-        for reason in narrowings:
-            narrowed.append(f"{name}: {reason}")
-            print(f"### {name} NARROWED: {reason} ###")
-        if narrowings:
-            records[name]["narrowed"] = list(narrowings)
     total = time.perf_counter() - grand_start
     if write_json or with_metrics:
         payload = {
@@ -166,19 +141,11 @@ def main(
         json_path = out_root / "results.json"
         json_path.write_text(json.dumps(payload, indent=2) + "\n")
         print(f"json results in {json_path}")
-    if skipped:
-        print(f"\n{len(skipped)} sweep(s) skipped (declared, not failures): "
-              f"{', '.join(skipped)}")
-    if narrowed:
-        print(f"{len(narrowed)} sweep narrowing(s):")
-        for line in narrowed:
-            print(f"  - {line}")
     if failed:
         print(f"\n{len(failed)} sweep(s) FAILED: {', '.join(failed)}",
               file=sys.stderr)
         return 1
-    done = len(MODULES) - len(skipped)
-    print(f"\n{done}/{len(MODULES)} sweeps done in {total:.1f}s; "
+    print(f"\n{len(MODULES)} sweeps done in {total:.1f}s; "
           f"tables in {out_root}/")
     return 0
 

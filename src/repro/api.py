@@ -18,9 +18,9 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .core.constraints import Thresholds
-from .core.cube import Cube
 from .core.dataset import Dataset3D
 from .core.kernels import Kernel
+from .core.permute import map_cube_from_transposed
 from .core.result import MiningResult
 from .obs import EventSink, MiningCancelled, MiningMetrics, ProgressController
 from .options import (
@@ -276,20 +276,9 @@ def mine(
     if kernel is not None:
         dataset = dataset.with_kernel(kernel)
 
-    # Force kernel resolution now and attribute any auto-selection
-    # degradation (REPRO_KERNEL named an unavailable backend) to this
-    # run's counters.  An explicitly requested unavailable kernel raises
-    # KernelUnavailableError out of `dataset.kernel` instead.
-    from .core.kernels import kernel_fallback_count
-
-    before = kernel_fallback_count()
+    # Resolve the kernel now so a bad name (argument or REPRO_KERNEL)
+    # fails before any mining starts, whatever the algorithm.
     dataset.kernel
-    fallbacks = kernel_fallback_count() - before
-    if fallbacks:
-        run_metrics = kwargs.get("metrics")
-        if run_metrics is None:
-            run_metrics = kwargs["metrics"] = MiningMetrics()
-        run_metrics.kernel_fallbacks += fallbacks
 
     if auto_transpose:
         return _mine_transposed(dataset, thresholds, spec, kwargs)
@@ -325,19 +314,8 @@ def _mine_transposed(
     transposed = dataset.transpose(order)  # type: ignore[arg-type]
 
     def map_back(result: MiningResult) -> MiningResult:
-        # order[new_axis] = old_axis; build the reverse map old -> new.
-        inverse = [0, 0, 0]
-        for new_axis, old_axis in enumerate(order):
-            inverse[old_axis] = new_axis
-        remapped = [
-            Cube(*(
-                (cube.heights, cube.rows, cube.columns)[inverse[old_axis]]
-                for old_axis in range(3)
-            ))
-            for cube in result.cubes
-        ]
         return MiningResult(
-            cubes=remapped,
+            cubes=[map_cube_from_transposed(cube, order) for cube in result.cubes],  # type: ignore[arg-type]
             algorithm=result.algorithm + "+transpose",
             thresholds=thresholds,
             dataset_shape=dataset.shape,

@@ -48,7 +48,7 @@ from .analysis import dataset_stats, derive_rules, result_stats
 from .api import ALGORITHMS, mine
 from .core.constraints import Thresholds
 from .core.dataset import Dataset3D
-from .core.kernels import KernelUnavailableError, known_kernels
+from .core.kernels import available_kernels
 from .cubeminer.cutter import HeightOrder
 from .datasets import (
     cdc15_like,
@@ -68,11 +68,6 @@ EXIT_DEADLINE = 124
 
 #: Exit code for a malformed dataset file (BSD ``EX_DATAERR``).
 EXIT_DATA = 65
-
-#: Exit code when a requested kernel backend cannot run on this
-#: interpreter (BSD ``EX_UNAVAILABLE``), e.g. ``--kernel native``
-#: without the built C extension.
-EXIT_UNAVAILABLE = 69
 
 __all__ = ["main", "build_parser"]
 
@@ -329,10 +324,9 @@ def _add_mine_arguments(cmd: argparse.ArgumentParser) -> None:
     cmd.add_argument("--resume", action="store_true",
                      help="parallel: resume from --checkpoint instead "
                           "of starting over")
-    cmd.add_argument("--kernel", choices=known_kernels(), default=None,
+    cmd.add_argument("--kernel", choices=available_kernels(), default=None,
                      help="bitset kernel backend (default: $REPRO_KERNEL "
-                          "or python-int); requesting an unbuilt backend "
-                          "fails with the reason it is unavailable")
+                          "or python-int)")
     cmd.add_argument("--progress", action="store_true",
                      help="print periodic progress lines to stderr")
     cmd.add_argument("--deadline", type=float, default=None, metavar="SECONDS",
@@ -451,9 +445,6 @@ def _mine_with_args(args: argparse.Namespace):
             print(exc.partial.summary())
             _write_metrics_json(args, exc.partial)
         raise SystemExit(EXIT_DEADLINE)
-    except KernelUnavailableError as error:
-        print(f"error: {error}", file=sys.stderr)
-        raise SystemExit(EXIT_UNAVAILABLE) from None
     _write_metrics_json(args, result)
     return dataset, result
 

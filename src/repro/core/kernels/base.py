@@ -36,7 +36,6 @@ import numpy as np
 __all__ = [
     "Kernel",
     "PackedBufferError",
-    "KernelUnavailableError",
     "words_per_row",
     "words_from_tensor",
     "tensor_from_words",
@@ -57,24 +56,6 @@ class PackedBufferError(ValueError):
     segment.  Subclasses :class:`ValueError` so untyped callers keep
     working.
     """
-
-
-class KernelUnavailableError(ValueError):
-    """A known kernel backend cannot run on this interpreter.
-
-    Raised when a backend's name is recognised but its implementation
-    is missing — e.g. ``native`` requested while the C extension was
-    never compiled.  Distinct from the plain :class:`ValueError` of an
-    *unknown* name so callers can tell "typo" from "not built here";
-    subclasses :class:`ValueError` so untyped callers keep working.
-    """
-
-    def __init__(self, kernel: str, reason: str) -> None:
-        super().__init__(
-            f"kernel {kernel!r} is unavailable on this interpreter: {reason}"
-        )
-        self.kernel = kernel
-        self.reason = reason
 
 
 def words_per_row(n_bits: int) -> int:

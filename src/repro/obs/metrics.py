@@ -111,11 +111,6 @@ class MiningMetrics(_Counters):
     postprune_discards: int = 0       # Lemma 1
     # -- substrate / parallel ------------------------------------------
     kernel_ops: int = 0
-    # Kernel auto-selection degradations observed while resolving this
-    # run's backend (REPRO_KERNEL named an unavailable kernel, e.g.
-    # ``native`` without the built C extension, and resolution fell
-    # back to numpy).  Zero on every run whose requested backend ran.
-    kernel_fallbacks: int = 0
     workers_merged: int = 0
     # Driver-side transport counters: incremented once per run by the
     # parallel drivers (never per worker attach, so clean and

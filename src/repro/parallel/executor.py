@@ -440,8 +440,13 @@ def parallel_rsm_mine(
     def plan() -> tuple[list[int], list[Cube], dict]:
         if not working_thresholds.feasible_for_shape(working.shape):
             return [], [], {}
-        subsets = enumerate_height_subsets(working.n_heights, working_thresholds.min_h)
-        return list(subsets), [], {}
+        # Like rsm_mine, skip the subset sizes whose slices are too
+        # small to reach min_volume.
+        slice_cells = working.n_rows * working.n_columns
+        min_size = max(
+            working_thresholds.min_h, -(-working_thresholds.min_volume // slice_cells)
+        )
+        return list(enumerate_height_subsets(working.n_heights, min_size)), [], {}
 
     return _drive(
         dataset,

@@ -206,15 +206,12 @@ def run_job_worker(job_dir: str) -> int:
                 if result is None:
                     mmap_manifest = manifest.get("mmap")
                     if mmap_manifest is not None:
-                        from ..core.kernels import preferred_words_native_kernel
-
-                        # mmap operation needs a packed-word backend so the
-                        # mapped pages are adopted zero-copy; take the
-                        # fastest one built on this interpreter.
+                        # mmap operation needs the packed-word backend so
+                        # the mapped pages are adopted zero-copy.
                         dataset = Dataset3D.open_mmap(
                             mmap_manifest["path"],
                             tuple(mmap_manifest["shape"]),
-                            kernel=preferred_words_native_kernel(),
+                            kernel="numpy",
                         )
                     else:
                         try:

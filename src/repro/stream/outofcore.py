@@ -30,7 +30,8 @@ from ..core.dice import DICE_KEPT_SHAPE, DiceRegion, diamond_dice, packed_grid
 from ..core.kernels import release_mapped_pages, words_per_row
 from ..core.kernels.base import WORD_DTYPE
 from ..core.result import MiningResult, MiningStats
-from ..fcp import FCPMiner, get_fcp_miner
+from ..fcp import FCPMiner
+from ..fcp.dminer import DMiner
 from ..fcp.matrix import BinaryMatrix
 from ..obs.metrics import MiningMetrics
 from ..rsm.algorithm import mine_slice, rsm_mine
@@ -95,7 +96,6 @@ def stream_mine(
     dataset: Dataset3D,
     thresholds: Thresholds,
     *,
-    fcp_miner: "str | FCPMiner" = "dminer",
     dice: bool = False,
     chunk_rows: int = 2048,
     metrics: "MiningMetrics | None" = None,
@@ -108,8 +108,9 @@ def stream_mine(
     surviving region is mined (exact — see module docstring).  Results
     are bit-identical to ``mine(dataset, thresholds, algorithm="rsm")``
     either way; ``stats.extra["stream"]`` reports the chunk traffic.
+    The 2D phase is always D-Miner.
     """
-    miner = get_fcp_miner(fcp_miner) if isinstance(fcp_miner, str) else fcp_miner
+    miner = DMiner()
     if metrics is None:
         metrics = MiningMetrics()
     start = time.perf_counter()

@@ -2,42 +2,12 @@
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pytest
 
 from repro.core.constraints import Thresholds
 from repro.core.dataset import Dataset3D
 from repro.datasets import paper_example
-
-
-def pytest_configure(config: pytest.Config) -> None:
-    """Fail fast when a required kernel backend cannot run.
-
-    CI legs that exist to exercise a specific backend (the native build
-    matrix, the kernel-matrix job) export ``REPRO_REQUIRE_KERNELS`` so
-    that a broken extension fails the run loudly instead of letting
-    kernel auto-selection degrade to numpy and pass on the wrong
-    backend.
-    """
-    required = os.environ.get("REPRO_REQUIRE_KERNELS", "")
-    if not required:
-        return
-    from repro.core.kernels import available_kernels, native_import_error
-
-    missing = {
-        name.strip() for name in required.split(",") if name.strip()
-    } - set(available_kernels())
-    if missing:
-        detail = ""
-        if "native" in missing:
-            detail = f" (native: {native_import_error() or 'not built'})"
-        raise pytest.UsageError(
-            f"REPRO_REQUIRE_KERNELS demands unavailable kernel backends "
-            f"{sorted(missing)}{detail}; refusing to run the suite on a "
-            f"silent fallback"
-        )
 
 
 @pytest.fixture

@@ -29,8 +29,7 @@ from repro.rsm.slices import representative_slice
 
 class TestRegistry:
     def test_builtin_kernels_registered(self):
-        assert "python-int" in available_kernels()
-        assert "numpy" in available_kernels()
+        assert available_kernels() == ("numpy", "python-int")
 
     def test_get_kernel_returns_shared_instance(self):
         assert get_kernel("numpy") is get_kernel("numpy")
@@ -163,6 +162,17 @@ class TestApiAndCli:
         with pytest.raises(ValueError, match="unknown kernel"):
             mine(paper_example(), Thresholds(2, 2, 2), kernel="bogus")
 
+    def test_mine_rejects_native_kernel(self):
+        with pytest.raises(ValueError, match="unknown kernel") as info:
+            mine(paper_example(), Thresholds(2, 2, 2), kernel="native")
+        assert "'numpy', 'python-int'" in str(info.value)
+
+    def test_env_native_kernel_is_unknown(self, monkeypatch):
+        monkeypatch.setenv(KERNEL_ENV_VAR, "native")
+        with pytest.raises(ValueError, match="does not name a registered") as info:
+            mine(paper_example(), Thresholds(2, 2, 2))
+        assert "'numpy', 'python-int'" in str(info.value)
+
     def test_cli_accepts_kernel_flag(self):
         parser = build_parser()
         args = parser.parse_args(
@@ -174,6 +184,14 @@ class TestApiAndCli:
         parser = build_parser()
         with pytest.raises(SystemExit):
             parser.parse_args(["mine", "--input", "x.npz", "--kernel", "bogus"])
+
+    def test_cli_native_kernel_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            build_parser().parse_args(
+                ["mine", "--input", "x.npz", "--kernel", "native"]
+            )
+        assert info.value.code == 2
+        assert "invalid choice: 'native'" in capsys.readouterr().err
 
     def test_cli_mine_with_kernel_end_to_end(self, tmp_path):
         from repro.cli import main

@@ -327,6 +327,16 @@ class TestMiningStats:
         assert stats.metrics is None
         assert stats.to_dict()["extra"] == {"n_tasks": 7, "n_workers": 2}
 
+    def test_payload_with_removed_counter_loads(self, paper_ds, paper_thresholds):
+        # Results stored before the kernel_fallbacks counter was removed.
+        payload = rsm_mine(paper_ds, paper_thresholds).stats.to_dict()
+        payload["metrics"]["kernel_fallbacks"] = 1
+        stats = MiningStats.from_dict(payload)
+        assert stats.metrics.rs_slices_mined == 4
+        assert "kernel_fallbacks" not in stats.metrics.as_dict()
+        metrics = MiningMetrics.from_dict({"nodes_visited": 3, "kernel_fallbacks": 2})
+        assert metrics == MiningMetrics(nodes_visited=3)
+
     def test_json_io_preserves_metrics(self, paper_ds, paper_thresholds, tmp_path):
         from repro.io import result_from_json, result_to_json
 

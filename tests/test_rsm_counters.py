@@ -80,6 +80,18 @@ def test_counter_parity_on_a_fixed_tensor():
     assert tally["postprune_discards"] > 0
 
 
+def test_counter_parity_under_a_volume_floor():
+    rng = np.random.default_rng(29)
+    old = Dataset3D(rng.random((5, 7, 12)) < 0.8)
+    row = rng.random((5, 12)) < 0.8
+    thresholds = Thresholds(2, 2, 2, min_volume=240)
+    tally = assert_paths_agree(run_every_path(old, thresholds, row))
+    # A pair of 8 x 12 slices holds 192 < 240 cells: only the 16
+    # subsets of three or more heights are worth mining.
+    assert tally["rs_slices_mined"] == 10 + 5 + 1
+    assert tally["fcp_patterns"] > 0
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_counter_parity_on_random_tensors(seed):
     rng = np.random.default_rng(4200 + seed)

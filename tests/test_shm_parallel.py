@@ -201,7 +201,7 @@ class TestDifferential:
         assert shm_run.stats.metrics.shm_datasets_published == 1
         assert pickled.stats.metrics.shm_datasets_published == 0
         assert shm_run.stats.extra["shm"]["enabled"]
-        # Packed-word backends (numpy, native) adopt the shm buffer
+        # The packed-word backend (numpy) adopts the shm buffer
         # without copying; python-int unpacks and copies.
         assert (
             shm_run.stats.extra["shm"]["zero_copy"]
