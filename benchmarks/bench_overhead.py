@@ -24,11 +24,13 @@ repeated up to ``--rounds`` times and the process exits non-zero only
 when *every* round exceeds ``--threshold`` percent — a real regression
 fails all rounds deterministically, while a one-off scheduler blip
 does not fail the build.  CI runs exactly that on the ``numpy``
-kernel, the production backend whose per-node closure checks dominate
-the event bookkeeping.  On the pure-Python fallback kernel a tree node
-itself costs only a few microseconds, so the same absolute event cost
-shows up as a larger percentage; pass ``--kernel python-int`` to see
-that number (reported, not gated).
+kernel.  The backend barely matters here: the default CubeMiner run
+answers its closure checks from ``ClosureCache``'s packed zero layout
+and scans cutters with ``CutterIndex``, so it makes no kernel call per
+node on either backend.  A tree node costs a few microseconds of pure
+Python, and the events' fixed cost per node is a large share of that;
+pass ``--kernel python-int`` to see the same number on the other
+backend (reported, not gated).
 
 Usage::
 
@@ -61,8 +63,8 @@ def _workload(kernel: str):
     """A CubeMiner run dominated by real mining work.
 
     Dense-ish mid-size tensor: tens of thousands of tree nodes, each
-    doing closure checks over bitmasks — the regime users actually run,
-    where per-node bookkeeping must disappear into the kernel cost.
+    scanning cutters and running the packed closure checks — the regime
+    users actually run.
     """
     dataset = random_tensor((8, 12, 48), 0.45, seed=11).with_kernel(kernel)
     thresholds = Thresholds(2, 2, 2)

@@ -1,12 +1,13 @@
-"""Hot-path performance guard: closure memoization and slice folding.
+"""Hot-path performance guard: packed closure checks and slice folding.
 
 The performance layer makes two machine-portable promises:
 
-* **CubeMiner memoization** — the zero-witness closure cache
-  (:class:`repro.core.closure.ClosureCache`) must keep the memoized run
-  at least ``memo_speedup_floor`` times faster than the same run with
-  the cache disabled, while producing the *bit-identical* cube list
-  (the bench asserts equality on every pair);
+* **CubeMiner closure checks** — the packed zero layout of
+  :class:`repro.core.closure.ClosureCache` must keep the default run at
+  least ``memo_speedup_floor`` times faster than the same run with the
+  cache disabled (every Lemma 4-5 check a kernel support sweep), while
+  producing the *bit-identical* cube list (the bench asserts equality
+  on every pair);
 * **RSM prefix folding** — the incremental per-size slice enumeration
   (:func:`repro.rsm.slices.iter_size_slices`) must stay at least
   ``fold_speedup_floor`` times faster than the one-shot fold of

@@ -61,9 +61,9 @@ class CubeMinerOptions(_OptionsBase):
 
     #: Height-slice ordering heuristic for the cutter list.
     order: HeightOrder = HeightOrder.ZERO_DECREASING
-    #: Closure-memoization bound: ``None`` keeps the default cache, ``0``
-    #: disables memoization, a positive int caps the cache at that many
-    #: entries (see :class:`repro.core.closure.ClosureCache`).
+    #: Closure-cache control: ``None`` keeps the default cache, ``0``
+    #: runs the closure checks as kernel sweeps, a positive int caps the
+    #: cache's support entries (see :class:`repro.core.closure.ClosureCache`).
     closure_cache_size: int | None = None
 
     def to_kwargs(self, algorithm: str = "cubeminer") -> dict:

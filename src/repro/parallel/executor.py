@@ -178,10 +178,10 @@ def _cubeminer_worker_chunk(
     stats = metrics if metrics is not None else MiningMetrics()
     stack = list(tasks)  # _run drains it; a retried chunk needs its tasks
     try:
-        # A fresh chunk-scoped closure cache: witnesses cannot travel
-        # between processes, but within one chunk the engine gets the
-        # same witness reuse as a sequential run (counters merge
-        # driver-side with the rest of the chunk's tallies).
+        # A fresh chunk-scoped closure cache builds the same packed zero
+        # layout the driver's did, so the tasks' creps index it as-is
+        # (counters merge driver-side with the rest of the chunk's
+        # tallies).
         cubes, stats = _run(
             dataset,
             thresholds,

@@ -52,7 +52,7 @@ from ..core.constraints import Thresholds
 from ..core.cube import Cube
 from ..core.dataset import Dataset3D
 from ..core.result import MiningResult, MiningStats
-from ..cubeminer.algorithm import _run, search_root
+from ..cubeminer.algorithm import _run, root_item, search_root
 from ..obs.metrics import MiningMetrics
 # Not called here; the bindings stay for perfbench/spans.py, which
 # times the RSM slice and post-prune layers at these names.
@@ -211,7 +211,7 @@ def _maintain_applied(
                 new,
                 thresholds,
                 cutters,
-                [((root.heights, root.rows, root.columns), 0, 0, 0)],
+                [root_item(new, root, cache)],
                 metrics,
                 closure_cache=cache,
                 required_heights=dirty,
