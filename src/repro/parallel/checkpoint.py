@@ -56,13 +56,29 @@ def run_fingerprint(
     deterministic, so equal configurations yield equal chunk lists).
     The kernel backend is deliberately excluded: backends never change
     the mined cubes, so a run may resume under a different kernel.
+    Integers are hashed as bytes, never as decimal strings, so task
+    masks of any width fingerprint in linear time (CubeMiner's tasks
+    carry column sets replicated once per height and per row).
     """
     digest = hashlib.sha256()
     digest.update(algorithm.encode())
     digest.update(repr(tuple(dataset_shape)).encode())
     digest.update(repr(tuple(thresholds)).encode())
-    digest.update(repr(chunks).encode())
+    _hash_value(digest, chunks)
     return digest.hexdigest()
+
+
+def _hash_value(digest, value) -> None:
+    """Feed ``value``, nested lists and tuples of ints, to ``digest``."""
+    if isinstance(value, (list, tuple)):
+        digest.update(b"(%d:" % len(value))
+        for item in value:
+            _hash_value(digest, item)
+        digest.update(b")")
+    else:
+        raw = value.to_bytes((value.bit_length() + 8) // 8, "little", signed=True)
+        digest.update(b"i%d:" % len(raw))
+        digest.update(raw)
 
 
 def load_journal(

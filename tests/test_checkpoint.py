@@ -120,6 +120,16 @@ class TestJournalFormat:
         assert base != run_fingerprint("alg", (2, 3, 4), (1, 1, 1, 1), [[1, 2]])
         assert base == run_fingerprint("alg", (2, 3, 4), (1, 1, 1, 1), [[1], [2]])
 
+    def test_fingerprint_of_masks_past_the_int_str_limit(self):
+        # Wider than the 4300 decimal digits int -> str refuses.
+        big = (1 << 20000) | 1
+        base = run_fingerprint("alg", (2, 3, 4), (1, 1, 1, 1), [[(big, 2)]])
+        assert base == run_fingerprint("alg", (2, 3, 4), (1, 1, 1, 1), [[(big, 2)]])
+        assert base != run_fingerprint(
+            "alg", (2, 3, 4), (1, 1, 1, 1), [[(big ^ 2, 2)]]
+        )
+        assert base != run_fingerprint("alg", (2, 3, 4), (1, 1, 1, 1), [[big, 2]])
+
 
 class TestResume:
     @pytest.mark.parametrize("driver", DRIVERS)
@@ -200,6 +210,26 @@ class TestResume:
                 checkpoint_path=path,
                 resume=True,
             )
+
+    def test_wide_cubeminer_run_checkpoints_and_resumes(self, tmp_path):
+        # CubeMiner's tasks carry each node's columns replicated once per
+        # row: 60 rows take them past the int -> str digit limit.
+        wide = random_tensor((3, 60, 300), 0.2, seed=3)
+        thresholds = Thresholds(2, 2, 2)
+        clean = parallel_cubeminer_mine(wide, thresholds, n_workers=2)
+        path = tmp_path / "wide.jsonl"
+        first = parallel_cubeminer_mine(
+            wide, thresholds, n_workers=2, checkpoint_path=path
+        )
+        again = parallel_cubeminer_mine(
+            wide,
+            thresholds,
+            n_workers=2,
+            checkpoint_path=path,
+            resume=True,
+        )
+        assert list(first) == list(again) == list(clean)
+        assert again.stats.extra["recovery"]["chunks_resumed"] > 0
 
     def test_inline_run_checkpoints_too(self, tmp_path, dataset, thresholds):
         path = tmp_path / "run.jsonl"
