@@ -6,8 +6,8 @@ visible before it shows up (amplified) in the figure benches:
 
 * mask construction (`Dataset3D` packbits path),
 * the three closure operators,
-* the Lemma-4/5 checks, both as kernel sweeps (no cache) and against a
-  ``ClosureCache``'s packed zero layout,
+* the Lemma-4/5 checks (kernel sweeps, as CubeMiner runs them at its
+  leaves),
 * cutter-list construction,
 * representative-slice generation,
 * one 2D D-Miner call on a dense slice,
@@ -21,12 +21,7 @@ import pytest
 
 from common import elutriation_bench
 from repro.core.bitset import full_mask, mask_of
-from repro.core.closure import (
-    ClosureCache,
-    column_support,
-    height_support,
-    row_support,
-)
+from repro.core.closure import column_support, height_support, row_support
 from repro.core.constraints import Thresholds
 from repro.core.dataset import Dataset3D
 from repro.cubeminer.algorithm import cubeminer_mine
@@ -87,33 +82,6 @@ def test_micro_row_check(benchmark, dataset):
     rows = mask_of(range(4))
     columns = mask_of(range(0, 60, 3))
     benchmark(row_set_closed, dataset, heights, rows, columns)
-
-
-@pytest.fixture(scope="module")
-def packed_cache(dataset):
-    cache = ClosureCache()
-    cache.layout(dataset)  # build the packed layout outside the benches
-    return cache
-
-
-def test_micro_packed_height_check(benchmark, dataset, packed_cache):
-    heights = mask_of(range(3))
-    rows = full_mask(dataset.n_rows)
-    columns = mask_of(range(0, 60, 3))
-    closed = benchmark(
-        height_set_closed, dataset, heights, rows, columns, cache=packed_cache
-    )
-    assert closed == height_set_closed(dataset, heights, rows, columns)
-
-
-def test_micro_packed_row_check(benchmark, dataset, packed_cache):
-    heights = full_mask(dataset.n_heights)
-    rows = mask_of(range(4))
-    columns = mask_of(range(0, 60, 3))
-    closed = benchmark(
-        row_set_closed, dataset, heights, rows, columns, cache=packed_cache
-    )
-    assert closed == row_set_closed(dataset, heights, rows, columns)
 
 
 @pytest.mark.parametrize("order", list(HeightOrder), ids=lambda o: o.value)

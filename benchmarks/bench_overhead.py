@@ -24,10 +24,9 @@ repeated up to ``--rounds`` times and the process exits non-zero only
 when *every* round exceeds ``--threshold`` percent — a real regression
 fails all rounds deterministically, while a one-off scheduler blip
 does not fail the build.  CI runs exactly that on the ``numpy``
-kernel.  The backend barely matters here: the default CubeMiner run
-answers its closure checks from ``ClosureCache``'s packed zero layout
-and scans cutters with ``CutterIndex``, so it makes no kernel call per
-node on either backend.  A tree node costs a few microseconds of pure
+kernel.  The backend barely matters here: CubeMiner runs its closure
+checks only at leaves and scans cutters with ``CutterIndex``, so it
+makes no kernel call per interior node on either backend.  A tree node costs a few microseconds of pure
 Python, and the events' fixed cost per node is a large share of that;
 pass ``--kernel python-int`` to see the same number on the other
 backend (reported, not gated).

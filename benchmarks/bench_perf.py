@@ -1,24 +1,21 @@
-"""Hot-path performance guard: packed closure checks and slice folding.
+"""Hot-path performance guard: slice folding and the shm hand-off.
 
 The performance layer makes two machine-portable promises:
 
-* **CubeMiner closure checks** — the packed zero layout of
-  :class:`repro.core.closure.ClosureCache` must keep the default run at
-  least ``memo_speedup_floor`` times faster than the same run with the
-  cache disabled (every Lemma 4-5 check a kernel support sweep), while
-  producing the *bit-identical* cube list (the bench asserts equality
-  on every pair);
 * **RSM prefix folding** — the incremental per-size slice enumeration
   (:func:`repro.rsm.slices.iter_size_slices`) must stay at least
   ``fold_speedup_floor`` times faster than the one-shot fold of
   :func:`repro.rsm.slices.iter_representative_slices` over the same
-  subsets.
+  subsets;
+* **shared-memory hand-off** — attaching a worker to a published
+  dataset must stay at least ``shm_handoff_speedup_floor`` times faster
+  than unpickling a copy (``numpy`` kernel only).
 
 Absolute seconds vary wildly across CI runners, so the committed
 baseline (``BENCH_perf.json``) gates only quantities that do not:
 
-* **work counters** (nodes visited, leaves, cubes, cache hits/misses,
-  slices mined, 2D patterns) are exact-matched — they are functions of
+* **work counters** (slices mined, 2D patterns, cubes, payload bytes)
+  are exact-matched — they are functions of
   the seeded workload alone, identical on every machine and kernel, so
   any drift means the algorithm changed and the baseline must be
   refreshed deliberately (``--update-baseline``);
@@ -61,7 +58,6 @@ SCHEMA_VERSION = 1
 
 #: Ratio gates: machine-portable floors the measured speedups must
 #: clear (before tolerance is applied to the baseline ratios).
-MEMO_SPEEDUP_FLOOR = 1.3
 FOLD_SPEEDUP_FLOOR = 1.2
 #: The shared-memory hand-off must beat the pickled-dataset hand-off.
 #: Attach latency is far more machine-variable than the algorithmic
@@ -88,45 +84,6 @@ def _rsm_workload(kernel: str):
     dataset = synthetic_heights_bench(12).with_kernel(kernel)
     dataset.ones_grid()
     return dataset, thresholds_for(dataset, _RSM_MIN_H, 4, 20)
-
-
-def _measure_cubeminer(kernel: str, repeats: int) -> dict:
-    """Interleaved uncached/cached CubeMiner pairs; asserts parity."""
-    dataset, thresholds = _cubeminer_workload(kernel)
-
-    def run(cache_spec):
-        start = time.process_time()
-        result = cubeminer_mine(dataset, thresholds, closure_cache=cache_spec)
-        return time.process_time() - start, result
-
-    run(0)  # warm both paths
-    run(None)
-    off_times, on_times, ratios = [], [], []
-    reference = None
-    for _ in range(repeats):
-        off_seconds, off_result = run(0)
-        on_seconds, on_result = run(None)
-        if off_result.cubes != on_result.cubes:
-            raise AssertionError(
-                "memoized CubeMiner produced a different cube list"
-            )
-        reference = on_result
-        off_times.append(off_seconds)
-        on_times.append(on_seconds)
-        ratios.append(off_seconds / on_seconds)
-    metrics = reference.stats.metrics
-    return {
-        "counters": {
-            "nodes_visited": metrics.nodes_visited,
-            "leaves_emitted": metrics.leaves_emitted,
-            "n_cubes": len(reference),
-            "closure_cache_hits": metrics.closure_cache_hits,
-            "closure_cache_misses": metrics.closure_cache_misses,
-        },
-        "uncached_seconds": min(off_times),
-        "cached_seconds": min(on_times),
-        "memo_speedup": statistics.median(ratios),
-    }
 
 
 def _measure_rsm(kernel: str, repeats: int) -> dict:
@@ -247,7 +204,6 @@ def _measure_shm(kernel: str, repeats: int) -> dict:
 def measure(kernel: str, repeats: int) -> dict:
     """All perf series for one kernel."""
     return {
-        "cubeminer-memoization": _measure_cubeminer(kernel, repeats),
         "rsm-prefix-fold": _measure_rsm(kernel, repeats),
         "parallel-shm": _measure_shm(kernel, repeats),
     }
@@ -276,13 +232,6 @@ def make_baseline(repeats: int, kernels: list[str] | None = None) -> dict:
         "schema_version": SCHEMA_VERSION,
         "generator": "benchmarks/bench_perf.py",
         "workloads": {
-            "cubeminer-memoization": {
-                "dataset": "large_synthetic_bench()",
-                "thresholds": list(_CUBEMINER_THRESHOLDS.as_tuple()),
-                "counters": counters["cubeminer-memoization"],
-                "gates": {"memo_speedup_floor": MEMO_SPEEDUP_FLOOR},
-                "gate_kernels": ["numpy", "python-int"],
-            },
             "rsm-prefix-fold": {
                 "dataset": "synthetic_heights_bench(12)",
                 "min_h": _RSM_MIN_H,
@@ -305,11 +254,6 @@ def make_baseline(repeats: int, kernels: list[str] | None = None) -> dict:
         },
         "kernels": {
             kernel: {
-                "cubeminer-memoization": {
-                    "uncached_seconds": round(s["cubeminer-memoization"]["uncached_seconds"], 4),
-                    "cached_seconds": round(s["cubeminer-memoization"]["cached_seconds"], 4),
-                    "memo_speedup": round(s["cubeminer-memoization"]["memo_speedup"], 3),
-                },
                 "rsm-prefix-fold": {
                     "oneshot_seconds": round(s["rsm-prefix-fold"]["oneshot_seconds"], 4),
                     "incremental_seconds": round(s["rsm-prefix-fold"]["incremental_seconds"], 4),
@@ -373,14 +317,7 @@ def check_against_baseline(
 
 
 def _print_series(kernel: str, series: dict) -> None:
-    cm = series["cubeminer-memoization"]
     rsm = series["rsm-prefix-fold"]
-    print(f"[{kernel}] cubeminer : uncached {cm['uncached_seconds'] * 1e3:8.1f} ms"
-          f" cached {cm['cached_seconds'] * 1e3:8.1f} ms"
-          f" memo speedup {cm['memo_speedup']:.2f}x"
-          f" ({cm['counters']['nodes_visited']} nodes,"
-          f" {cm['counters']['n_cubes']} cubes,"
-          f" {cm['counters']['closure_cache_hits']} cache hits)")
     print(f"[{kernel}] rsm       : one-shot {rsm['oneshot_seconds'] * 1e3:8.1f} ms"
           f" incremental {rsm['incremental_seconds'] * 1e3:8.1f} ms"
           f" fold speedup {rsm['fold_speedup']:.2f}x"
@@ -432,7 +369,6 @@ def main(argv: list[str] | None = None) -> int:
             handle.write("\n")
         for kernel in payload["kernels"]:
             print(f"{kernel}: "
-                  f"memo {payload['kernels'][kernel]['cubeminer-memoization']['memo_speedup']}x, "
                   f"fold {payload['kernels'][kernel]['rsm-prefix-fold']['fold_speedup']}x")
         print(f"baseline written to {args.baseline}")
         return 0

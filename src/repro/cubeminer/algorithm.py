@@ -7,18 +7,23 @@ columns that can belong to a cube meeting the thresholds, in the
 caller's own coordinates.  At a node ``(H', R', C')`` the first
 applicable cutter ``(W, X, Y)`` spawns up to three sons:
 
-* **left**   ``(H' \\ W, R', C')`` — kept if ``minH`` still holds, the
-  left-track set is clean (Lemma 2), and the row set stays closed
-  (Lemma 5);
-* **middle** ``(H', R' \\ X, C')`` — kept if ``minR`` holds, the
-  middle-track set is clean (Lemma 3), and the height set stays closed
-  (Lemma 4);
-* **right**  ``(H', R', C' \\ Y)`` — kept if ``minC`` holds and both
-  closure checks pass.
+* **left**   ``(H' \\ W, R', C')`` — kept if ``minH`` still holds and
+  the left-track set is clean (Lemma 2);
+* **middle** ``(H', R' \\ X, C')`` — kept if ``minR`` holds and the
+  middle-track set is clean (Lemma 3);
+* **right**  ``(H', R', C' \\ Y)`` — kept if ``minC`` holds.
 
 Cutters that do not intersect a node are skipped.  A node that survives
-the whole cutter list is an all-ones, closed, frequent cube (Theorem 2)
-and is emitted.
+the whole cutter list is an all-ones frequent cube.  The paper prunes
+every son that fails its closure check (Lemma 4 on heights, Lemma 5 on
+rows); this engine checks closure once, at that leaf, and emits the
+leaf only if its height set and its row set are closed.  Its column
+set needs no check: every column a right son drops is a zero of the
+cutter's height and row, which the son's descendants all keep (the
+track sets).  The interior checks only cut subtrees that hold no
+closed cube (an element that covers a node covers all its
+descendants), so both engines emit the same cubes; this one visits a
+few more nodes and runs far fewer checks.
 
 The recursion of Algorithm 2 is replaced by an explicit stack: the tree
 depth equals ``|Z|``, which exceeds CPython's recursion limit on any
@@ -38,7 +43,6 @@ import time
 from collections import deque
 from collections.abc import Callable
 
-from ..core.closure import ClosureCache, node_creps, resolve_closure_cache
 from ..core.constraints import Thresholds
 from ..core.cube import Cube
 from ..core.dataset import Dataset3D
@@ -63,19 +67,13 @@ __all__ = [
     "cubeminer_mine",
     "search_root",
     "cubeminer_tasks",
-    "root_item",
     "CubeMiner",
 ]
 
 #: A node of the tree with its resume state: ``((H', R', C'),
-#: cutter_index, TL, TM, crep_h, crep_r)``.  ``crep_h`` / ``crep_r`` are
-#: the node's columns in the first column block replicated into the
-#: packed zero layout of the Lemma 4 / Lemma 5 check
-#: (:class:`~repro.core.closure.PackedAxis`), with the inside flags of
-#: ``H'`` / ``R'`` set; both are 0 on a run without a closure cache.
-#: The engine's work items and the parallel driver's tasks are both
-#: these tuples.
-StackItem = tuple[tuple[int, int, int], int, int, int, int, int]
+#: cutter_index, TL, TM)``.  The engine's work items and the parallel
+#: driver's tasks are both these tuples.
+StackItem = tuple[tuple[int, int, int], int, int, int]
 
 #: Backward-compatible alias: CubeMiner's run counters are now the
 #: library-wide :class:`~repro.obs.metrics.MiningMetrics` (a superset of
@@ -96,8 +94,8 @@ def search_root(
     The root is the :func:`~repro.core.dice.diamond_dice` region: every
     member of a cube meeting ``thresholds`` lies inside it, and no
     height, row or column outside it can cover a node that meets them,
-    so the Lemma 4-5 closure checks (run against the whole tensor) and
-    the emitted cubes are those of a search from the full tensor.  Z
+    so the leaf closure checks (run against the whole tensor) and the
+    emitted cubes are those of a search from the full tensor.  Z
     is built over the region (:func:`build_cutters`) unless the caller
     pins ``cutters``; cutters outside the region never apply.  When
     ``metrics`` is given, the cutter list is tallied into it.  A root
@@ -111,16 +109,6 @@ def search_root(
     if metrics is not None:
         metrics.n_cutters = len(cutters)
     return root, cutters
-
-
-def root_item(
-    dataset: Dataset3D, root: Cube, closure_cache: ClosureCache | None
-) -> StackItem:
-    """The stack item that starts a search at ``root``."""
-    crep_h = crep_r = 0
-    if closure_cache is not None:
-        crep_h, crep_r = node_creps(dataset, root.heights, root.rows, root.columns)
-    return ((root.heights, root.rows, root.columns), 0, 0, 0, crep_h, crep_r)
 
 
 def cubeminer_tasks(
@@ -144,17 +132,15 @@ def cubeminer_tasks(
     """
     if min_tasks < 1:
         raise ValueError(f"min_tasks must be >= 1, got {min_tasks}")
-    cache = ClosureCache()
     stack: deque[StackItem] = deque()
     if root.satisfies(thresholds):
-        stack.append(root_item(dataset, root, cache))
+        stack.append(((root.heights, root.rows, root.columns), 0, 0, 0))
     done, _ = _run(
         dataset,
         thresholds,
         cutters,
         stack,
         metrics if metrics is not None else MiningMetrics(),
-        closure_cache=cache,
         sink=on_event,
         frontier=min_tasks,
     )
@@ -167,7 +153,6 @@ def cubeminer_mine(
     *,
     order: HeightOrder = HeightOrder.ZERO_DECREASING,
     cutters: list[Cutter] | None = None,
-    closure_cache: "ClosureCache | int | None" = None,
     metrics: MiningMetrics | None = None,
     on_event: EventSink | None = None,
     progress: "ProgressController | Callable | None" = None,
@@ -188,15 +173,6 @@ def cubeminer_mine(
         Pre-built cutter list (overrides ``order``); used by tests and
         :func:`~repro.cubeminer.trace.trace_tree` to pin a specific Z.
         The search still starts at the diced root (:func:`search_root`).
-    closure_cache:
-        Closure-check control: ``None`` (default) runs with a fresh
-        :class:`~repro.core.closure.ClosureCache`, whose packed zero
-        layout answers the Lemma 4-5 checks; ``0`` runs every check as
-        a kernel support sweep instead; a positive int bounds a fresh
-        cache's support entries, and a ``ClosureCache`` instance is
-        reused as-is.  The choice never changes the mined cubes — only
-        how fast the checks run; the cache's hit/miss/eviction tallies
-        land in the run's metrics (``closure_cache_hits`` etc.).
     metrics:
         Counter set to accumulate into (a fresh one per run by default);
         pass a shared instance to observe the run in flight or to tally
@@ -235,14 +211,12 @@ def cubeminer_mine(
             # pre-cancelled controller aborts deterministically.
             controller.checkpoint(stats, phase="cubeminer", done=0)
         if root.satisfies(thresholds):
-            cache = resolve_closure_cache(closure_cache)
             found, stats = _run(
                 dataset,
                 thresholds,
                 cutters,
-                [root_item(dataset, root, cache)],
+                [((root.heights, root.rows, root.columns), 0, 0, 0)],
                 stats,
-                closure_cache=cache,
                 sink=on_event,
                 progress=controller,
             )
@@ -282,7 +256,6 @@ def _run(
     stack: list[StackItem] | deque[StackItem],
     stats: MiningMetrics,
     *,
-    closure_cache: ClosureCache | None = None,
     sink: EventSink | None = None,
     progress: ProgressController | None = None,
     required_heights: int = -1,
@@ -293,11 +266,15 @@ def _run(
     Exposed separately so the parallel driver can seed the stack with
     branches of the tree and replay exactly the sequential search.
     On cancellation the raised ``MiningCancelled`` carries the cubes
-    found so far in ``partial_cubes``.  With a ``closure_cache`` the
-    Lemma 4-5 checks read its packed zero layout through the items'
-    ``crep_h`` / ``crep_r`` (``None`` runs them as kernel sweeps and
-    ignores both); its counter deltas are folded into ``stats`` even on
-    cancellation.
+    found so far in ``partial_cubes``.
+
+    A leaf (a node no cutter applies to) runs Lemma 4 and then Lemma 5
+    as kernel sweeps (:func:`~repro.cubeminer.checks.height_set_closed`,
+    :func:`~repro.cubeminer.checks.row_set_closed`).  A leaf that fails
+    one emits its node event (``is_leaf=False``) and one ``"leaf"``
+    prune event, counted under ``pruned_height_unclosed`` or
+    ``pruned_row_unclosed``, so every visited node still emits exactly
+    one node event.
 
     ``required_heights`` restricts the run to cubes whose height set
     meets that mask (``-1``, the default, is every height).  Only left
@@ -315,29 +292,7 @@ def _run(
     min_h, min_r, min_c = thresholds.as_tuple()
     min_volume = thresholds.min_volume
     n_cutters = len(cutters)
-    cutter_index = CutterIndex(cutters)
-    first_applicable = cutter_index.first_applicable
-    cache = closure_cache
-    packed = cache is not None
-    if packed:
-        cache_base = cache.counters()
-        # A son's crep differs from its father's by one flag (left and
-        # middle sons) or by the cutter's columns (right sons), so no
-        # check below rebuilds one.
-        layout = cache.layout(dataset)
-        h_axis, r_axis = layout.heights, layout.rows
-        h_closed, h_flags = h_axis.closed, h_axis.flags
-        r_closed, r_flags = r_axis.closed, r_axis.flags
-        # (keep_h, keep_r) per cutter, built when a right son first
-        # needs it: most runs reach only some cutters, and every worker
-        # chunk and simulator task starts a fresh run.
-        keeps: list[tuple[int, int] | None] = [None] * n_cutters
-        # Every kernel op beyond the one per visited node is one check.
-        checks_base = stats.kernel_ops - stats.nodes_visited
-    else:
-        # Kernel sweeps: the creps stay 0 and are never read.
-        h_flags = [0] * dataset.n_heights
-        r_flags = [0] * dataset.n_rows
+    first_applicable = CutterIndex(cutters).first_applicable
     check_every = progress.check_every if progress is not None else 0
     found: list[Cube] = []
     push = stack.append
@@ -351,14 +306,7 @@ def _run(
             if frontier and len(stack) >= frontier:
                 break
             stats.max_stack_depth = max(stats.max_stack_depth, len(stack))
-            (
-                (heights, rows, columns),
-                index,
-                track_left,
-                track_middle,
-                crep_h,
-                crep_r,
-            ) = pop()
+            (heights, rows, columns), index, track_left, track_middle = pop()
             stats.nodes_visited += 1
             stats.kernel_ops += 1
             if check_every and not stats.nodes_visited % check_every:
@@ -368,11 +316,27 @@ def _run(
             # Skip cutters that do not intersect this node (Algorithm 2, line 6).
             index = first_applicable(heights, rows, columns, index)
             if index == n_cutters:
-                # Survived every cutter: all-ones, closed, frequent (Theorem 2).
-                stats.leaves_emitted += 1
-                found.append(Cube(heights, rows, columns))
+                # Survived every cutter: an all-ones frequent cube with a
+                # closed column set.  Emit it if its heights and rows are
+                # closed too (Lemmas 4-5).
+                stats.kernel_ops += 1
+                if not height_set_closed(dataset, heights, rows, columns):
+                    stats.pruned_height_unclosed += 1
+                    reason = "pruned_height_unclosed"
+                else:
+                    stats.kernel_ops += 1
+                    if not row_set_closed(dataset, heights, rows, columns):
+                        stats.pruned_row_unclosed += 1
+                        reason = "pruned_row_unclosed"
+                    else:
+                        stats.leaves_emitted += 1
+                        found.append(Cube(heights, rows, columns))
+                        if sink is not None:
+                            sink(node_event((heights, rows, columns, index, True)))
+                        continue
                 if sink is not None:
-                    sink(node_event((heights, rows, columns, index, True)))
+                    sink(node_event((heights, rows, columns, index, False)))
+                    sink(prune_event(("leaf", reason, heights, rows, columns)))
                 continue
             if sink is not None:
                 sink(node_event((heights, rows, columns, index, False)))
@@ -406,27 +370,8 @@ def _run(
                 if sink is not None:
                     sink(prune_event(("left", "pruned_required_heights", son_heights, rows, columns)))
             else:
-                stats.kernel_ops += 1
-                if packed:
-                    closed = r_closed(son_heights, crep_r, columns)
-                else:
-                    closed = row_set_closed(dataset, son_heights, rows, columns)
-                if closed:
-                    stats.sons_left += 1
-                    push(
-                        (
-                            (son_heights, rows, columns),
-                            next_index,
-                            track_left,
-                            track_middle,
-                            crep_h ^ h_flags[cutter.height],
-                            crep_r,
-                        )
-                    )
-                else:
-                    stats.pruned_row_unclosed += 1
-                    if sink is not None:
-                        sink(prune_event(("left", "pruned_row_unclosed", son_heights, rows, columns)))
+                stats.sons_left += 1
+                push(((son_heights, rows, columns), next_index, track_left, track_middle))
 
             # Middle son (H', R' \ X, C') — lines 15-20.
             son_rows = rows & ~middle_atom
@@ -443,27 +388,15 @@ def _run(
                 if sink is not None:
                     sink(prune_event(("middle", "pruned_middle_track", heights, son_rows, columns)))
             else:
-                stats.kernel_ops += 1
-                if packed:
-                    closed = h_closed(son_rows, crep_h, columns)
-                else:
-                    closed = height_set_closed(dataset, heights, son_rows, columns)
-                if closed:
-                    stats.sons_middle += 1
-                    push(
-                        (
-                            (heights, son_rows, columns),
-                            next_index,
-                            track_left | left_atom,
-                            track_middle,
-                            crep_h,
-                            crep_r ^ r_flags[cutter.row],
-                        )
+                stats.sons_middle += 1
+                push(
+                    (
+                        (heights, son_rows, columns),
+                        next_index,
+                        track_left | left_atom,
+                        track_middle,
                     )
-                else:
-                    stats.pruned_height_unclosed += 1
-                    if sink is not None:
-                        sink(prune_event(("middle", "pruned_height_unclosed", heights, son_rows, columns)))
+                )
 
             # Right son (H', R', C' \ Y) — lines 21-29.
             son_columns = columns & ~cutter.columns
@@ -479,58 +412,19 @@ def _run(
                 if sink is not None:
                     sink(prune_event(("right", "pruned_min_volume", heights, rows, son_columns)))
             else:
-                if packed:
-                    keep = keeps[index]
-                    if keep is None:
-                        keep = keeps[index] = (
-                            h_axis.keep(cutter.columns),
-                            r_axis.keep(cutter.columns),
-                        )
-                    son_crep_h = crep_h & keep[0]
-                    closed = h_closed(rows, son_crep_h, son_columns)
-                else:
-                    son_crep_h = 0
-                    closed = height_set_closed(dataset, heights, rows, son_columns)
-                if not closed:
-                    stats.kernel_ops += 1
-                    stats.pruned_height_unclosed += 1
-                    if sink is not None:
-                        sink(prune_event(("right", "pruned_height_unclosed", heights, rows, son_columns)))
-                    continue
-                stats.kernel_ops += 2
-                if packed:
-                    son_crep_r = crep_r & keep[1]
-                    closed = r_closed(heights, son_crep_r, son_columns)
-                else:
-                    son_crep_r = 0
-                    closed = row_set_closed(dataset, heights, rows, son_columns)
-                if closed:
-                    stats.sons_right += 1
-                    push(
-                        (
-                            (heights, rows, son_columns),
-                            next_index,
-                            track_left | left_atom,
-                            track_middle | middle_atom,
-                            son_crep_h,
-                            son_crep_r,
-                        )
+                stats.sons_right += 1
+                push(
+                    (
+                        (heights, rows, son_columns),
+                        next_index,
+                        track_left | left_atom,
+                        track_middle | middle_atom,
                     )
-                else:
-                    stats.pruned_row_unclosed += 1
-                    if sink is not None:
-                        sink(prune_event(("right", "pruned_row_unclosed", heights, rows, son_columns)))
+                )
     except MiningCancelled as exc:
         exc.partial_cubes = found
         exc.metrics = stats
         raise
-    finally:
-        if packed:
-            cache.hits += stats.kernel_ops - stats.nodes_visited - checks_base
-            hits0, misses0, evictions0 = cache_base
-            stats.closure_cache_hits += cache.hits - hits0
-            stats.closure_cache_misses += cache.misses - misses0
-            stats.closure_cache_evictions += cache.evictions - evictions0
     return found, stats
 
 

@@ -2,8 +2,10 @@
 
 :func:`trace_tree` runs CubeMiner on a (small!) dataset and rebuilds
 every node from the miner's node/prune events: its cube, tree level
-(cutter step), branch kind and — for pruned sons — which rule fired.  The paper's Figure 1 prune categories
-map to :class:`PruneReason` as
+(cutter step), branch kind and — for pruned sons — which rule fired.
+The live miner checks closure only at its leaves; the trace applies the
+paper's per-son closure checks on top, so it draws the paper's tree.
+The paper's Figure 1 prune categories map to :class:`PruneReason` as
 
 * (a) left son whose cutter's left atom cut the path → ``LEFT_TRACK``,
 * (b) middle son whose cutter's middle atom cut the path → ``MIDDLE_TRACK``,
@@ -23,6 +25,7 @@ from ..core.constraints import Thresholds
 from ..core.cube import Cube
 from ..core.dataset import Dataset3D
 from .algorithm import cubeminer_mine, search_root
+from .checks import height_set_closed, row_set_closed
 from .cutter import Cutter, HeightOrder
 
 __all__ = [
@@ -61,9 +64,7 @@ class PruneReason(enum.Enum):
 
 
 #: Which :class:`~repro.obs.metrics.MiningMetrics` counter the live
-#: miner increments for each :class:`PruneReason` — the bridge the
-#: metrics-parity tests use to reconcile always-on counters with a full
-#: trace of the same run.
+#: miner increments for each :class:`PruneReason`.
 PRUNE_METRIC_FIELDS = {
     PruneReason.MIN_H: "pruned_min_h",
     PruneReason.MIN_R: "pruned_min_r",
@@ -79,9 +80,11 @@ PRUNE_METRIC_FIELDS = {
 def prune_counts(root: "TraceNode") -> dict[str, int]:
     """Tally a traced tree's prune reasons by metrics counter name.
 
-    The returned dict is directly comparable with
-    ``MiningMetrics.prune_counts()`` of a live run over the same
-    dataset, thresholds and cutter order.
+    The keys are those of ``MiningMetrics.prune_counts()``.  The counts
+    are the paper's tree: a live run over the same input counts at
+    least as many threshold and track prunes (it walks the subtrees the
+    view drops) and counts a closure prune per leaf that fails the
+    leaf test instead.
     """
     counts = {name: 0 for name in PRUNE_METRIC_FIELDS.values()}
     for node in root.iter_nodes():
@@ -119,25 +122,52 @@ _REASON_OF_FIELD = {name: reason for reason, name in PRUNE_METRIC_FIELDS.items()
 
 
 class _TreeBuilder:
-    """Event sink rebuilding the split tree from a live CubeMiner run.
+    """Event sink rebuilding Figure 1's split tree from a live CubeMiner run.
 
     The miner pops a node, emits its :class:`~repro.obs.events.NodeEvent`,
     then one :class:`~repro.obs.events.PruneEvent` per son it discards;
     the sons it keeps are pushed left, middle, right and popped LIFO.
     Mirroring that stack hangs every node event on its parent's son.
+
+    The live miner checks closure only at its leaves; the paper prunes
+    by it inside the tree.  So each kept son also runs the paper's
+    per-son check (left son: rows, Lemma 5; middle son: heights,
+    Lemma 4; right son: heights, then rows).  A son that fails it is
+    marked pruned, and the live run's nodes below it stay in the stack
+    as ``None`` and are dropped.  Those subtrees hold no FCC, so the
+    view keeps every leaf the live run emits.
     """
 
-    def __init__(self, root: TraceNode, cutters: list[Cutter]) -> None:
+    #: The paper's closure check of each son, in order.
+    _CHECKS = {
+        "left": ((PruneReason.ROW_UNCLOSED, row_set_closed),),
+        "middle": ((PruneReason.HEIGHT_UNCLOSED, height_set_closed),),
+        "right": (
+            (PruneReason.HEIGHT_UNCLOSED, height_set_closed),
+            (PruneReason.ROW_UNCLOSED, row_set_closed),
+        ),
+    }
+
+    def __init__(
+        self, root: TraceNode, cutters: list[Cutter], dataset: Dataset3D
+    ) -> None:
         self.cutters = cutters
-        self.pending = [root]  # kept sons awaiting their node event
-        self.sons: dict[str, TraceNode] = {}  # the last node's sons, by event branch
+        self.dataset = dataset
+        # Kept sons awaiting their node event; None below a dropped son.
+        self.pending: list[TraceNode | None] = [root]
+        # The last node's sons, by event branch.
+        self.sons: dict[str, TraceNode | None] = {}
 
     def __call__(self, event) -> None:
         if event.kind == "node":
             self.push_kept_sons()
             node = self.pending.pop()
-            if event.is_leaf:
-                node.is_leaf = True
+            if event.cutter_index == len(self.cutters):
+                if node is not None:
+                    node.is_leaf = event.is_leaf
+                return
+            if node is None:
+                self.sons = dict.fromkeys(("left", "middle", "right"))
                 return
             cutter = self.cutters[event.cutter_index]
             heights, rows, columns = event.heights, event.rows, event.columns
@@ -158,10 +188,20 @@ class _TreeBuilder:
             ]
             self.sons = dict(zip(("left", "middle", "right"), node.children))
         elif event.kind == "prune":
-            self.sons[event.branch].pruned = _REASON_OF_FIELD[event.reason]
+            son = self.sons.pop(event.branch, None)
+            if son is not None:
+                son.pruned = _REASON_OF_FIELD[event.reason]
 
     def push_kept_sons(self) -> None:
-        self.pending += [son for son in self.sons.values() if son.pruned is None]
+        for branch, son in self.sons.items():
+            if son is not None:
+                cube = son.cube
+                for reason, closed in self._CHECKS[branch]:
+                    if not closed(self.dataset, cube.heights, cube.rows, cube.columns):
+                        son.pruned = reason
+                        son = None
+                        break
+            self.pending.append(son)
         self.sons = {}
 
 
@@ -174,11 +214,14 @@ def trace_tree(
     """Run CubeMiner recording the full split tree (small datasets only).
 
     The tree is rebuilt from the event stream of
-    :func:`~repro.cubeminer.algorithm.cubeminer_mine` itself, so it shows
-    exactly the search the live miner makes; its root is the miner's
-    diced root (:func:`~repro.cubeminer.algorithm.search_root`).  The
-    default ``ORIGINAL`` cutter order matches the paper's Figure 1,
-    which applies Table 3's cutters in their listed order.
+    :func:`~repro.cubeminer.algorithm.cubeminer_mine` itself, with the
+    paper's per-son closure checks applied on top: the first son on each
+    path that fails one is marked and its subtree dropped.  It therefore
+    shows the paper's search, whose leaves are exactly the live run's
+    cubes; its root is the miner's diced root
+    (:func:`~repro.cubeminer.algorithm.search_root`).  The default
+    ``ORIGINAL`` cutter order matches the paper's Figure 1, which applies
+    Table 3's cutters in their listed order.
     """
     l, n, m = dataset.shape
     if l * n * m > _MAX_TRACE_CELLS:
@@ -197,7 +240,7 @@ def trace_tree(
             else PruneReason.MIN_VOLUME
         )
         return root
-    builder = _TreeBuilder(root, cutters)
+    builder = _TreeBuilder(root, cutters, dataset)
     cubeminer_mine(dataset, thresholds, cutters=cutters, on_event=builder)
     builder.push_kept_sons()
     return root

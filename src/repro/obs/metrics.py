@@ -120,10 +120,11 @@ class MiningMetrics(_Counters):
     # stream.maintain()'s final merge: passes run and cubes it dropped.
     shard_merges: int = 0
     shard_merge_dropped: int = 0
-    # -- closure-memoization cache (repro.core.closure.ClosureCache) ---
+    # -- support memo of stream.maintain()'s patch pass
+    # (repro.core.closure.ClosureCache); CubeMiner keeps no cache, so
+    # both read 0 on a mining run.
     closure_cache_hits: int = 0
     closure_cache_misses: int = 0
-    closure_cache_evictions: int = 0
     # -- streaming / out-of-core (repro.stream) ------------------------
     deltas_applied: int = 0
     cubes_patched: int = 0

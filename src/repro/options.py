@@ -61,17 +61,13 @@ class CubeMinerOptions(_OptionsBase):
 
     #: Height-slice ordering heuristic for the cutter list.
     order: HeightOrder = HeightOrder.ZERO_DECREASING
-    #: Closure-cache control: ``None`` keeps the default cache, ``0``
-    #: runs the closure checks as kernel sweeps, a positive int caps the
-    #: cache's support entries (see :class:`repro.core.closure.ClosureCache`).
+    #: Kept for compatibility and has no effect: CubeMiner checks
+    #: closure once per leaf with kernel sweeps and keeps no cache.
     closure_cache_size: int | None = None
 
     def to_kwargs(self, algorithm: str = "cubeminer") -> dict:
         self._check(algorithm)
-        kwargs: dict = {"order": self.order}
-        if self.closure_cache_size is not None:
-            kwargs["closure_cache"] = self.closure_cache_size
-        return kwargs
+        return {"order": self.order}
 
 
 @dataclass(frozen=True)

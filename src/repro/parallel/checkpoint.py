@@ -57,8 +57,9 @@ def run_fingerprint(
     The kernel backend is deliberately excluded: backends never change
     the mined cubes, so a run may resume under a different kernel.
     Integers are hashed as bytes, never as decimal strings, so task
-    masks of any width fingerprint in linear time (CubeMiner's tasks
-    carry column sets replicated once per height and per row).
+    masks of any width fingerprint in linear time (a column mask of a
+    tensor with more than ~14,000 columns passes Python's int-to-str
+    digit limit).
     """
     digest = hashlib.sha256()
     digest.update(algorithm.encode())

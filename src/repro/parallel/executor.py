@@ -38,9 +38,8 @@ Instrumentation: each worker accumulates its own
 chunk result; the driver merges each chunk's tallies exactly once
 (failed attempts return nothing), so a parallel run — even one that
 retried faults — reports the counter totals a sequential run would,
-except ``max_stack_depth`` (each chunk has its own stack),
-``closure_cache_*`` (each chunk has its own cache) and the pool-only
-``workers_merged`` and ``shm_*``.  Progress checkpoints and deadlines
+except ``max_stack_depth`` (each chunk has its own stack) and the
+pool-only ``workers_merged`` and ``shm_*``.  Progress checkpoints and deadlines
 are evaluated in the driver between chunk completions (and inside the
 engine on the inline path).  Worker-side event sinks, being arbitrary
 callables, do not cross process boundaries and only fire on the inline
@@ -56,7 +55,6 @@ import time
 from pathlib import Path
 from typing import Callable
 
-from ..core.closure import ClosureCache
 from ..core.constraints import Thresholds
 from ..core.cube import Cube
 from ..core.dataset import Dataset3D
@@ -178,19 +176,8 @@ def _cubeminer_worker_chunk(
     stats = metrics if metrics is not None else MiningMetrics()
     stack = list(tasks)  # _run drains it; a retried chunk needs its tasks
     try:
-        # A fresh chunk-scoped closure cache builds the same packed zero
-        # layout the driver's did, so the tasks' creps index it as-is
-        # (counters merge driver-side with the rest of the chunk's
-        # tallies).
         cubes, stats = _run(
-            dataset,
-            thresholds,
-            cutters,
-            stack,
-            stats,
-            closure_cache=ClosureCache(),
-            sink=sink,
-            progress=progress,
+            dataset, thresholds, cutters, stack, stats, sink=sink, progress=progress
         )
     except MiningCancelled as exc:
         exc.partial_cubes = [

@@ -26,7 +26,6 @@ import heapq
 import time
 from dataclasses import dataclass
 
-from ..core.closure import ClosureCache
 from ..core.constraints import Thresholds
 from ..core.dataset import Dataset3D
 from ..core.permute import order_moving_axis_first
@@ -153,25 +152,13 @@ def measure_cubeminer_task_times(
 
     The tree is expanded to at least ``min_tasks`` branches (as the
     parallel driver does) and each branch is run to completion
-    sequentially, timed individually.  The closure cache's packed zero
-    layout is built once, untimed: like the dataset copy, it is a
-    per-processor cost (a worker builds it once per chunk of tasks),
-    not a per-task one.
+    sequentially, timed individually.
     """
     root, cutters = search_root(dataset, thresholds, order)
     tasks, _done = cubeminer_tasks(dataset, thresholds, root, cutters, min_tasks)
-    cache = ClosureCache()
-    cache.layout(dataset)
     times: list[float] = []
     for task in tasks:
         t0 = time.perf_counter()
-        _run(
-            dataset,
-            thresholds,
-            cutters,
-            [task],
-            MiningMetrics(),
-            closure_cache=cache,
-        )
+        _run(dataset, thresholds, cutters, [task], MiningMetrics())
         times.append(time.perf_counter() - t0)
     return times

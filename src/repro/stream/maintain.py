@@ -52,7 +52,7 @@ from ..core.constraints import Thresholds
 from ..core.cube import Cube
 from ..core.dataset import Dataset3D
 from ..core.result import MiningResult, MiningStats
-from ..cubeminer.algorithm import _run, root_item, search_root
+from ..cubeminer.algorithm import _run, search_root
 from ..obs.metrics import MiningMetrics
 # Not called here; the bindings stay for perfbench/spans.py, which
 # times the RSM slice and post-prune layers at these names.
@@ -176,11 +176,11 @@ def _maintain_applied(
 
     triples: set[tuple[int, int, int]] = set()
     all_heights = full_mask(new.n_heights)
-    cache = ClosureCache()
 
     # --- Pass 1: patch the surviving cubes ----------------------------
     # Skipped when every height is dirty: then no FCC is clean.
     if dirty != all_heights:
+        cache = ClosureCache()
         kernel = new.kernel
         grid = new.ones_grid()
         for cube in result:
@@ -200,6 +200,8 @@ def _maintain_applied(
             patched = close(new, Cube(heights, rows, columns), cache=cache)
             triples.add((patched.heights, patched.rows, patched.columns))
             cubes_patched += 1
+        metrics.closure_cache_hits += cache.hits
+        metrics.closure_cache_misses += cache.misses
 
     # --- Pass 2: CubeMiner restricted to cubes with a dirty height ----
     # Its root is the diced region of the new tensor; a root without a
@@ -211,9 +213,8 @@ def _maintain_applied(
                 new,
                 thresholds,
                 cutters,
-                [root_item(new, root, cache)],
+                [((root.heights, root.rows, root.columns), 0, 0, 0)],
                 metrics,
-                closure_cache=cache,
                 required_heights=dirty,
             )
             dirty_cubes = len(found)

@@ -212,8 +212,8 @@ class TestResume:
             )
 
     def test_wide_cubeminer_run_checkpoints_and_resumes(self, tmp_path):
-        # CubeMiner's tasks carry each node's columns replicated once per
-        # row: 60 rows take them past the int -> str digit limit.
+        # A 300-column run's tasks, split over two workers, journal and
+        # resume like any other.
         wide = random_tensor((3, 60, 300), 0.2, seed=3)
         thresholds = Thresholds(2, 2, 2)
         clean = parallel_cubeminer_mine(wide, thresholds, n_workers=2)

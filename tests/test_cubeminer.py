@@ -13,7 +13,7 @@ from repro.core.constraints import Thresholds
 from repro.core.dataset import Dataset3D
 from repro.core.reference import reference_mine
 from repro.cubeminer import CubeMiner, HeightOrder, cubeminer_mine
-from repro.cubeminer.algorithm import _run, root_item, search_root
+from repro.cubeminer.algorithm import _run, search_root
 from repro.cubeminer.checks import height_set_closed, row_set_closed
 from repro.cubeminer.cutter import build_cutters
 from repro.obs import CollectingSink, MiningMetrics
@@ -207,7 +207,7 @@ def restricted_run(dataset, thresholds, required, sink=None):
     if root.heights & required and root.satisfies(thresholds):
         found, _ = _run(
             dataset, thresholds, cutters,
-            [root_item(dataset, root, None)], metrics,
+            [((root.heights, root.rows, root.columns), 0, 0, 0)], metrics,
             sink=sink, required_heights=required,
         )
     return sorted((c.heights, c.rows, c.columns) for c in found), metrics
