@@ -80,10 +80,6 @@ class ClosureCache:
         self._supports.clear()
         self._dataset = dataset
 
-    def clear(self) -> None:
-        """Drop every support entry (counters keep accumulating)."""
-        self._supports.clear()
-
     def __len__(self) -> int:
         return len(self._supports)
 

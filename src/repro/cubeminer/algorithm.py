@@ -22,8 +22,19 @@ set needs no check: every column a right son drops is a zero of the
 cutter's height and row, which the son's descendants all keep (the
 track sets).  The interior checks only cut subtrees that hold no
 closed cube (an element that covers a node covers all its
-descendants), so both engines emit the same cubes; this one visits a
-few more nodes and runs far fewer checks.
+descendants), so both engines emit the same cubes.
+
+In their place the engine prunes by the track sets.  Every cube below a
+node contains ``track_left x track_middle`` (Lemmas 2-3), so its
+columns lie in the node's *track core*, the columns that are ones on
+all of that grid.  A middle or right son that grows a track set
+narrows its columns to that core, drops each height outside
+``track_left`` that shares fewer than ``minC`` core columns with all
+of ``track_middle`` and each row outside ``track_middle`` that shares
+fewer than ``minC`` with all of ``track_left``, and is pruned when a
+threshold then fails (``pruned_track_core``).  The rule drops only
+elements no cube below the son can hold, so the cubes are unchanged;
+on the paper's workloads it cuts most of the tree.
 
 The recursion of Algorithm 2 is replaced by an explicit stack: the tree
 depth equals ``|Z|``, which exceeds CPython's recursion limit on any
@@ -170,8 +181,8 @@ def cubeminer_mine(
         Height-slice ordering heuristic for the cutter list; the default
         is the paper's winning zero-decreasing order (Section 7.1.1).
     cutters:
-        Pre-built cutter list (overrides ``order``); used by tests and
-        :func:`~repro.cubeminer.trace.trace_tree` to pin a specific Z.
+        Pre-built cutter list (overrides ``order``); used by tests to
+        pin a specific Z.
         The search still starts at the diced root (:func:`search_root`).
     metrics:
         Counter set to accumulate into (a fresh one per run by default);
@@ -249,6 +260,46 @@ def cubeminer_mine(
     return result
 
 
+#: Entries a :class:`_Profiles` memo keeps before it starts over, which
+#: bounds its memory on wide tensors.
+_PROFILE_ENTRIES = 256
+
+
+class _Profiles(dict):
+    """Memo of track profiles, keyed by a track mask ``t``.
+
+    The profile of ``t`` is the list whose ``x``-th entry is the AND of
+    ``planes[b][x]`` over the bits ``b`` of ``t``: with ``planes`` the
+    ones masks by row, the columns each height shares with every row of
+    TM; by height, those each row shares with every height of TL.
+    """
+
+    __slots__ = ("planes",)
+
+    def __init__(self, planes: list[list[int]]) -> None:
+        super().__init__()
+        self.planes = planes
+
+    def __missing__(self, track: int) -> list[int]:
+        # Peel low bits off down to a known suffix, then fold them back
+        # in one plane at a time, keeping every step.
+        peeled = []
+        rest = track
+        while rest and rest not in self:
+            low = rest & -rest
+            peeled.append(low)
+            rest ^= low
+        profile = self[rest] if rest else None
+        if len(self) + len(peeled) > _PROFILE_ENTRIES:
+            self.clear()
+        for low in reversed(peeled):
+            plane = self.planes[low.bit_length() - 1]
+            profile = plane if profile is None else [a & b for a, b in zip(profile, plane)]
+            rest |= low
+            self[rest] = profile
+        return profile  # type: ignore[return-value]
+
+
 def _run(
     dataset: Dataset3D,
     thresholds: Thresholds,
@@ -276,12 +327,25 @@ def _run(
     ``pruned_row_unclosed``, so every visited node still emits exactly
     one node event.
 
+    A son that passes the paper's prunes and grows a track set then
+    runs the track-core rule (see the module docstring).  A middle son
+    whose ``W`` joins ``TL`` ANDs ``ones[W][i]`` for each ``i`` in
+    ``TM`` into its columns; a right son also ANDs ``ones[k][X]`` for
+    each ``k`` in ``TL`` when ``X`` joins ``TM``.  With ``TM``
+    non-empty, the son then drops its incompatible heights and rows.
+    It is pruned, with one ``pruned_track_core`` prune event, when
+    ``minH``, ``minR``, ``minC`` or the volume fails or no required
+    height is left.  Each item on the stack keeps ``C`` inside its
+    track core, so the rule needs no state beyond the 4-tuple; the
+    per-track AND profiles it reads are memoized per run.
+
     ``required_heights`` restricts the run to cubes whose height set
-    meets that mask (``-1``, the default, is every height).  Only left
-    sons drop heights and a node's descendants keep a subset of its
-    heights, so a left son that loses every required height is pruned
-    with its whole subtree (``pruned_required_heights``) and the run
-    returns exactly the unrestricted cubes that meet the mask.
+    meets that mask (``-1``, the default, is every height).  A node's
+    descendants keep a subset of its heights, so a left son that loses
+    every required height is pruned with its whole subtree
+    (``pruned_required_heights``), as is a son whose track-core drops
+    lose it (``pruned_track_core``), and the run returns exactly the
+    unrestricted cubes that meet the mask.
     ``stream.maintain()`` uses it to re-mine only the dirty heights.
 
     ``frontier > 0`` is the parallel driver's task split
@@ -301,6 +365,48 @@ def _run(
     # machinery of the NamedTuple constructor, which is measurable here.
     node_event = NodeEvent._make
     prune_event = PruneEvent._make
+    # ones[k][i] and its transpose, the planes the track profiles fold.
+    ones = dataset.ones_masks()
+    ones_by_row = [list(plane) for plane in zip(*ones)]
+    height_profiles = _Profiles(ones_by_row)  # by TM: [AND_{i in TM} ones[k][i] per k]
+    row_profiles = _Profiles(ones)  # by TL: [AND_{k in TL} ones[k][i] per i]
+
+    def track_core(
+        heights: int, rows: int, columns: int, track_left: int, track_middle: int
+    ) -> tuple[int, int] | None:
+        """Rules (b) and (c) on a son whose ``columns`` are its track core.
+
+        Returns the son's heights and rows without the elements that
+        cannot join ``track_left x track_middle`` in ``min_c`` of its
+        columns, or ``None`` when the son can hold no frequent cube.
+        """
+        if columns.bit_count() < min_c:
+            return None
+        per_height = height_profiles[track_middle]
+        free = heights & ~track_left
+        while free:
+            low = free & -free
+            if (columns & per_height[low.bit_length() - 1]).bit_count() < min_c:
+                heights ^= low
+            free ^= low
+        per_row = row_profiles[track_left]
+        free = rows & ~track_middle
+        while free:
+            low = free & -free
+            if (columns & per_row[low.bit_length() - 1]).bit_count() < min_c:
+                rows ^= low
+            free ^= low
+        h_count = heights.bit_count()
+        r_count = rows.bit_count()
+        if (
+            h_count < min_h
+            or r_count < min_r
+            or h_count * r_count * columns.bit_count() < min_volume
+            or not heights & required_heights
+        ):
+            return None
+        return heights, rows
+
     try:
         while stack:
             if frontier and len(stack) >= frontier:
@@ -388,15 +494,21 @@ def _run(
                 if sink is not None:
                     sink(prune_event(("middle", "pruned_middle_track", heights, son_rows, columns)))
             else:
-                stats.sons_middle += 1
-                push(
-                    (
-                        (heights, son_rows, columns),
-                        next_index,
-                        track_left | left_atom,
-                        track_middle,
+                son_columns = columns
+                kept: tuple[int, int] | None = (heights, son_rows)
+                if track_middle and not left_atom & track_left:
+                    # W joins TL: AND in ones[W][i] for every i in TM.
+                    son_columns &= height_profiles[track_middle][cutter.height]
+                    kept = track_core(
+                        heights, son_rows, son_columns, track_left | left_atom, track_middle
                     )
-                )
+                if kept is None:
+                    stats.pruned_track_core += 1
+                    if sink is not None:
+                        sink(prune_event(("middle", "pruned_track_core", heights, son_rows, columns)))
+                else:
+                    stats.sons_middle += 1
+                    push(((*kept, son_columns), next_index, track_left | left_atom, track_middle))
 
             # Right son (H', R', C' \ Y) — lines 21-29.
             son_columns = columns & ~cutter.columns
@@ -412,15 +524,25 @@ def _run(
                 if sink is not None:
                     sink(prune_event(("right", "pruned_min_volume", heights, rows, son_columns)))
             else:
-                stats.sons_right += 1
-                push(
-                    (
-                        (heights, rows, son_columns),
-                        next_index,
-                        track_left | left_atom,
-                        track_middle | middle_atom,
-                    )
+                # W joins TL and X joins TM (at least one is new: the
+                # cutter meets no node whose core holds both).
+                core_columns = son_columns
+                if track_middle and not left_atom & track_left:
+                    core_columns &= height_profiles[track_middle][cutter.height]
+                if track_left and not middle_atom & track_middle:
+                    core_columns &= row_profiles[track_left][cutter.row]
+                son_track_left = track_left | left_atom
+                son_track_middle = track_middle | middle_atom
+                kept = track_core(
+                    heights, rows, core_columns, son_track_left, son_track_middle
                 )
+                if kept is None:
+                    stats.pruned_track_core += 1
+                    if sink is not None:
+                        sink(prune_event(("right", "pruned_track_core", heights, rows, son_columns)))
+                else:
+                    stats.sons_right += 1
+                    push(((*kept, core_columns), next_index, son_track_left, son_track_middle))
     except MiningCancelled as exc:
         exc.partial_cubes = found
         exc.metrics = stats

@@ -1,11 +1,12 @@
 """Traced CubeMiner: the full split tree of Figure 1.
 
-:func:`trace_tree` runs CubeMiner on a (small!) dataset and rebuilds
-every node from the miner's node/prune events: its cube, tree level
-(cutter step), branch kind and — for pruned sons — which rule fired.
-The live miner checks closure only at its leaves; the trace applies the
-paper's per-son closure checks on top, so it draws the paper's tree.
-The paper's Figure 1 prune categories map to :class:`PruneReason` as
+:func:`trace_tree` walks the paper's Algorithm 2 on a (small!) dataset
+and records every node: its cube, tree level (cutter step), branch kind
+and — for pruned sons — which rule fired.  The walk runs the paper's
+per-son checks, so it draws the paper's tree; the live miner prunes by
+other rules (a track-core rule inside the tree, closure checks only at
+its leaves) and reaches the same leaves.  The paper's Figure 1 prune
+categories map to :class:`PruneReason` as
 
 * (a) left son whose cutter's left atom cut the path → ``LEFT_TRACK``,
 * (b) middle son whose cutter's middle atom cut the path → ``MIDDLE_TRACK``,
@@ -24,9 +25,9 @@ from dataclasses import dataclass, field
 from ..core.constraints import Thresholds
 from ..core.cube import Cube
 from ..core.dataset import Dataset3D
-from .algorithm import cubeminer_mine, search_root
+from .algorithm import search_root
 from .checks import height_set_closed, row_set_closed
-from .cutter import Cutter, HeightOrder
+from .cutter import Cutter, CutterIndex, HeightOrder
 
 __all__ = [
     "Branch",
@@ -81,10 +82,9 @@ def prune_counts(root: "TraceNode") -> dict[str, int]:
     """Tally a traced tree's prune reasons by metrics counter name.
 
     The keys are those of ``MiningMetrics.prune_counts()``.  The counts
-    are the paper's tree: a live run over the same input counts at
-    least as many threshold and track prunes (it walks the subtrees the
-    view drops) and counts a closure prune per leaf that fails the
-    leaf test instead.
+    are the paper's tree; a live run over the same input prunes by its
+    track-core rule too and checks closure only at its leaves, so its
+    own counts differ.
     """
     counts = {name: 0 for name in PRUNE_METRIC_FIELDS.values()}
     for node in root.iter_nodes():
@@ -116,93 +116,86 @@ class TraceNode:
         return [node.cube for node in self.iter_nodes() if node.is_leaf]
 
 
-#: The reverse of :data:`PRUNE_METRIC_FIELDS`: a prune event's counter
-#: name back to its Figure 1 category.
-_REASON_OF_FIELD = {name: reason for reason, name in PRUNE_METRIC_FIELDS.items()}
+def _threshold_failure(cube: Cube, thresholds: Thresholds) -> PruneReason | None:
+    """The first size threshold ``cube`` fails, or ``None``."""
+    h, r, c = cube.shape
+    if h < thresholds.min_h:
+        return PruneReason.MIN_H
+    if r < thresholds.min_r:
+        return PruneReason.MIN_R
+    if c < thresholds.min_c:
+        return PruneReason.MIN_C
+    if cube.volume < thresholds.min_volume:
+        return PruneReason.MIN_VOLUME
+    return None
 
 
-class _TreeBuilder:
-    """Event sink rebuilding Figure 1's split tree from a live CubeMiner run.
+def _son_pruned(
+    dataset: Dataset3D,
+    thresholds: Thresholds,
+    son: TraceNode,
+    tracked: bool,
+) -> PruneReason | None:
+    """Why the paper's Algorithm 2 discards ``son``, or ``None``.
 
-    The miner pops a node, emits its :class:`~repro.obs.events.NodeEvent`,
-    then one :class:`~repro.obs.events.PruneEvent` per son it discards;
-    the sons it keeps are pushed left, middle, right and popped LIFO.
-    Mirroring that stack hangs every node event on its parent's son.
-
-    The live miner checks closure only at its leaves; the paper prunes
-    by it inside the tree.  So each kept son also runs the paper's
-    per-son check (left son: rows, Lemma 5; middle son: heights,
-    Lemma 4; right son: heights, then rows).  A son that fails it is
-    marked pruned, and the live run's nodes below it stay in the stack
-    as ``None`` and are dropped.  Those subtrees hold no FCC, so the
-    view keeps every leaf the live run emits.
+    The checks run in the paper's order: the size thresholds (only the
+    one the son's cutter shrank can fail), the son's track set
+    (``tracked``: Lemma 2 for a left son, Lemma 3 for a middle son),
+    then closure: heights (Lemma 4) on middle and right sons, rows
+    (Lemma 5) on left and right sons.
     """
+    reason = _threshold_failure(son.cube, thresholds)
+    if reason is not None:
+        return reason
+    if tracked:
+        return PruneReason.LEFT_TRACK if son.branch is Branch.LEFT else PruneReason.MIDDLE_TRACK
+    heights, rows, columns = son.cube.heights, son.cube.rows, son.cube.columns
+    if son.branch is not Branch.LEFT and not height_set_closed(dataset, heights, rows, columns):
+        return PruneReason.HEIGHT_UNCLOSED
+    if son.branch is not Branch.MIDDLE and not row_set_closed(dataset, heights, rows, columns):
+        return PruneReason.ROW_UNCLOSED
+    return None
 
-    #: The paper's closure check of each son, in order.
-    _CHECKS = {
-        "left": ((PruneReason.ROW_UNCLOSED, row_set_closed),),
-        "middle": ((PruneReason.HEIGHT_UNCLOSED, height_set_closed),),
-        "right": (
-            (PruneReason.HEIGHT_UNCLOSED, height_set_closed),
-            (PruneReason.ROW_UNCLOSED, row_set_closed),
-        ),
-    }
 
-    def __init__(
-        self, root: TraceNode, cutters: list[Cutter], dataset: Dataset3D
-    ) -> None:
-        self.cutters = cutters
-        self.dataset = dataset
-        # Kept sons awaiting their node event; None below a dropped son.
-        self.pending: list[TraceNode | None] = [root]
-        # The last node's sons, by event branch.
-        self.sons: dict[str, TraceNode | None] = {}
+def _grow(
+    dataset: Dataset3D, thresholds: Thresholds, root: TraceNode, cutters: list[Cutter]
+) -> None:
+    """Grow ``root``'s tree by Algorithm 2 with the paper's per-son checks.
 
-    def __call__(self, event) -> None:
-        if event.kind == "node":
-            self.push_kept_sons()
-            node = self.pending.pop()
-            if event.cutter_index == len(self.cutters):
-                if node is not None:
-                    node.is_leaf = event.is_leaf
-                return
-            if node is None:
-                self.sons = dict.fromkeys(("left", "middle", "right"))
-                return
-            cutter = self.cutters[event.cutter_index]
-            heights, rows, columns = event.heights, event.rows, event.columns
-            level = event.cutter_index + 1
-            node.children = [
-                TraceNode(
-                    Cube(heights & ~(1 << cutter.height), rows, columns),
-                    level, Branch.LEFT, cutter,
-                ),
-                TraceNode(
-                    Cube(heights, rows & ~(1 << cutter.row), columns),
-                    level, Branch.MIDDLE, cutter,
-                ),
-                TraceNode(
-                    Cube(heights, rows, columns & ~cutter.columns),
-                    level, Branch.RIGHT, cutter,
-                ),
-            ]
-            self.sons = dict(zip(("left", "middle", "right"), node.children))
-        elif event.kind == "prune":
-            son = self.sons.pop(event.branch, None)
-            if son is not None:
-                son.pruned = _REASON_OF_FIELD[event.reason]
-
-    def push_kept_sons(self) -> None:
-        for branch, son in self.sons.items():
-            if son is not None:
-                cube = son.cube
-                for reason, closed in self._CHECKS[branch]:
-                    if not closed(self.dataset, cube.heights, cube.rows, cube.columns):
-                        son.pruned = reason
-                        son = None
-                        break
-            self.pending.append(son)
-        self.sons = {}
+    Every node that survives its checks gets its three sons (kept or
+    marked pruned); a node that no cutter meets is a leaf, an FCC when
+    its heights and rows are closed.
+    """
+    n_cutters = len(cutters)
+    first_applicable = CutterIndex(cutters).first_applicable
+    stack = [(root, 0, 0, 0)]
+    while stack:
+        node, start, track_left, track_middle = stack.pop()
+        heights, rows, columns = node.cube.heights, node.cube.rows, node.cube.columns
+        index = first_applicable(heights, rows, columns, start)
+        if index == n_cutters:
+            node.is_leaf = height_set_closed(
+                dataset, heights, rows, columns
+            ) and row_set_closed(dataset, heights, rows, columns)
+            continue
+        cutter = cutters[index]
+        left_atom, middle_atom = cutter.left_mask, cutter.middle_mask
+        level = index + 1
+        son_left, son_middle = track_left | left_atom, track_middle | middle_atom
+        sons = (
+            (Branch.LEFT, Cube(heights & ~left_atom, rows, columns),
+             left_atom & track_left, track_left, track_middle),
+            (Branch.MIDDLE, Cube(heights, rows & ~middle_atom, columns),
+             middle_atom & track_middle, son_left, track_middle),
+            (Branch.RIGHT, Cube(heights, rows, columns & ~cutter.columns),
+             0, son_left, son_middle),
+        )
+        for branch, cube, tracked, tl, tm in sons:
+            son = TraceNode(cube, level, branch, cutter)
+            node.children.append(son)
+            son.pruned = _son_pruned(dataset, thresholds, son, bool(tracked))
+            if son.pruned is None:
+                stack.append((son, level, tl, tm))
 
 
 def trace_tree(
@@ -211,17 +204,16 @@ def trace_tree(
     *,
     order: HeightOrder = HeightOrder.ORIGINAL,
 ) -> TraceNode:
-    """Run CubeMiner recording the full split tree (small datasets only).
+    """Build CubeMiner's full split tree (small datasets only).
 
-    The tree is rebuilt from the event stream of
-    :func:`~repro.cubeminer.algorithm.cubeminer_mine` itself, with the
-    paper's per-son closure checks applied on top: the first son on each
-    path that fails one is marked and its subtree dropped.  It therefore
-    shows the paper's search, whose leaves are exactly the live run's
-    cubes; its root is the miner's diced root
-    (:func:`~repro.cubeminer.algorithm.search_root`).  The default
-    ``ORIGINAL`` cutter order matches the paper's Figure 1, which applies
-    Table 3's cutters in their listed order.
+    The tree is the paper's: Algorithm 2 from the miner's diced root
+    (:func:`~repro.cubeminer.algorithm.search_root`) with its cutter
+    list, pruning each son by the size thresholds, its track set and
+    its closure checks, in that order.  Its leaves are exactly the
+    cubes :func:`~repro.cubeminer.algorithm.cubeminer_mine` returns on
+    the same input.  The default ``ORIGINAL`` cutter order matches the
+    paper's Figure 1, which applies Table 3's cutters in their listed
+    order.
     """
     l, n, m = dataset.shape
     if l * n * m > _MAX_TRACE_CELLS:
@@ -231,18 +223,9 @@ def trace_tree(
         )
     cube, cutters = search_root(dataset, thresholds, order)
     root = TraceNode(cube=cube, level=0, branch=Branch.ROOT)
-    if not cube.satisfies(thresholds):
-        h, r, c = cube.shape
-        root.pruned = (
-            PruneReason.MIN_H if h < thresholds.min_h
-            else PruneReason.MIN_R if r < thresholds.min_r
-            else PruneReason.MIN_C if c < thresholds.min_c
-            else PruneReason.MIN_VOLUME
-        )
-        return root
-    builder = _TreeBuilder(root, cutters, dataset)
-    cubeminer_mine(dataset, thresholds, cutters=cutters, on_event=builder)
-    builder.push_kept_sons()
+    root.pruned = _threshold_failure(cube, thresholds)
+    if root.pruned is None:
+        _grow(dataset, thresholds, root, cutters)
     return root
 
 

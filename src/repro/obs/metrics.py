@@ -8,8 +8,8 @@ The counters are plain integer attributes on a dataclass — incrementing
 them costs one attribute store, so they stay enabled on every run; the
 paper's prune-rule effectiveness becomes a first-class result, not a
 debug-only re-run.  For full per-node trees on small inputs,
-``trace_tree`` rebuilds the tree from the same live run's node/prune
-events, so its per-rule tallies and these counters come from one search.
+``trace_tree`` walks the paper's own tree (its per-son checks), whose
+leaves are the live run's cubes.
 
 Parallel drivers merge the per-worker counter sets back into the
 parent's with :meth:`MiningMetrics.merge`, so a distributed run reports
@@ -102,6 +102,9 @@ class MiningMetrics(_Counters):
     # stream.maintain()'s dirty pass); not one of Figure 1's rules, so
     # it stays out of PRUNE_FIELDS.
     pruned_required_heights: int = 0
+    # Middle and right sons whose track sets leave no frequent cube
+    # (CubeMiner's track-core rule); not one of Figure 1's rules either.
+    pruned_track_core: int = 0
     max_stack_depth: int = 0
     cutters_built: int = 0
     # -- RSM phases ----------------------------------------------------
@@ -120,7 +123,7 @@ class MiningMetrics(_Counters):
     # stream.maintain()'s final merge: passes run and cubes it dropped.
     shard_merges: int = 0
     shard_merge_dropped: int = 0
-    # -- support memo of stream.maintain()'s patch pass
+    # -- support memos of stream.maintain()'s patch pass and final merge
     # (repro.core.closure.ClosureCache); CubeMiner keeps no cache, so
     # both read 0 on a mining run.
     closure_cache_hits: int = 0

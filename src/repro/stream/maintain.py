@@ -115,6 +115,8 @@ def merge_shard_results(
     if metrics is not None:
         metrics.shard_merges += 1
         metrics.shard_merge_dropped += dropped
+        metrics.closure_cache_hits += cache.hits
+        metrics.closure_cache_misses += cache.misses
     return kept
 
 

@@ -6,8 +6,9 @@ fresh computation on arbitrary datasets and query sequences, and a
 bounded cache under heavy eviction still yields bit-identical closures.
 
 CubeMiner checks Lemma 4/5 closure once per leaf instead of on every
-son.  A hypothesis property pins that engine to the brute-force oracle
-across the three height orders, ``required_heights`` masks, the
+son, and prunes sons by its track-core rule.  A hypothesis property
+pins that engine to the brute-force oracle across the three height
+orders, ``required_heights`` masks, ``min_volume`` bounds, the
 breadth-first task split the parallel driver replays, and tensors wider
 than 256 columns; seeded tensors cover the parallel pool and
 ``maintain()``'s dirty pass.
@@ -165,7 +166,8 @@ def engine_cases(draw):
     """A random tensor, thresholds, height order, mask and task count.
 
     Up to 7 heights and rows keep the oracle's 2^(l+n) enumeration
-    small; ``m`` runs past 256 columns.
+    small; ``m`` runs past 256 columns; ``min_volume`` is often above
+    1, a bound the track-core rule checks after it narrows a son.
     """
     l = draw(st.integers(min_value=1, max_value=7))
     n = draw(st.integers(min_value=1, max_value=7))
@@ -176,6 +178,7 @@ def engine_cases(draw):
         draw(st.integers(1, l)),
         draw(st.integers(1, n)),
         draw(st.integers(1, min(m, 5))),
+        min_volume=draw(st.sampled_from([1, 1, 6, 24, 80])),
     )
     order = draw(st.sampled_from(list(HeightOrder)))
     required = draw(st.integers(1, full_mask(l)))
@@ -187,7 +190,7 @@ def _triples(cubes) -> list[tuple[int, int, int]]:
     return sorted((cube.heights, cube.rows, cube.columns) for cube in cubes)
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(engine_cases())
 def test_leaf_check_engine_equals_oracle(case):
     """CubeMiner's cubes == ``reference_mine``'s, however the tree is run.

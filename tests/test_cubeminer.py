@@ -16,6 +16,7 @@ from repro.cubeminer import CubeMiner, HeightOrder, cubeminer_mine
 from repro.cubeminer.algorithm import _run, search_root
 from repro.cubeminer.checks import height_set_closed, row_set_closed
 from repro.cubeminer.cutter import build_cutters
+from repro.datasets import random_tensor
 from repro.obs import CollectingSink, MiningMetrics
 from tests.conftest import random_dataset
 
@@ -251,3 +252,66 @@ class TestRequiredHeights:
         ]
         assert len(pruned) == metrics.pruned_required_heights > 0
         assert all(e.branch == "left" and not e.heights & h3 for e in pruned)
+
+
+# ----------------------------------------------------------------------
+# The track-core rule: middle and right sons narrow to the columns that
+# track_left x track_middle shares and drop the heights and rows that
+# share fewer than minC of them.  The cubes stay the oracle's (the
+# engine property in test_closure_cache.py); these pins catch a rule
+# that prunes less than it should.
+# ----------------------------------------------------------------------
+_TRACK_CORE_COUNTERS = (
+    "nodes_visited",
+    "leaves_emitted",
+    "sons_left",
+    "sons_middle",
+    "sons_right",
+    "pruned_track_core",
+)
+
+
+class TestTrackCore:
+    @pytest.mark.parametrize(
+        "order, expected",
+        [
+            (HeightOrder.ORIGINAL, (32, 5, 4, 10, 17, 1)),
+            (HeightOrder.ZERO_DECREASING, (33, 5, 4, 11, 17, 1)),
+            (HeightOrder.ZERO_INCREASING, (30, 5, 4, 10, 15, 3)),
+        ],
+    )
+    def test_paper_example_counters(self, paper_ds, paper_thresholds, order, expected):
+        metrics = cubeminer_mine(paper_ds, paper_thresholds, order=order).stats.metrics
+        assert tuple(getattr(metrics, name) for name in _TRACK_CORE_COUNTERS) == expected
+
+    @pytest.mark.parametrize(
+        "seed, thresholds, shuffle, expected",
+        [
+            (5, Thresholds(2, 2, 3), False, (3811, 1513, 1228, 545, 2037, 162)),
+            (8, Thresholds(3, 2, 4, min_volume=30), False, (1431, 210, 406, 350, 674, 517)),
+            # A cutter list not grouped by height: a right son's new middle
+            # atom brings a core term that no earlier cutter applied.
+            (5, Thresholds(2, 2, 3), True, (3574, 1513, 570, 1211, 1792, 199)),
+        ],
+    )
+    def test_seeded_tensor_counters(self, seed, thresholds, shuffle, expected):
+        dataset = random_tensor((7, 7, 64), 0.6, seed=seed)
+        cutters = None
+        if shuffle:
+            grouped = build_cutters(dataset, HeightOrder.ORIGINAL)
+            order = np.random.default_rng(0).permutation(len(grouped))
+            cutters = [grouped[i] for i in order]
+        result = cubeminer_mine(dataset, thresholds, cutters=cutters)
+        assert result.same_cubes(reference_mine(dataset, thresholds))
+        metrics = result.stats.metrics
+        assert tuple(getattr(metrics, name) for name in _TRACK_CORE_COUNTERS) == expected
+
+    def test_pruned_sons_are_events(self, paper_ds, paper_thresholds):
+        sink = CollectingSink()
+        result = cubeminer_mine(
+            paper_ds, paper_thresholds, order=HeightOrder.ZERO_INCREASING, on_event=sink
+        )
+        pruned = [e for e in sink.of_kind("prune") if e.reason == "pruned_track_core"]
+        assert len(pruned) == result.stats["pruned_track_core"] == 3
+        assert all(e.branch in ("middle", "right") for e in pruned)
+        assert "pruned_track_core" not in result.stats.metrics.prune_counts()

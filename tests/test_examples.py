@@ -9,12 +9,15 @@ accuracy, incremental == re-mine) that fail loudly on regression.
 from __future__ import annotations
 
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
 EXAMPLES_DIR = Path(__file__).parent.parent / "examples"
+GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
 def _load_module(name: str):
@@ -57,3 +60,22 @@ def test_parallel_example(capsys):
     module.main()
     out = capsys.readouterr().out
     assert "best processor count" in out
+
+
+def test_mining_tree_output_is_golden():
+    """Table 2 and Figure 1 print byte for byte as checked in.
+
+    ``golden/mining_tree.txt`` is the script's standard output; the
+    split tree in it is the paper's, whatever prunes the live miner
+    applies.
+    """
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(EXAMPLES_DIR / "mining_tree.py")],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (GOLDEN_DIR / "mining_tree.txt").read_bytes()

@@ -43,22 +43,12 @@ ALL_MINERS = ("cubeminer", "rsm", "reference", "parallel-cubeminer", "parallel-r
 class TestTraceParity:
     """The live run's counters against ``trace_tree``'s Figure 1 view.
 
-    The live engine checks closure once per leaf; the view applies the
-    paper's per-son checks and drops the subtrees they cut.  So the view
-    keeps the live leaves, the live run counts at least the view's
-    threshold and track prunes, and the live closure prunes are exactly
-    the leaves that fail the leaf test.
+    The view is the paper's tree: Algorithm 2 with its per-son closure
+    checks.  The live engine also prunes sons by its track-core rule
+    and checks closure once per leaf, so the two trees differ.  They
+    agree on the leaves, and the live closure prunes are exactly the
+    leaves that fail the leaf test.
     """
-
-    #: Prune rules both runs apply to the same sons in the same way.
-    SHARED_RULES = (
-        "pruned_min_h",
-        "pruned_min_r",
-        "pruned_min_c",
-        "pruned_min_volume",
-        "pruned_left_track",
-        "pruned_middle_track",
-    )
 
     def check_parity(self, dataset, thresholds):
         sink = CollectingSink()
@@ -66,19 +56,15 @@ class TestTraceParity:
             dataset, thresholds, order=HeightOrder.ORIGINAL, on_event=sink
         )
         root = trace_tree(dataset, thresholds)
-        live, traced = result.stats.metrics.prune_counts(), prune_counts(root)
-        for name in self.SHARED_RULES:
-            assert traced[name] <= live[name], name
+        live = result.stats.metrics
         n_cutters = result.stats["n_cutters"]
         leaf_events = [e for e in sink.of_kind("node") if e.cutter_index == n_cutters]
         assert (
-            live["pruned_height_unclosed"] + live["pruned_row_unclosed"]
+            live.pruned_height_unclosed + live.pruned_row_unclosed
             == len(leaf_events) - result.stats["leaves_emitted"]
         )
-        view_nodes = [n for n in root.iter_nodes() if n.pruned is None]
-        assert len(view_nodes) <= result.stats["nodes_visited"]
         assert set(root.leaves()) == result.cube_set()
-        return live, traced
+        return live, prune_counts(root)
 
     def test_paper_example_prune_counts(self, paper_ds, paper_thresholds):
         """Figure 1's tree, rule by rule, and the live run beside it."""
@@ -93,17 +79,19 @@ class TestTraceParity:
             "pruned_height_unclosed": 4,
             "pruned_row_unclosed": 2,
         }
-        # 7 of the live run's 12 leaves fail the leaf test.
-        assert live == {
-            "pruned_min_h": 15,
-            "pruned_min_r": 12,
-            "pruned_min_c": 8,
+        # 7 of the live run's 12 leaves fail the leaf test; one right
+        # son falls to the track-core rule.
+        assert live.prune_counts() == {
+            "pruned_min_h": 12,
+            "pruned_min_r": 8,
+            "pruned_min_c": 2,
             "pruned_min_volume": 0,
-            "pruned_left_track": 6,
-            "pruned_middle_track": 4,
+            "pruned_left_track": 4,
+            "pruned_middle_track": 2,
             "pruned_height_unclosed": 4,
             "pruned_row_unclosed": 3,
         }
+        assert live.pruned_track_core == 1
 
     def test_paper_example_nodes_and_leaves(self, paper_ds, paper_thresholds):
         result = cubeminer_mine(
@@ -112,7 +100,7 @@ class TestTraceParity:
         root = trace_tree(paper_ds, paper_thresholds)
         live_nodes = [n for n in root.iter_nodes() if n.pruned is None]
         assert len(live_nodes) == 30
-        assert result.stats["nodes_visited"] == 40
+        assert result.stats["nodes_visited"] == 32
         assert result.stats["leaves_emitted"] == len(root.leaves())
         assert result.stats["leaves_emitted"] == len(result)
 
@@ -140,7 +128,10 @@ class TestEvents:
         assert sink.events[-1].n_cubes == len(result)
         metrics = result.stats.metrics
         assert len(sink.of_kind("node")) == metrics.nodes_visited
-        assert len(sink.of_kind("prune")) == metrics.total_pruned()
+        assert (
+            len(sink.of_kind("prune"))
+            == metrics.total_pruned() + metrics.pruned_track_core
+        )
         leaf_nodes = [e for e in sink.of_kind("node") if e.is_leaf]
         assert len(leaf_nodes) == metrics.leaves_emitted
 
@@ -150,10 +141,10 @@ class TestEvents:
         by_reason: dict[str, int] = {}
         for event in sink.of_kind("prune"):
             by_reason[event.reason] = by_reason.get(event.reason, 0) + 1
-        expected = {
-            k: v for k, v in result.stats.metrics.prune_counts().items() if v
-        }
-        assert by_reason == expected
+        metrics = result.stats.metrics
+        counts = {**metrics.prune_counts(), "pruned_track_core": metrics.pruned_track_core}
+        assert by_reason == {k: v for k, v in counts.items() if v}
+        assert by_reason["pruned_track_core"] > 0
 
     def test_rsm_slice_events(self, paper_ds, paper_thresholds):
         sink = CollectingSink()

@@ -28,13 +28,59 @@ class TestTraceMatchesMiner:
         assert set(tree.leaves()) == mined.cube_set()
 
     def test_leaves_equal_mined_on_random_data(self, rng):
-        # The tree is rebuilt from CubeMiner's own events, so the check
-        # runs against the brute-force oracle instead of the miner.
+        # The walk and the miner share the cutter list and the leaf
+        # test, so the check runs against the brute-force oracle.
         for _ in range(10):
             ds = random_dataset(rng, max_dim=4)
             th = Thresholds(1, 1, 1)
             tree = trace_tree(ds, th)
             assert set(tree.leaves()) == reference_mine(ds, th).cube_set()
+
+
+class TestPaperChecksPerOrder:
+    """Each son kind runs the paper's checks, in every cutter order.
+
+    The counts are those of the paper example's tree, keyed by (branch,
+    rule); only zero-decreasing order has a left son that fails its row
+    check (Lemma 5) and a middle son that fails its height check
+    (Lemma 4).
+    """
+
+    @pytest.mark.parametrize(
+        "order, expected",
+        [
+            (
+                HeightOrder.ORIGINAL,
+                {("L", "MIN_H"): 14, ("M", "MIN_R"): 10, ("R", "MIN_C"): 7,
+                 ("L", "LEFT_TRACK"): 5, ("M", "MIDDLE_TRACK"): 4,
+                 ("R", "HEIGHT_UNCLOSED"): 4, ("R", "ROW_UNCLOSED"): 2},
+            ),
+            (
+                HeightOrder.ZERO_DECREASING,
+                {("L", "MIN_H"): 9, ("M", "MIN_R"): 7, ("R", "MIN_C"): 5,
+                 ("L", "LEFT_TRACK"): 5, ("M", "MIDDLE_TRACK"): 2,
+                 ("M", "HEIGHT_UNCLOSED"): 1, ("R", "HEIGHT_UNCLOSED"): 1,
+                 ("L", "ROW_UNCLOSED"): 1, ("R", "ROW_UNCLOSED"): 3},
+            ),
+            (
+                HeightOrder.ZERO_INCREASING,
+                {("L", "MIN_H"): 15, ("M", "MIN_R"): 11, ("R", "MIN_C"): 7,
+                 ("L", "LEFT_TRACK"): 5, ("M", "MIDDLE_TRACK"): 5,
+                 ("R", "HEIGHT_UNCLOSED"): 4, ("R", "ROW_UNCLOSED"): 3},
+            ),
+        ],
+    )
+    def test_prunes_by_branch_and_rule(self, paper_ds, paper_thresholds, order, expected):
+        tree = trace_tree(paper_ds, paper_thresholds, order=order)
+        counts: dict[tuple[str, str], int] = {}
+        for node in tree.iter_nodes():
+            if node.pruned is not None:
+                key = (node.branch.value, node.pruned.name)
+                counts[key] = counts.get(key, 0) + 1
+        assert counts == expected
+        assert set(tree.leaves()) == cubeminer_mine(
+            paper_ds, paper_thresholds, order=order
+        ).cube_set()
 
 
 class TestFigure1Structure:
