@@ -23,13 +23,11 @@ a burst still manages to split.  With ``--check``, the measurement is
 repeated up to ``--rounds`` times and the process exits non-zero only
 when *every* round exceeds ``--threshold`` percent — a real regression
 fails all rounds deterministically, while a one-off scheduler blip
-does not fail the build.  CI runs exactly that on the ``numpy``
-kernel.  The backend barely matters here: CubeMiner runs its closure
-checks only at leaves and scans cutters with ``CutterIndex``, so it
-makes no kernel call per interior node on either backend.  A tree node costs a few microseconds of pure
-Python, and the events' fixed cost per node is a large share of that;
-pass ``--kernel python-int`` to see the same number on the other
-backend (reported, not gated).
+does not fail the build.  CI runs exactly that.  CubeMiner runs its
+closure checks only at leaves and scans cutters with ``CutterIndex``,
+so it makes no kernel call per interior node.  A tree node costs a few
+microseconds of pure Python, and the events' fixed cost per node is a
+large share of that.
 
 Usage::
 
@@ -47,25 +45,19 @@ import sys
 import time
 
 from repro.core.constraints import Thresholds
-from repro.core.kernels import available_kernels
 from repro.cubeminer.algorithm import cubeminer_mine
 from repro.datasets import random_tensor
 from repro.obs import null_sink
 
 
-def _default_kernel() -> str:
-    kernels = available_kernels()
-    return "numpy" if "numpy" in kernels else kernels[0]
-
-
-def _workload(kernel: str):
+def _workload():
     """A CubeMiner run dominated by real mining work.
 
     Dense-ish mid-size tensor: tens of thousands of tree nodes, each
-    scanning cutters and running the packed closure checks — the regime
+    scanning cutters, with the closure checks at its leaves — the regime
     users actually run.
     """
-    dataset = random_tensor((8, 12, 48), 0.45, seed=11).with_kernel(kernel)
+    dataset = random_tensor((8, 12, 48), 0.45, seed=11)
     thresholds = Thresholds(2, 2, 2)
     return dataset, thresholds
 
@@ -76,9 +68,9 @@ def _time_once(dataset, thresholds, sink) -> float:
     return time.process_time() - start
 
 
-def measure(repeats: int, kernel: str) -> dict:
-    dataset, thresholds = _workload(kernel)
-    # Warm up both paths (imports, kernel handles, branch caches).
+def measure(repeats: int) -> dict:
+    dataset, thresholds = _workload()
+    # Warm up both paths (imports, mask grids, branch caches).
     _time_once(dataset, thresholds, None)
     _time_once(dataset, thresholds, null_sink)
     # Interleave the two configurations and judge each adjacent pair on
@@ -97,7 +89,6 @@ def measure(repeats: int, kernel: str) -> dict:
     return {
         "workload": {
             "shape": list(dataset.shape),
-            "kernel": kernel,
             "nodes_visited": result.stats["nodes_visited"],
             "n_cubes": len(result),
         },
@@ -123,10 +114,6 @@ def main(argv: list[str] | None = None) -> int:
                              "passes as soon as one round is under the "
                              "threshold (without --check, exactly one round "
                              "is measured)")
-    parser.add_argument("--kernel", choices=available_kernels(),
-                        default=_default_kernel(),
-                        help="bitset backend to measure (default: numpy "
-                             "when available)")
     parser.add_argument("--json", default=None, metavar="PATH",
                         help="also write the measurements as JSON")
     args = parser.parse_args(argv)
@@ -134,12 +121,11 @@ def main(argv: list[str] | None = None) -> int:
     rounds = max(1, args.rounds) if args.check else 1
     data = None
     for attempt in range(1, rounds + 1):
-        data = measure(args.repeats, args.kernel)
+        data = measure(args.repeats)
         if attempt == 1:
             print(
                 f"workload : cubeminer on "
                 f"{'x'.join(map(str, data['workload']['shape']))}"
-                f" [{data['workload']['kernel']} kernel]"
                 f" ({data['workload']['nodes_visited']} nodes,"
                 f" {data['workload']['n_cubes']} cubes)"
             )
@@ -160,8 +146,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.check and data["overhead_pct"] > args.threshold:
         print(
             f"FAIL: instrumentation overhead {data['overhead_pct']:.2f}% exceeds "
-            f"threshold {args.threshold:g}% on the {args.kernel} kernel "
-            f"in all {rounds} rounds",
+            f"threshold {args.threshold:g}% in all {rounds} rounds",
             file=sys.stderr,
         )
         return 1

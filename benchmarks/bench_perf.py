@@ -9,14 +9,14 @@ The performance layer makes two machine-portable promises:
   subsets;
 * **shared-memory hand-off** — attaching a worker to a published
   dataset must stay at least ``shm_handoff_speedup_floor`` times faster
-  than unpickling a copy (``numpy`` kernel only).
+  than unpickling a copy.
 
 Absolute seconds vary wildly across CI runners, so the committed
 baseline (``BENCH_perf.json``) gates only quantities that do not:
 
 * **work counters** (slices mined, 2D patterns, cubes, payload bytes)
   are exact-matched — they are functions of
-  the seeded workload alone, identical on every machine and kernel, so
+  the seeded workload alone, identical on every machine, so
   any drift means the algorithm changed and the baseline must be
   refreshed deliberately (``--update-baseline``);
 * **speedup ratios** are measured as the median over interleaved
@@ -46,7 +46,6 @@ import time
 
 from common import large_synthetic_bench, synthetic_heights_bench, thresholds_for
 from repro.core.constraints import Thresholds
-from repro.core.kernels import available_kernels
 from repro.cubeminer.algorithm import cubeminer_mine
 from repro.parallel import ShmManager, attach_dataset, publish_dataset
 from repro.rsm.algorithm import rsm_mine
@@ -54,7 +53,7 @@ from repro.rsm.slices import iter_representative_slices, iter_size_slices
 
 #: Bump when the file layout changes incompatibly; ``--check`` refuses
 #: to compare baselines with a different version.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 #: Ratio gates: machine-portable floors the measured speedups must
 #: clear (before tolerance is applied to the baseline ratios).
@@ -74,21 +73,21 @@ _CUBEMINER_THRESHOLDS = Thresholds(8, 8, 10)
 _RSM_MIN_H = 4
 
 
-def _cubeminer_workload(kernel: str):
-    dataset = large_synthetic_bench().with_kernel(kernel)
-    dataset.ones_grid()  # pre-pack so timing excludes one-time setup
+def _cubeminer_workload():
+    dataset = large_synthetic_bench()
+    dataset.ones_grid()  # build the mask grid so timing excludes one-time setup
     return dataset, _CUBEMINER_THRESHOLDS
 
 
-def _rsm_workload(kernel: str):
-    dataset = synthetic_heights_bench(12).with_kernel(kernel)
+def _rsm_workload():
+    dataset = synthetic_heights_bench(12)
     dataset.ones_grid()
     return dataset, thresholds_for(dataset, _RSM_MIN_H, 4, 20)
 
 
-def _measure_rsm(kernel: str, repeats: int) -> dict:
+def _measure_rsm(repeats: int) -> dict:
     """One-shot vs incremental slice folding, plus a full-run counter set."""
-    dataset, thresholds = _rsm_workload(kernel)
+    dataset, thresholds = _rsm_workload()
     min_h = thresholds.min_h
 
     def fold_oneshot():
@@ -133,19 +132,19 @@ def _measure_rsm(kernel: str, repeats: int) -> dict:
     }
 
 
-def _measure_shm(kernel: str, repeats: int) -> dict:
+def _measure_shm(repeats: int) -> dict:
     """Pickled-dataset vs shared-memory worker hand-off; asserts parity.
 
     The copy path models the legacy pool initializer (pickle the whole
-    dataset, unpickle in the worker, re-pack the ones-grid); the shm
-    path models the new one (attach to the published segment, verify the
-    fingerprint, adopt/unpack the word grid).  The per-worker tensor
+    dataset, unpickle in the worker, build the mask grid from the
+    tensor); the shm path models the new one (attach to the published
+    segment, adopt its words, build the mask grid from them).  The per-worker tensor
     payloads are exact-match counters: the copy path ships every cell,
     the shm path ships zero — only an O(1) ref crosses the pickle
     boundary (asserted under 512 bytes).  Mining the attached dataset
     must yield the bit-identical cube list.
     """
-    dataset, thresholds = _cubeminer_workload(kernel)
+    dataset, thresholds = _cubeminer_workload()
     l, n, m = dataset.shape
 
     def copy_handoff():
@@ -201,33 +200,17 @@ def _measure_shm(kernel: str, repeats: int) -> dict:
     }
 
 
-def measure(kernel: str, repeats: int) -> dict:
-    """All perf series for one kernel."""
+def measure(repeats: int) -> dict:
+    """All perf series."""
     return {
-        "rsm-prefix-fold": _measure_rsm(kernel, repeats),
-        "parallel-shm": _measure_shm(kernel, repeats),
+        "rsm-prefix-fold": _measure_rsm(repeats),
+        "parallel-shm": _measure_shm(repeats),
     }
 
 
-def make_baseline(repeats: int, kernels: list[str] | None = None) -> dict:
-    """Measure every kernel and build the committed baseline payload.
-
-    The counter sets must agree across kernels (they are functions of
-    the workload, not the backend) — a mismatch is a correctness bug
-    and refuses to produce a baseline.
-    """
-    kernels = kernels or available_kernels()
-    per_kernel = {kernel: measure(kernel, repeats) for kernel in kernels}
-    counters = None
-    for kernel, series in per_kernel.items():
-        observed = {name: data["counters"] for name, data in series.items()}
-        if counters is None:
-            counters = observed
-        elif observed != counters:
-            raise AssertionError(
-                f"work counters differ between kernels ({kernel} deviates); "
-                "refusing to write a baseline over a correctness bug"
-            )
+def make_baseline(repeats: int) -> dict:
+    """Measure once and build the committed baseline payload."""
+    s = measure(repeats)
     return {
         "schema_version": SCHEMA_VERSION,
         "generator": "benchmarks/bench_perf.py",
@@ -235,45 +218,36 @@ def make_baseline(repeats: int, kernels: list[str] | None = None) -> dict:
             "rsm-prefix-fold": {
                 "dataset": "synthetic_heights_bench(12)",
                 "min_h": _RSM_MIN_H,
-                "counters": counters["rsm-prefix-fold"],
+                "counters": s["rsm-prefix-fold"]["counters"],
                 "gates": {"fold_speedup_floor": FOLD_SPEEDUP_FLOOR},
-                "gate_kernels": ["numpy", "python-int"],
             },
             "parallel-shm": {
                 "dataset": "large_synthetic_bench()",
                 "thresholds": list(_CUBEMINER_THRESHOLDS.as_tuple()),
-                "counters": counters["parallel-shm"],
+                "counters": s["parallel-shm"]["counters"],
                 "gates": {"shm_handoff_speedup_floor": SHM_SPEEDUP_FLOOR},
                 # Attach latency varies with the machine far more than
                 # the mining ratios do; gate on the floor alone.
                 "baseline_relative": False,
-                # Only the zero-copy (words-native) kernel promises a
-                # faster hand-off; python-int's copy fallback is ~parity.
-                "gate_kernels": ["numpy"],
             },
         },
-        "kernels": {
-            kernel: {
-                "rsm-prefix-fold": {
-                    "oneshot_seconds": round(s["rsm-prefix-fold"]["oneshot_seconds"], 4),
-                    "incremental_seconds": round(s["rsm-prefix-fold"]["incremental_seconds"], 4),
-                    "mine_seconds": round(s["rsm-prefix-fold"]["mine_seconds"], 4),
-                    "fold_speedup": round(s["rsm-prefix-fold"]["fold_speedup"], 3),
-                },
-                "parallel-shm": {
-                    "copy_seconds": round(s["parallel-shm"]["copy_seconds"], 6),
-                    "shm_seconds": round(s["parallel-shm"]["shm_seconds"], 6),
-                    "shm_handoff_speedup": round(s["parallel-shm"]["shm_handoff_speedup"], 3),
-                },
-            }
-            for kernel, s in per_kernel.items()
+        "measured": {
+            "rsm-prefix-fold": {
+                "oneshot_seconds": round(s["rsm-prefix-fold"]["oneshot_seconds"], 4),
+                "incremental_seconds": round(s["rsm-prefix-fold"]["incremental_seconds"], 4),
+                "mine_seconds": round(s["rsm-prefix-fold"]["mine_seconds"], 4),
+                "fold_speedup": round(s["rsm-prefix-fold"]["fold_speedup"], 3),
+            },
+            "parallel-shm": {
+                "copy_seconds": round(s["parallel-shm"]["copy_seconds"], 6),
+                "shm_seconds": round(s["parallel-shm"]["shm_seconds"], 6),
+                "shm_handoff_speedup": round(s["parallel-shm"]["shm_handoff_speedup"], 3),
+            },
         },
     }
 
 
-def check_against_baseline(
-    series: dict, baseline: dict, kernel: str, tolerance: float
-) -> list[str]:
+def check_against_baseline(series: dict, baseline: dict, tolerance: float) -> list[str]:
     """Return the gate failures of one measurement round (empty = pass)."""
     failures: list[str] = []
     if baseline.get("schema_version") != SCHEMA_VERSION:
@@ -282,7 +256,7 @@ def check_against_baseline(
             f"{SCHEMA_VERSION}; refresh with --update-baseline"
         ]
     slack = 1.0 - tolerance / 100.0
-    kernel_base = baseline.get("kernels", {}).get(kernel, {})
+    measured_base = baseline.get("measured", {})
     for name, data in series.items():
         workload = baseline["workloads"].get(name)
         if workload is None:
@@ -294,14 +268,11 @@ def check_against_baseline(
                 f"(got {data['counters']}, baseline {workload['counters']}); "
                 "an intended algorithm change needs --update-baseline"
             )
-        gated = workload.get("gate_kernels")
-        if gated is not None and kernel not in gated:
-            continue  # counters checked above; ratios not promised here
         for gate_name, floor in workload["gates"].items():
             ratio_key = gate_name.removesuffix("_floor")
             measured = data[ratio_key]
             target = floor
-            baseline_ratio = kernel_base.get(name, {}).get(ratio_key)
+            baseline_ratio = measured_base.get(name, {}).get(ratio_key)
             if not workload.get("baseline_relative", True):
                 baseline_ratio = None  # floor-only gate
             if baseline_ratio is not None:
@@ -316,15 +287,15 @@ def check_against_baseline(
     return failures
 
 
-def _print_series(kernel: str, series: dict) -> None:
+def _print_series(series: dict) -> None:
     rsm = series["rsm-prefix-fold"]
-    print(f"[{kernel}] rsm       : one-shot {rsm['oneshot_seconds'] * 1e3:8.1f} ms"
+    print(f"rsm       : one-shot {rsm['oneshot_seconds'] * 1e3:8.1f} ms"
           f" incremental {rsm['incremental_seconds'] * 1e3:8.1f} ms"
           f" fold speedup {rsm['fold_speedup']:.2f}x"
           f" ({rsm['counters']['rs_slices_mined']} slices,"
           f" {rsm['counters']['n_cubes']} cubes)")
     shm = series["parallel-shm"]
-    print(f"[{kernel}] shm       : pickled {shm['copy_seconds'] * 1e3:8.1f} ms"
+    print(f"shm       : pickled {shm['copy_seconds'] * 1e3:8.1f} ms"
           f" shm {shm['shm_seconds'] * 1e3:8.1f} ms"
           f" hand-off speedup {shm['shm_handoff_speedup']:.2f}x"
           f" ({shm['counters']['tensor_payload_bytes_copy']} payload bytes -> "
@@ -333,9 +304,8 @@ def _print_series(kernel: str, series: dict) -> None:
 
 
 def sweep() -> None:
-    """Standalone report for run_all.py: one measurement per kernel."""
-    for kernel in available_kernels():
-        _print_series(kernel, measure(kernel, repeats=3))
+    """Standalone report for run_all.py."""
+    _print_series(measure(repeats=3))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -345,9 +315,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--rounds", type=int, default=3,
                         help="max measurement rounds for --check; the gate "
                              "passes as soon as one round passes")
-    parser.add_argument("--kernel", choices=available_kernels(),
-                        default="numpy",
-                        help="bitset backend to measure (default: numpy)")
     parser.add_argument("--baseline", default="BENCH_perf.json", metavar="PATH",
                         help="committed baseline file (default BENCH_perf.json)")
     parser.add_argument("--tolerance", type=float, default=25.0,
@@ -357,7 +324,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="compare against --baseline and exit 1 on "
                              "regression")
     parser.add_argument("--update-baseline", action="store_true",
-                        help="measure every kernel and rewrite --baseline")
+                        help="measure and rewrite --baseline")
     parser.add_argument("--json", default=None, metavar="PATH",
                         help="also write this run's measurements as JSON")
     args = parser.parse_args(argv)
@@ -367,9 +334,8 @@ def main(argv: list[str] | None = None) -> int:
         with open(args.baseline, "w") as handle:
             json.dump(payload, handle, indent=2)
             handle.write("\n")
-        for kernel in payload["kernels"]:
-            print(f"{kernel}: "
-                  f"fold {payload['kernels'][kernel]['rsm-prefix-fold']['fold_speedup']}x")
+        print(f"fold {payload['measured']['rsm-prefix-fold']['fold_speedup']}x, "
+              f"hand-off {payload['measured']['parallel-shm']['shm_handoff_speedup']}x")
         print(f"baseline written to {args.baseline}")
         return 0
 
@@ -380,13 +346,11 @@ def main(argv: list[str] | None = None) -> int:
         rounds = max(1, args.rounds)
         failures: list[str] = []
         for attempt in range(1, rounds + 1):
-            series = measure(args.kernel, args.repeats)
-            _print_series(args.kernel, series)
-            failures = check_against_baseline(
-                series, baseline, args.kernel, args.tolerance
-            )
+            series = measure(args.repeats)
+            _print_series(series)
+            failures = check_against_baseline(series, baseline, args.tolerance)
             if not failures:
-                print(f"perf gates pass on the {args.kernel} kernel")
+                print("perf gates pass")
                 break
             if attempt < rounds:
                 print(f"round {attempt}/{rounds} failed — re-measuring")
@@ -395,12 +359,12 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"FAIL: {failure}", file=sys.stderr)
             return 1
     else:
-        series = measure(args.kernel, args.repeats)
-        _print_series(args.kernel, series)
+        series = measure(args.repeats)
+        _print_series(series)
 
     if args.json:
         with open(args.json, "w") as handle:
-            json.dump({"kernel": args.kernel, "series": series}, handle, indent=2)
+            json.dump({"series": series}, handle, indent=2)
             handle.write("\n")
         print(f"json in {args.json}")
     return 0

@@ -69,7 +69,7 @@ def _maintainer_tensor():
         background_density=0.08,
         seed=MAINT_SEED,
     )
-    return planted.dataset.with_kernel("numpy")
+    return planted.dataset
 
 
 def bench_maintainer(rounds: int) -> dict:
@@ -154,7 +154,7 @@ def run_outofcore_child(root: str) -> dict:
     write_seconds = time.perf_counter() - start
     packed_bytes = store.path(fingerprint).stat().st_size
 
-    dataset = store.open(fingerprint, kernel="numpy")
+    dataset = store.open(fingerprint)
     metrics = MiningMetrics()
     start = time.perf_counter()
     result = stream_mine(

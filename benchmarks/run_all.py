@@ -34,7 +34,6 @@ import traceback
 from pathlib import Path
 
 import bench_ablation
-import bench_kernels
 import bench_perf
 import bench_robustness
 import bench_stream
@@ -56,7 +55,6 @@ MODULES = [
     bench_fig8_large,
     bench_ablation,
     bench_robustness,
-    bench_kernels,
     bench_perf,
     bench_stream,
 ]

@@ -19,7 +19,6 @@ from typing import Callable, Optional
 
 from .core.constraints import Thresholds
 from .core.dataset import Dataset3D
-from .core.kernels import Kernel
 from .core.permute import map_cube_from_transposed
 from .core.result import MiningResult
 from .obs import EventSink, MiningCancelled, MiningMetrics, ProgressController
@@ -192,7 +191,6 @@ def mine(
     *,
     algorithm: str = "cubeminer",
     auto_transpose: bool = False,
-    kernel: str | Kernel | None = None,
     options: AlgorithmOptions | None = None,
     metrics: MiningMetrics | None = None,
     on_event: EventSink | None = None,
@@ -218,11 +216,6 @@ def mine(
         When True, permute axes so the column axis is the largest before
         mining (CubeMiner's preprocessing heuristic) and map the found
         cubes back to the original axis order.
-    kernel:
-        Bitset backend override for this run (name or
-        :class:`~repro.core.kernels.Kernel`); ``None`` keeps the
-        dataset's own kernel (itself defaulting to ``REPRO_KERNEL`` /
-        ``python-int``).  Backends never change the mined cubes.
     options:
         Typed options dataclass matching the algorithm
         (:class:`~repro.options.CubeMinerOptions`,
@@ -273,13 +266,6 @@ def mine(
     ):
         if value is not None:
             kwargs[key] = value
-    if kernel is not None:
-        dataset = dataset.with_kernel(kernel)
-
-    # Resolve the kernel now so a bad name (argument or REPRO_KERNEL)
-    # fails before any mining starts, whatever the algorithm.
-    dataset.kernel
-
     if auto_transpose:
         return _mine_transposed(dataset, thresholds, spec, kwargs)
     return _dispatch(dataset, thresholds, spec, kwargs)

@@ -48,7 +48,6 @@ from .analysis import dataset_stats, derive_rules, result_stats
 from .api import ALGORITHMS, mine
 from .core.constraints import Thresholds
 from .core.dataset import Dataset3D
-from .core.kernels import available_kernels
 from .cubeminer.cutter import HeightOrder
 from .datasets import (
     cdc15_like,
@@ -324,9 +323,6 @@ def _add_mine_arguments(cmd: argparse.ArgumentParser) -> None:
     cmd.add_argument("--resume", action="store_true",
                      help="parallel: resume from --checkpoint instead "
                           "of starting over")
-    cmd.add_argument("--kernel", choices=available_kernels(), default=None,
-                     help="bitset kernel backend (default: $REPRO_KERNEL "
-                          "or python-int)")
     cmd.add_argument("--progress", action="store_true",
                      help="print periodic progress lines to stderr")
     cmd.add_argument("--deadline", type=float, default=None, metavar="SECONDS",
@@ -424,8 +420,6 @@ def _mine_with_args(args: argparse.Namespace):
         args.min_h, args.min_r, args.min_c, min_volume=args.min_volume
     )
     kwargs = {}
-    if args.kernel:
-        kwargs["kernel"] = args.kernel
     if getattr(args, "progress", False):
         kwargs["progress"] = _print_progress
     if getattr(args, "deadline", None) is not None:

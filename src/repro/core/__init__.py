@@ -12,13 +12,6 @@ from .closure import (
 from .constraints import Thresholds
 from .cube import Cube
 from .dataset import Dataset3D
-from .kernels import (
-    Kernel,
-    available_kernels,
-    get_kernel,
-    register_kernel,
-    resolve_kernel,
-)
 from .reference import reference_mine
 from .result import MiningResult, MiningStats
 from .verify import VerificationReport, Violation, verify_result
@@ -37,11 +30,6 @@ __all__ = [
     "Thresholds",
     "Cube",
     "Dataset3D",
-    "Kernel",
-    "available_kernels",
-    "get_kernel",
-    "register_kernel",
-    "resolve_kernel",
     "reference_mine",
     "MiningResult",
     "MiningStats",

@@ -13,7 +13,7 @@ together with the closed-cube predicate of Definition 3.2 and a fixpoint
 All set arguments and return values are integer bitmasks
 (see :mod:`repro.core.bitset`); the batch work — one fold or subset
 sweep over the dataset's (height, row) mask grid per operator call —
-runs on the dataset's kernel backend (:mod:`repro.core.kernels`).
+runs on the compute kernel (:data:`repro.core.kernels.KERNEL`).
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from __future__ import annotations
 from .bitset import is_subset
 from .cube import Cube
 from .dataset import Dataset3D
+from .kernels import KERNEL
 
 __all__ = [
     "ClosureCache",
@@ -106,7 +107,7 @@ class ClosureCache:
         return self._memoized(
             dataset,
             ("H", rows, columns),
-            lambda: dataset.kernel.grid_supporting_heights(
+            lambda: KERNEL.grid_supporting_heights(
                 dataset.ones_grid(), rows, columns
             ),
         )
@@ -115,7 +116,7 @@ class ClosureCache:
         return self._memoized(
             dataset,
             ("R", heights, columns),
-            lambda: dataset.kernel.grid_supporting_rows(
+            lambda: KERNEL.grid_supporting_rows(
                 dataset.ones_grid(), heights, columns
             ),
         )
@@ -124,7 +125,7 @@ class ClosureCache:
         return self._memoized(
             dataset,
             ("C", heights, rows),
-            lambda: dataset.kernel.grid_fold_and(
+            lambda: KERNEL.grid_fold_and(
                 dataset.ones_grid(), heights, rows, dataset.n_columns
             ),
         )
@@ -148,7 +149,7 @@ def column_support(
     """
     if cache is not None:
         return cache.column_support(dataset, heights, rows)
-    return dataset.kernel.grid_fold_and(
+    return KERNEL.grid_fold_and(
         dataset.ones_grid(), heights, rows, dataset.n_columns
     )
 
@@ -159,7 +160,7 @@ def height_support(
     """Return ``H(R' x C')``: heights whose slices are all-ones on R' x C'."""
     if cache is not None:
         return cache.height_support(dataset, rows, columns)
-    return dataset.kernel.grid_supporting_heights(dataset.ones_grid(), rows, columns)
+    return KERNEL.grid_supporting_heights(dataset.ones_grid(), rows, columns)
 
 
 def row_support(
@@ -168,7 +169,7 @@ def row_support(
     """Return ``R(H' x C')``: rows that are all-ones on H' x C'."""
     if cache is not None:
         return cache.row_support(dataset, heights, columns)
-    return dataset.kernel.grid_supporting_rows(dataset.ones_grid(), heights, columns)
+    return KERNEL.grid_supporting_rows(dataset.ones_grid(), heights, columns)
 
 
 def is_all_ones(

@@ -17,6 +17,7 @@ Cells are addressed ``data[k, i, j]`` with ``k`` a height, ``i`` a row,
 
 from __future__ import annotations
 
+import functools
 import io
 from collections.abc import Iterable, Sequence
 from pathlib import Path
@@ -25,10 +26,13 @@ import numpy as np
 
 from .bitset import full_mask
 from .kernels import (
-    Kernel,
+    KERNEL,
     PackedBufferError,
-    resolve_kernel,
+    check_words,
+    masks_from_words,
+    release_mapped_pages,
     tensor_from_words,
+    words_from_tensor,
     words_per_row,
 )
 
@@ -40,7 +44,9 @@ AXIS_NAMES = ("height", "row", "column")
 _DEFAULT_PREFIX = {"height": "h", "row": "r", "column": "c"}
 
 
+@functools.lru_cache(maxsize=64)
 def _default_labels(axis: str, n: int) -> tuple[str, ...]:
+    # Cached: every dataset built from words (each shm attach) needs them.
     prefix = _DEFAULT_PREFIX[axis]
     return tuple(f"{prefix}{i + 1}" for i in range(n))
 
@@ -56,26 +62,21 @@ class Dataset3D:
     height_labels, row_labels, column_labels:
         Optional human-readable names per index.  Defaults to the paper's
         ``h1..hl`` / ``r1..rn`` / ``c1..cm`` convention.
-    kernel:
-        The bitset backend executing this dataset's batch operations: a
-        :class:`~repro.core.kernels.Kernel`, a registered name, or
-        ``None`` for the ``REPRO_KERNEL`` / default selection (resolved
-        lazily, see :mod:`repro.core.kernels`).  The kernel never
-        affects results — only how the closure operators are computed —
-        so equality and hashing ignore it.
+
+    A dataset built from packed words (:meth:`from_packed_grid`,
+    :meth:`open_mmap`) keeps those words as its storage: the boolean
+    tensor materializes only if a caller asks for :attr:`data`.
     """
 
     __slots__ = (
         "_data",
+        "_words",
         "_shape",
         "_height_labels",
         "_row_labels",
         "_column_labels",
         "_ones_masks",
         "_zeros_masks",
-        "_kernel_spec",
-        "_kernel",
-        "_ones_grid",
     )
 
     def __init__(
@@ -85,7 +86,6 @@ class Dataset3D:
         height_labels: Sequence[str] | None = None,
         row_labels: Sequence[str] | None = None,
         column_labels: Sequence[str] | None = None,
-        kernel: str | Kernel | None = None,
     ) -> None:
         array = np.asarray(data)
         if array.ndim != 3:
@@ -100,6 +100,7 @@ class Dataset3D:
             array = array.astype(bool)
         self._data = array
         self._data.setflags(write=False)
+        self._words: np.ndarray | None = None
         self._shape = tuple(int(d) for d in array.shape)
         l, n, m = array.shape
         self._height_labels = self._check_labels("height", height_labels, l)
@@ -107,9 +108,6 @@ class Dataset3D:
         self._column_labels = self._check_labels("column", column_labels, m)
         self._ones_masks: list[list[int]] | None = None
         self._zeros_masks: list[list[int]] | None = None
-        self._kernel_spec = kernel
-        self._kernel: Kernel | None = None
-        self._ones_grid = None
 
     @staticmethod
     def _check_labels(
@@ -138,7 +136,7 @@ class Dataset3D:
         materialize the tensor lazily on first access.
         """
         if self._data is None:
-            tensor = tensor_from_words(np.asarray(self._ones_grid), self._shape)
+            tensor = tensor_from_words(self._words, self._shape)
             tensor.setflags(write=False)
             self._data = tensor
         return self._data
@@ -213,98 +211,63 @@ class Dataset3D:
     # ------------------------------------------------------------------
     # Bitmask views (the miners' working representation)
     # ------------------------------------------------------------------
-    def _build_masks(self) -> None:
-        l, n, m = self.shape
-        universe = full_mask(m)
-        ones: list[list[int]] = []
-        zeros: list[list[int]] = []
-        for k in range(l):
-            ones_k: list[int] = []
-            zeros_k: list[int] = []
-            slice_k = self.data[k]
-            for i in range(n):
-                # Pack the boolean row into an int with bit j == O[k,i,j].
-                packed = np.packbits(slice_k[i], bitorder="little").tobytes()
-                mask = int.from_bytes(packed, "little")
-                ones_k.append(mask)
-                zeros_k.append(universe & ~mask)
-            ones.append(ones_k)
-            zeros.append(zeros_k)
-        self._ones_masks = ones
-        self._zeros_masks = zeros
+    def ones_grid(self) -> list[list[int]]:
+        """The int mask grid ``[k][i]`` the compute kernel runs against.
+
+        Built once per dataset, straight from the packed words when the
+        dataset stores words and from the tensor otherwise.  Shared, not
+        copied: callers must not mutate it (:meth:`ones_masks` copies).
+        """
+        if self._ones_masks is None:
+            source = self._words
+            if source is None:
+                source = np.packbits(self._data, axis=-1, bitorder="little")
+            self._ones_masks = [masks_from_words(plane) for plane in source]
+        return self._ones_masks
+
+    def _zeros_grid(self) -> list[list[int]]:
+        if self._zeros_masks is None:
+            universe = full_mask(self.n_columns)
+            self._zeros_masks = [
+                [universe & ~mask for mask in per_height]
+                for per_height in self.ones_grid()
+            ]
+        return self._zeros_masks
 
     def ones_mask(self, k: int, i: int) -> int:
         """Column bitmask of the one-cells in row ``i`` of height ``k``."""
-        if self._ones_masks is None:
-            self._build_masks()
-        return self._ones_masks[k][i]  # type: ignore[index]
+        return self.ones_grid()[k][i]
 
     def zeros_mask(self, k: int, i: int) -> int:
         """Column bitmask of the zero-cells in row ``i`` of height ``k``."""
-        if self._zeros_masks is None:
-            self._build_masks()
-        return self._zeros_masks[k][i]  # type: ignore[index]
+        return self._zeros_grid()[k][i]
 
     def ones_masks(self) -> list[list[int]]:
-        """All one-cell masks, indexed ``[k][i]``."""
-        if self._ones_masks is None:
-            self._build_masks()
-        return [list(per_height) for per_height in self._ones_masks]  # type: ignore[union-attr]
+        """All one-cell masks, indexed ``[k][i]`` (a fresh copy)."""
+        return [list(per_height) for per_height in self.ones_grid()]
 
     def slice_row_masks(self, k: int) -> list[int]:
         """One-cell masks for every row of height slice ``k``."""
-        if self._ones_masks is None:
-            self._build_masks()
-        return list(self._ones_masks[k])  # type: ignore[index]
+        return list(self.ones_grid()[k])
 
-    # ------------------------------------------------------------------
-    # Kernel backend
-    # ------------------------------------------------------------------
-    @property
-    def kernel(self) -> Kernel:
-        """The bitset backend serving this dataset (resolved lazily)."""
-        if self._kernel is None:
-            self._kernel = resolve_kernel(self._kernel_spec)
-        return self._kernel
+    def packed_grid(self) -> np.ndarray:
+        """The ``(l, n, words)`` packed word grid of the one-cells.
 
-    def with_kernel(self, kernel: str | Kernel | None) -> "Dataset3D":
-        """Return a view of this dataset bound to another kernel.
-
-        The tensor, labels and int-mask caches are shared (all are
-        immutable); only the kernel-native grid cache is rebuilt.
+        A dataset that stores words (a memory mapping or a shared-memory
+        segment) returns them without a copy, so out-of-core scans stay
+        out of core; a tensor-backed one packs a fresh array.
         """
-        if kernel is not None and resolve_kernel(kernel) is self.kernel:
-            return self
-        clone = Dataset3D.__new__(Dataset3D)
-        # A lazy (packed-grid) dataset has no tensor to rebuild the new
-        # kernel's grid from — materialize before dropping the old grid.
-        clone._data = self.data if self._data is None else self._data
-        clone._shape = self._shape
-        clone._height_labels = self._height_labels
-        clone._row_labels = self._row_labels
-        clone._column_labels = self._column_labels
-        clone._ones_masks = self._ones_masks
-        clone._zeros_masks = self._zeros_masks
-        clone._kernel_spec = kernel
-        clone._kernel = None
-        clone._ones_grid = None
-        return clone
+        if self._words is not None:
+            return self._words
+        return words_from_tensor(self._data)
 
-    def ones_grid(self):
-        """Kernel-native handle for the full (height, row) ones-mask grid.
-
-        This is what the closure operators, CubeMiner's closure checks
-        and RSM's slice folding run their batch operations against;
-        built once per (dataset, kernel) pair.
-        """
-        if self._ones_grid is None:
-            if self._ones_masks is not None:
-                self._ones_grid = self.kernel.pack_grid(
-                    self._ones_masks, self.n_columns
-                )
-            else:
-                self._ones_grid = self.kernel.pack_grid_from_tensor(self.data)
-        return self._ones_grid
+    # perfbench is the only caller: its traced run binds this method.
+    def with_kernel(self, kernel: str | None) -> "Dataset3D":
+        if kernel not in (None, KERNEL.name):
+            raise ValueError(
+                f"unknown kernel {kernel!r}; the only kernel is {KERNEL.name!r}"
+            )
+        return self
 
     # ------------------------------------------------------------------
     # Rearrangement
@@ -325,7 +288,6 @@ class Dataset3D:
             height_labels=labels[0],
             row_labels=labels[1],
             column_labels=labels[2],
-            kernel=self._kernel_spec,
         )
 
     def canonical_transpose(self) -> "Dataset3D":
@@ -353,7 +315,6 @@ class Dataset3D:
             height_labels=labels,
             row_labels=self._row_labels,
             column_labels=self._column_labels,
-            kernel=self._kernel_spec,
         )
 
     # ------------------------------------------------------------------
@@ -383,7 +344,6 @@ class Dataset3D:
         words: np.ndarray,
         shape: tuple[int, int, int],
         *,
-        kernel: str | Kernel | None = None,
         height_labels: Sequence[str] | None = None,
         row_labels: Sequence[str] | None = None,
         column_labels: Sequence[str] | None = None,
@@ -392,12 +352,12 @@ class Dataset3D:
         """Build a dataset over an ``(l, n, words)`` packed uint64 grid.
 
         ``words`` must use the canonical little-endian layout of
-        :func:`repro.core.kernels.words_from_tensor`.  On a words-native
-        kernel (``numpy``) the array *becomes* the dataset's ones-grid
-        without copying — this is how shared-memory attachment stays
-        zero-copy; the boolean tensor materializes lazily only if some
-        caller asks for :attr:`data`.  Other kernels unpack a tensor
-        copy up front.  The grid is validated against ``shape``
+        :func:`repro.core.kernels.words_from_tensor`.  The array becomes
+        the dataset's storage without a copy — this is how shared-memory
+        attach and memory-mapped opens stay zero-copy: the int mask grid
+        is read straight from the words when a miner first needs it,
+        and the boolean tensor only if some caller asks for :attr:`data`.
+        The grid is validated against ``shape``
         (:class:`~repro.core.kernels.PackedBufferError` on mismatch), so
         a corrupted buffer cannot silently yield garbage cubes.
         ``validate=False`` skips only the stray-tail-bit scan — for
@@ -409,46 +369,23 @@ class Dataset3D:
         if min(l, n, m) < 0:
             raise ValueError(f"shape {shape!r} has negative dimensions")
         arr = np.asarray(words)
-        expected = (l, n, words_per_row(m))
-        if arr.dtype != np.dtype("<u8") or arr.ndim != 3:
+        check_words(arr, m, 3, tail=validate)
+        if arr.shape[:2] != (l, n):
             raise PackedBufferError(
-                f"packed grid must be a rank-3 little-endian uint64 array, "
-                f"got rank {arr.ndim} {arr.dtype}"
-            )
-        if arr.shape != expected:
-            raise PackedBufferError(
-                f"packed grid has shape {arr.shape}, expected {expected} "
-                f"for a dataset of shape {(l, n, m)}"
-            )
-        tail_bits = m % 64
-        if validate and arr.size and tail_bits:
-            allowed = np.uint64((1 << tail_bits) - 1)
-            if (arr[..., -1] & ~allowed).any():
-                raise PackedBufferError(
-                    f"packed grid carries stray bits beyond column {m}"
-                )
-        resolved = resolve_kernel(kernel)
-        if not resolved.words_native:
-            return cls(
-                tensor_from_words(arr, (l, n, m)),
-                height_labels=height_labels,
-                row_labels=row_labels,
-                column_labels=column_labels,
-                kernel=kernel,
+                f"packed grid has shape {arr.shape}, expected "
+                f"{(l, n, words_per_row(m))} for a dataset of shape {(l, n, m)}"
             )
         grid = arr.view()
         grid.setflags(write=False)
         ds = cls.__new__(cls)
         ds._data = None
+        ds._words = grid
         ds._shape = (l, n, m)
         ds._height_labels = cls._check_labels("height", height_labels, l)
         ds._row_labels = cls._check_labels("row", row_labels, n)
         ds._column_labels = cls._check_labels("column", column_labels, m)
         ds._ones_masks = None
         ds._zeros_masks = None
-        ds._kernel_spec = kernel
-        ds._kernel = resolved
-        ds._ones_grid = grid
         return ds
 
     # ------------------------------------------------------------------
@@ -512,7 +449,6 @@ class Dataset3D:
         path: str | Path,
         shape: tuple[int, int, int],
         *,
-        kernel: str | Kernel | None = None,
         height_labels: Sequence[str] | None = None,
         row_labels: Sequence[str] | None = None,
         column_labels: Sequence[str] | None = None,
@@ -521,44 +457,36 @@ class Dataset3D:
 
         The file must hold the canonical little-endian word layout of
         :func:`repro.core.kernels.words_from_tensor` (what
-        :class:`repro.stream.MmapDatasetStore` writes).  On a
-        words-native kernel the mapping *becomes* the dataset's
-        ones-grid without copying: slices fault in from disk as the
-        miners touch them and can be dropped again
-        (:func:`repro.core.kernels.release_mapped_pages`), which is
-        what lets RSM mine tensors whose packed size exceeds RAM.
-        Other kernels unpack an in-memory tensor copy — correct, but
-        without the out-of-core benefit.
+        :class:`repro.stream.MmapDatasetStore` writes).  The mapping
+        becomes the dataset's storage without copying: the out-of-core
+        scans (:meth:`packed_grid`, :func:`repro.core.dice.diamond_dice`,
+        :func:`repro.stream.outofcore.stream_mine`) fault slices in from
+        disk and drop them again
+        (:func:`repro.core.kernels.release_mapped_pages`), which is what
+        lets RSM mine tensors whose packed size exceeds RAM.  The
+        in-memory miners read the int mask grid from the mapping once.
 
         Validation runs height-slice by height-slice with the pages of
         each slice released after checking, so opening never makes the
         whole file resident at once.
         """
-        from .kernels import release_mapped_pages
-
         l, n, m = (int(d) for d in shape)
         words = np.load(Path(path), mmap_mode="r", allow_pickle=False)
-        tail_bits = m % 64
         prevalidated = False
         if (
             words.ndim == 3
             and words.dtype == np.dtype("<u8")
             and words.shape == (l, n, words_per_row(m))
         ):
-            if words.size and tail_bits:
-                allowed = np.uint64((1 << tail_bits) - 1)
-                for k in range(l):
-                    stray = bool((words[k, :, -1] & ~allowed).any())
+            for k in range(l):
+                try:
+                    check_words(words[k], m, 2)
+                finally:
                     release_mapped_pages(words)
-                    if stray:
-                        raise PackedBufferError(
-                            f"packed grid carries stray bits beyond column {m}"
-                        )
             prevalidated = True
         return cls.from_packed_grid(
             words,
             (l, n, m),
-            kernel=kernel,
             height_labels=height_labels,
             row_labels=row_labels,
             column_labels=column_labels,
@@ -570,29 +498,26 @@ class Dataset3D:
     # ------------------------------------------------------------------
     def __getstate__(self) -> dict:
         # The bitmask caches can dwarf the tensor itself; workers rebuild
-        # them lazily, so only the tensor, labels and kernel name travel.
-        spec = self._kernel_spec
+        # them lazily, so only the tensor and labels travel.
         return {
             "data": self.data,
             "height_labels": self._height_labels,
             "row_labels": self._row_labels,
             "column_labels": self._column_labels,
-            "kernel": spec.name if isinstance(spec, Kernel) else spec,
         }
 
     def __setstate__(self, state: dict) -> None:
+        # Pickles of older versions also carry a "kernel" name; it is ignored.
         data = state["data"]
         data.setflags(write=False)
         self._data = data
+        self._words = None
         self._shape = tuple(int(d) for d in data.shape)
         self._height_labels = state["height_labels"]
         self._row_labels = state["row_labels"]
         self._column_labels = state["column_labels"]
         self._ones_masks = None
         self._zeros_masks = None
-        self._kernel_spec = state.get("kernel")
-        self._kernel = None
-        self._ones_grid = None
 
     # ------------------------------------------------------------------
     # Dunder protocol

@@ -29,13 +29,12 @@ from .bitset import mask_from_bools
 from .constraints import Thresholds
 from .cube import Cube
 from .dataset import Dataset3D
-from .kernels import release_mapped_pages, words_from_tensor, words_per_row
-from .kernels.base import WORD_DTYPE
+from .kernels import WORD_DTYPE, release_mapped_pages, words_per_row
 
 if TYPE_CHECKING:
     from ..obs.metrics import MiningMetrics
 
-__all__ = ["DICE_KEPT_SHAPE", "DiceRegion", "diamond_dice", "packed_grid"]
+__all__ = ["DICE_KEPT_SHAPE", "DiceRegion", "diamond_dice"]
 
 #: The ``stats.extra`` key under which a diced mine reports the
 #: ``[heights, rows, columns]`` shape of the region it kept.
@@ -77,19 +76,6 @@ class DiceRegion:
         )
 
 
-def packed_grid(dataset: Dataset3D) -> np.ndarray:
-    """The ``(l, n, words)`` word grid to stream over.
-
-    On a words-native kernel this is the dataset's own ones-grid — for
-    a dataset opened with :meth:`Dataset3D.open_mmap`, the live file
-    mapping.  Other kernels pack an in-memory copy (correct, but
-    without the out-of-core benefit).
-    """
-    if dataset.kernel.words_native:
-        return np.asarray(dataset.ones_grid())
-    return words_from_tensor(np.asarray(dataset.data, dtype=bool))
-
-
 def _pack_keep_columns(keep: np.ndarray, words: int) -> np.ndarray:
     """A boolean column keep-vector as one packed word row."""
     bits = np.packbits(keep, bitorder="little")
@@ -123,7 +109,7 @@ def diamond_dice(
     """
     l, n, m = dataset.shape
     min_h, min_r, min_c = thresholds.as_tuple()
-    grid = packed_grid(dataset)
+    grid = dataset.packed_grid()
     words = words_per_row(m)
     kept_h = np.ones(l, dtype=bool)
     kept_r = np.ones(n, dtype=bool)

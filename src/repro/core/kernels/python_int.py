@@ -1,85 +1,69 @@
-"""The default kernel: arbitrary-precision Python ints.
+"""The compute kernel: batch bitset operations over Python int masks.
 
-This backend wraps the free functions of :mod:`repro.core.bitset`
-unchanged — handles are plain lists of ints and every batch operation
-is the same early-terminating loop the miners ran before the kernel
-layer existed, so it is the behavioural and performance baseline that
-the differential suite pins every other backend against.
+Every bulk set operation of the miners goes through the methods of the
+one :data:`~repro.core.kernels.KERNEL` instance: AND folds (the
+closure operator ``C(H' x R')``, representative-slice folding, 2D
+column supports) and support sweeps (``H(R' x C')``, ``R(H' x C')``,
+2D row supports).  A *grid* is a dataset's ``l x n`` list of
+per-(height, row) column masks (:meth:`repro.core.dataset.Dataset3D.ones_grid`).
+
+Empty-selection conventions match the closure operators' intersection
+semantics: an AND fold over an empty family is the full universe and a
+support query with an empty opposing set returns every candidate.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
-from ..bitset import bit_count, full_mask, is_subset, iter_bits
-from .base import Kernel
+from ..bitset import full_mask, is_subset, iter_bits
 
 __all__ = ["PythonIntKernel"]
 
 
-class PythonIntKernel(Kernel):
-    """Batch operations as loops over int masks (the historical code)."""
+class PythonIntKernel:
+    """Batch operations as early-terminating loops over int masks."""
 
     name = "python-int"
 
     # ------------------------------------------------------------------
-    # Mask arrays
+    # Mask lists (2D matrices)
     # ------------------------------------------------------------------
-    def pack_masks(self, masks: Sequence[int], n_bits: int) -> list[int]:
-        return list(masks)
-
-    def unpack_masks(self, handle: list[int]) -> list[int]:
-        return list(handle)
-
-    def fold_and(self, handle: list[int], n_bits: int, select: int | None = None) -> int:
+    def fold_and(self, masks: list[int], n_bits: int, select: int | None = None) -> int:
+        """AND of ``masks[i]`` for every ``i`` in ``select`` (``None``: all)."""
         acc = full_mask(n_bits)
         if select is None:
-            for mask in handle:
+            for mask in masks:
                 acc &= mask
                 if acc == 0:
                     return 0
             return acc
         for i in iter_bits(select):
-            acc &= handle[i]
+            acc &= masks[i]
             if acc == 0:
                 return 0
         return acc
 
-    def popcounts(self, handle: list[int]) -> list[int]:
-        return [bit_count(mask) for mask in handle]
-
-    def supersets_of(self, handle: list[int], sub: int) -> int:
+    def supersets_of(self, masks: list[int], sub: int) -> int:
+        """Index bitmask of the masks that contain ``sub``."""
         result = 0
-        for i, mask in enumerate(handle):
+        for i, mask in enumerate(masks):
             if sub & ~mask == 0:
                 result |= 1 << i
         return result
 
-    # ------------------------------------------------------------------
-    # Batched primitives
-    # ------------------------------------------------------------------
-    def and_many(self, handle_a: list[int], handle_b: list[int], n_bits: int) -> list[int]:
-        if len(handle_a) != len(handle_b):
+    def and_many(self, masks_a: list[int], masks_b: list[int], n_bits: int) -> list[int]:
+        """Elementwise AND of two equal-length mask lists."""
+        if len(masks_a) != len(masks_b):
             raise ValueError(
-                f"and_many needs equal-length mask arrays, "
-                f"got {len(handle_a)} and {len(handle_b)}"
+                f"and_many needs equal-length mask lists, "
+                f"got {len(masks_a)} and {len(masks_b)}"
             )
-        return [a & b for a, b in zip(handle_a, handle_b)]
-
-    def intersect_rows(self, grid: list[list[int]], heights: int, n_bits: int) -> list[int]:
-        # grid_fold_rows already returns a fresh int list — the handle.
-        return self.grid_fold_rows(grid, heights, n_bits)
-
-    def grid_slice_rows(self, grid: list[list[int]], height: int, n_bits: int) -> list[int]:
-        return list(grid[height])
+        return [a & b for a, b in zip(masks_a, masks_b)]
 
     # ------------------------------------------------------------------
-    # Grids
+    # Grids (l heights x n rows of column masks)
     # ------------------------------------------------------------------
-    def pack_grid(self, masks: Sequence[Sequence[int]], n_bits: int) -> list[list[int]]:
-        return [list(per_height) for per_height in masks]
-
     def grid_fold_and(self, grid: list[list[int]], heights: int, rows: int, n_bits: int) -> int:
+        """AND of ``grid[k][i]`` over ``k in heights, i in rows``: ``C(H' x R')``."""
         acc = full_mask(n_bits)
         for k in iter_bits(heights):
             per_height = grid[k]
@@ -90,6 +74,7 @@ class PythonIntKernel(Kernel):
         return acc
 
     def grid_fold_rows(self, grid: list[list[int]], heights: int, n_bits: int) -> list[int]:
+        """Per-row AND over ``heights``: the representative slice's row masks."""
         member_iter = iter_bits(heights)
         first = next(member_iter, None)
         if first is None:
@@ -109,6 +94,8 @@ class PythonIntKernel(Kernel):
         columns: int,
         candidates: int | None = None,
     ) -> int:
+        """Heights (among ``candidates``) containing ``columns`` on every row
+        of ``rows``: ``H(R' x C')``."""
         height_iter = (
             range(len(grid)) if candidates is None else iter_bits(candidates)
         )
@@ -129,6 +116,8 @@ class PythonIntKernel(Kernel):
         columns: int,
         candidates: int | None = None,
     ) -> int:
+        """Rows (among ``candidates``) containing ``columns`` on every height
+        of ``heights``: ``R(H' x C')``."""
         n_rows = len(grid[0]) if grid else 0
         row_iter = range(n_rows) if candidates is None else iter_bits(candidates)
         result = 0

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from ..core.bitset import full_mask
 from ..core.dataset import Dataset3D
+from ..core.kernels import KERNEL
 
 __all__ = ["height_set_closed", "row_set_closed"]
 
@@ -32,7 +33,7 @@ def height_set_closed(
     """Lemma 4 (Hcheck): False when some absent height covers R' x C'."""
     outside = full_mask(dataset.n_heights) & ~heights
     return (
-        dataset.kernel.grid_supporting_heights(
+        KERNEL.grid_supporting_heights(
             dataset.ones_grid(), rows, columns, candidates=outside
         )
         == 0
@@ -45,7 +46,7 @@ def row_set_closed(
     """Lemma 5 (Rcheck): False when some absent row covers H' x C'."""
     outside = full_mask(dataset.n_rows) & ~rows
     return (
-        dataset.kernel.grid_supporting_rows(
+        KERNEL.grid_supporting_rows(
             dataset.ones_grid(), heights, columns, candidates=outside
         )
         == 0

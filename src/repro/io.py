@@ -206,8 +206,8 @@ def dataset_fingerprint(dataset: Dataset3D) -> str:
     """A sha256 digest of the dataset's *cell content*.
 
     Covers the shape and every cell value (bit-packed in canonical C
-    order) but deliberately not the labels or the kernel backend:
-    neither changes the mined cube sets, so two uploads of the same
+    order) but deliberately not the labels: they do not change the
+    mined cube sets, so two uploads of the same
     tensor share one registry entry and one threshold-lattice cache
     line.  This is the key the service's dataset registry and result
     cache are organized around.

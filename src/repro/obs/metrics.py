@@ -119,7 +119,6 @@ class MiningMetrics(_Counters):
     # parallel drivers (never per worker attach, so clean and
     # fault-recovered runs of one config report identical totals).
     shm_datasets_published: int = 0
-    shm_copy_fallbacks: int = 0
     # stream.maintain()'s final merge: passes run and cubes it dropped.
     shard_merges: int = 0
     shard_merge_dropped: int = 0

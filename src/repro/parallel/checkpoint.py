@@ -2,7 +2,7 @@
 
 The journal is an append-only JSONL file.  Line 1 is a header binding
 the journal to one exact run configuration (algorithm, dataset shape,
-thresholds, kernel-independent task fingerprint and chunk count); every
+thresholds, task fingerprint and chunk count); every
 subsequent line records one completed chunk — its raw cube triples (in
 the driver's working axis order, via
 :func:`repro.io.raw_cubes_to_payload`) and its per-chunk
@@ -54,8 +54,6 @@ def run_fingerprint(
     Covers the algorithm name, dataset shape, all four thresholds and
     the exact chunked task decomposition (task generation is
     deterministic, so equal configurations yield equal chunk lists).
-    The kernel backend is deliberately excluded: backends never change
-    the mined cubes, so a run may resume under a different kernel.
     Integers are hashed as bytes, never as decimal strings, so task
     masks of any width fingerprint in linear time (a column mask of a
     tensor with more than ~14,000 columns passes Python's int-to-str

@@ -5,10 +5,10 @@ processor requires a copy of the entire dataset") and then executes its
 allocated tasks without any inter-worker communication, so the task
 chunks alone partition the work.  A pooled run publishes the dataset
 once into shared memory (:mod:`repro.parallel.shm`) and ships workers
-only an O(1) :class:`~repro.parallel.shm.ShmDatasetRef`; packed-word
-kernels attach with zero copies, python-int takes a private copy on
-attach, and where publishing fails (no ``/dev/shm``) the run falls back
-to pickling the dataset into each worker.
+only an O(1) :class:`~repro.parallel.shm.ShmDatasetRef`; workers attach
+the segment as their dataset's word storage with zero copies, and where
+publishing fails (no ``/dev/shm``) the run falls back to pickling the
+dataset into each worker.
 
 * :func:`parallel_rsm_mine` — tasks are base-dimension subsets; a
   worker builds each representative slice, mines it with the 2D miner
@@ -59,7 +59,6 @@ from ..core.constraints import Thresholds
 from ..core.cube import Cube
 from ..core.dataset import Dataset3D
 from ..core.dice import DICE_KEPT_SHAPE
-from ..core.kernels import Kernel
 from ..core.permute import map_cube_from_transposed, order_moving_axis_first
 from ..core.result import MiningResult, MiningStats
 from ..cubeminer.algorithm import StackItem, _run, cubeminer_tasks, search_root
@@ -104,7 +103,6 @@ _worker_attachment = None  # keeps a zero-copy shm segment mapped
 
 def _init_worker(
     payload: "Dataset3D | ShmDatasetRef",
-    kernel_name: str,
     thresholds: Thresholds,
     context,
 ) -> None:
@@ -112,17 +110,15 @@ def _init_worker(
 
     A :class:`ShmDatasetRef` attaches to the published segment (held
     open in ``_worker_attachment`` for the process lifetime); a plain
-    dataset is the pickled fallback.  The driver's kernel name wins
-    over whatever the payload recorded, so a worker always runs exactly
-    the kernel the driver selected.
+    dataset is the pickled fallback.
     """
     global _worker_dataset, _worker_thresholds, _worker_context
     global _worker_attachment
     if isinstance(payload, ShmDatasetRef):
-        _worker_attachment = attach_dataset(payload, kernel=kernel_name)
+        _worker_attachment = attach_dataset(payload)
         _worker_dataset = _worker_attachment.dataset
     else:
-        _worker_dataset = payload.with_kernel(kernel_name)
+        _worker_dataset = payload
     _worker_thresholds = thresholds
     _worker_context = context
 
@@ -230,14 +226,10 @@ def _prepare_transport(
         extra["shm"] = {"enabled": False, "error": repr(exc)}
         return dataset, None
     stats.shm_datasets_published += 1
-    zero_copy = dataset.kernel.words_native
-    if not zero_copy:
-        stats.shm_copy_fallbacks += 1
     extra["shm"] = {
         "enabled": True,
         "segment": ref.segment,
         "nbytes": ref.nbytes,
-        "zero_copy": zero_copy,
     }
     return ref, manager
 
@@ -364,7 +356,7 @@ def _drive(
                 chunks,
                 worker_fn,
                 _init_worker,
-                (payload, dataset.kernel.name) + worker_state,
+                (payload,) + worker_state,
                 n_workers,
                 stats=stats,
                 policy=policy,
@@ -403,7 +395,6 @@ def parallel_rsm_mine(
     n_workers: int = 2,
     base_axis: int | str = "auto",
     fcp_miner: str = "dminer",
-    kernel: str | Kernel | None = None,
     metrics: MiningMetrics | None = None,
     **supervision,
 ) -> MiningResult:
@@ -417,8 +408,6 @@ def parallel_rsm_mine(
         raise ValueError(f"n_workers must be >= 1, got {n_workers}")
     get_fcp_miner(fcp_miner)  # validate the name before forking
     start = time.perf_counter()
-    if kernel is not None:
-        dataset = dataset.with_kernel(kernel)
     axis = resolve_base_axis(dataset, base_axis)
     order = order_moving_axis_first(axis)
     working = dataset if axis == 0 else dataset.transpose(order)  # type: ignore[arg-type]
@@ -458,7 +447,6 @@ def parallel_cubeminer_mine(
     *,
     n_workers: int = 2,
     order: HeightOrder = HeightOrder.ZERO_DECREASING,
-    kernel: str | Kernel | None = None,
     metrics: MiningMetrics | None = None,
     **supervision,
 ) -> MiningResult:
@@ -470,8 +458,6 @@ def parallel_cubeminer_mine(
         raise ValueError(f"n_workers must be >= 1, got {n_workers}")
     start = time.perf_counter()
     stats = metrics if metrics is not None else MiningMetrics()
-    if kernel is not None:
-        dataset = dataset.with_kernel(kernel)
     root, cutters = search_root(dataset, thresholds, order, metrics=stats)
 
     def plan() -> tuple[list[StackItem], list[Cube], dict]:

@@ -9,11 +9,10 @@ word grid (the canonical layout of
 :class:`ShmDatasetRef` instead: segment name, shape and a sha256
 fingerprint — O(1) bytes regardless of dataset size.
 
-A worker attaches with :func:`attach_dataset`.  On a words-native
-kernel (``numpy``) the segment is adopted as the dataset's ones-grid
-with **zero copies** (:meth:`repro.core.dataset.Dataset3D.from_packed_grid`);
-on other kernels the words unpack into a private tensor copy and the
-segment handle is released immediately (the graceful copy-fallback).
+A worker attaches with :func:`attach_dataset`: the segment becomes the
+dataset's word storage with **zero copies**
+(:meth:`repro.core.dataset.Dataset3D.from_packed_grid`), and the
+worker reads its int mask grid straight from the words.
 
 Lifecycle and crash-safety:
 
@@ -45,12 +44,7 @@ from multiprocessing import resource_tracker, shared_memory
 import numpy as np
 
 from ..core.dataset import Dataset3D
-from ..core.kernels import (
-    Kernel,
-    resolve_kernel,
-    words_from_tensor,
-    words_per_row,
-)
+from ..core.kernels import WORD_DTYPE, words_per_row
 
 __all__ = [
     "SHM_PREFIX",
@@ -67,8 +61,6 @@ __all__ = [
 #: leak check can scan ``/dev/shm`` for leftovers unambiguously.
 SHM_PREFIX = "repro-fcc-"
 
-_WORD_DTYPE = np.dtype("<u8")
-
 
 class ShmError(RuntimeError):
     """A shared-memory publish/attach operation failed."""
@@ -82,14 +74,13 @@ class ShmDatasetRef:
     the segment name, the ``(l, n, m)`` shape, the exact byte length and
     a sha256 fingerprint of the packed words (verified on attach, so a
     stale or recycled segment name cannot silently feed wrong bits into
-    a worker), plus the kernel the driver selected.
+    a worker).
     """
 
     segment: str
     shape: tuple[int, int, int]
     nbytes: int
     fingerprint: str
-    kernel: str | None = None
 
     @property
     def words_shape(self) -> tuple[int, int, int]:
@@ -198,30 +189,25 @@ class ShmManager:
 def publish_dataset(dataset: Dataset3D, manager: ShmManager) -> ShmDatasetRef:
     """Copy the dataset's packed word grid into a shared segment.
 
-    On a words-native kernel the already-built ones-grid is reused;
-    otherwise the words pack directly from the tensor.  Either way the
-    segment holds the canonical little-endian layout, so any kernel can
-    attach to it.  Raises :class:`ShmError` for empty datasets (a
-    zero-byte segment is invalid)."""
-    if dataset.kernel.words_native:
-        words = np.ascontiguousarray(dataset.ones_grid(), dtype=_WORD_DTYPE)
-    else:
-        words = words_from_tensor(dataset.data)
+    The segment holds the canonical little-endian layout of
+    :meth:`~repro.core.dataset.Dataset3D.packed_grid`.  Raises
+    :class:`ShmError` for empty datasets (a zero-byte segment is
+    invalid)."""
+    words = np.ascontiguousarray(dataset.packed_grid())
     if words.nbytes == 0:
         raise ShmError(
             f"cannot publish an empty dataset {dataset.shape} through "
             "shared memory"
         )
     shm = manager.create(words.nbytes)
-    view = np.ndarray(words.shape, dtype=_WORD_DTYPE, buffer=shm.buf)
+    view = np.ndarray(words.shape, dtype=WORD_DTYPE, buffer=shm.buf)
     view[:] = words
     del view
     return ShmDatasetRef(
         segment=shm.name,
         shape=dataset.shape,
         nbytes=words.nbytes,
-        fingerprint=hashlib.sha256(np.ascontiguousarray(words)).hexdigest(),
-        kernel=dataset.kernel.name,
+        fingerprint=hashlib.sha256(words).hexdigest(),
     )
 
 
@@ -229,15 +215,13 @@ def publish_dataset(dataset: Dataset3D, manager: ShmManager) -> ShmDatasetRef:
 class ShmAttachment:
     """A worker-side view of a published dataset.
 
-    ``zero_copy`` tells whether :attr:`dataset` reads the segment in
-    place (words-native kernel) or owns a private tensor copy.  In the
-    zero-copy case the attachment keeps the segment handle open for the
-    dataset's lifetime; :meth:`close` releases it (tolerating live
-    views, which on Linux merely defer the actual unmap)."""
+    :attr:`dataset` reads its words from the segment in place, so the
+    attachment keeps the segment handle open for the dataset's
+    lifetime; :meth:`close` releases it (tolerating live views, which
+    on Linux merely defer the actual unmap)."""
 
     dataset: Dataset3D
     ref: ShmDatasetRef
-    zero_copy: bool
     _shm: shared_memory.SharedMemory | None = field(default=None, repr=False)
 
     def close(self) -> None:
@@ -252,7 +236,6 @@ class ShmAttachment:
 def attach_dataset(
     ref: ShmDatasetRef,
     *,
-    kernel: "str | Kernel | None" = None,
     verify: bool = True,
 ) -> ShmAttachment:
     """Reconstruct a dataset from a :class:`ShmDatasetRef`.
@@ -261,10 +244,7 @@ def attach_dataset(
     ``fork``) short-circuits to the already-open mapping.  A fresh
     attach opens the segment by name, deregisters from the resource
     tracker and — with ``verify`` (the default) — checks the sha256
-    fingerprint before trusting a single bit.  ``kernel`` overrides the
-    ref's recorded kernel; words-native kernels attach with zero
-    copies, others fall back to a private tensor copy and release the
-    segment immediately."""
+    fingerprint before trusting a single bit."""
     l, n, m = ref.shape
     need = l * n * words_per_row(m) * 8
     if ref.nbytes != need:
@@ -297,17 +277,9 @@ def attach_dataset(
                     f"segment {ref.segment!r} fingerprint mismatch: "
                     f"expected {ref.fingerprint[:12]}…, found {digest[:12]}…"
                 )
-        words = np.ndarray(ref.words_shape, dtype=_WORD_DTYPE, buffer=shm.buf)
-        resolved = resolve_kernel(kernel if kernel is not None else ref.kernel)
-        dataset = Dataset3D.from_packed_grid(words, ref.shape, kernel=resolved)
-        if resolved.words_native:
-            return ShmAttachment(dataset, ref, True, None if owned else shm)
-        # Copy fallback: the dataset owns its tensor now — drop our view
-        # and segment handle straight away.
-        del words
-        if not owned:
-            shm.close()
-        return ShmAttachment(dataset, ref, False, None)
+        words = np.ndarray(ref.words_shape, dtype=WORD_DTYPE, buffer=shm.buf)
+        dataset = Dataset3D.from_packed_grid(words, ref.shape)
+        return ShmAttachment(dataset, ref, None if owned else shm)
     except Exception:
         if not owned:
             try:

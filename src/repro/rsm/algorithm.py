@@ -181,6 +181,7 @@ def mine_slice(
     miner: FCPMiner,
     metrics: MiningMetrics,
     sink: EventSink | None = None,
+    closed_in: Callable[[int, int, int], bool] | None = None,
 ) -> list[Cube]:
     """RSM's per-subset step: phases 2 and 3 on one representative slice.
 
@@ -191,7 +192,10 @@ def mine_slice(
     The slice, its patterns and the post-prune outcome are tallied into
     ``metrics``; with a ``sink``, each Lemma-1 discard emits a
     ``PruneEvent("postprune")`` and the slice a closing
-    :class:`~repro.obs.events.SliceEvent`.  Returns the kept cubes.
+    :class:`~repro.obs.events.SliceEvent`.  ``closed_in(heights, rows,
+    columns)`` replaces :func:`height_closed_in` as the Lemma-1 test
+    (the out-of-core miner checks the packed grid instead of building
+    the dataset's int mask grid).  Returns the kept cubes.
     """
     metrics.rs_slices_mined += 1
     metrics.kernel_ops += 1
@@ -204,9 +208,13 @@ def mine_slice(
         if size * pattern.row_support * pattern.column_support < min_volume:
             continue
         metrics.postprune_checked += 1
-        if height_closed_in(
-            dataset, heights, pattern.rows, pattern.columns, metrics=metrics
-        ):
+        if closed_in is None:
+            closed = height_closed_in(
+                dataset, heights, pattern.rows, pattern.columns, metrics=metrics
+            )
+        else:
+            closed = closed_in(heights, pattern.rows, pattern.columns)
+        if closed:
             kept.append(Cube(heights, pattern.rows, pattern.columns))
         else:
             metrics.postprune_discards += 1

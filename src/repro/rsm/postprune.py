@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from ..core.bitset import full_mask
 from ..core.dataset import Dataset3D
+from ..core.kernels import KERNEL
 from ..obs.metrics import MiningMetrics
 
 __all__ = ["height_closed_in"]
@@ -39,7 +40,7 @@ def height_closed_in(
         metrics.kernel_ops += 1
     outside = full_mask(dataset.n_heights) & ~heights
     return (
-        dataset.kernel.grid_supporting_heights(
+        KERNEL.grid_supporting_heights(
             dataset.ones_grid(), rows, columns, candidates=outside
         )
         == 0

@@ -15,6 +15,7 @@ from itertools import combinations
 
 from ..core.bitset import mask_of
 from ..core.dataset import Dataset3D
+from ..core.kernels import KERNEL
 from ..fcp.matrix import BinaryMatrix
 
 __all__ = [
@@ -53,21 +54,13 @@ def count_height_subsets(n_heights: int, min_h: int) -> int:
 def representative_slice(dataset: Dataset3D, heights: int) -> BinaryMatrix:
     """AND the height slices of ``heights`` into one representative slice.
 
-    The fold runs on the dataset's kernel backend (one batched
-    :meth:`~repro.core.kernels.Kernel.intersect_rows` over the selected
-    slices of the mask grid), stays in the kernel's native
-    representation (:meth:`BinaryMatrix.from_packed`), and the
-    resulting matrix inherits that kernel for its own support
-    operations.
+    One :meth:`~repro.core.kernels.python_int.PythonIntKernel.grid_fold_rows`
+    over the selected slices of the dataset's mask grid.
     """
     if heights == 0:
         raise ValueError("a representative slice needs at least one height")
-    handle = dataset.kernel.intersect_rows(
-        dataset.ones_grid(), heights, dataset.n_columns
-    )
-    return BinaryMatrix.from_packed(
-        handle, dataset.n_columns, kernel=dataset.kernel
-    )
+    m = dataset.n_columns
+    return BinaryMatrix(KERNEL.grid_fold_rows(dataset.ones_grid(), heights, m), m)
 
 
 def iter_representative_slices(
@@ -89,32 +82,23 @@ def iter_size_slices(
     one-shot fold, consecutive subsets share their partial AND results:
     advancing the combination at position ``p`` reuses the fold of the
     first ``p`` members and extends it with one
-    :meth:`~repro.core.kernels.Kernel.and_many` per changed position —
+    :meth:`~repro.core.kernels.python_int.PythonIntKernel.and_many` per changed position —
     amortized ~1 batched AND per subset instead of ``size - 1``.
     """
     l = dataset.n_heights
     if size < 1 or size > l:
         return
-    kernel = dataset.kernel
     grid = dataset.ones_grid()
     m = dataset.n_columns
-    slice_handles: list = [None] * l
-
-    def slice_of(k: int):
-        handle = slice_handles[k]
-        if handle is None:
-            handle = kernel.grid_slice_rows(grid, k, m)
-            slice_handles[k] = handle
-        return handle
 
     combo = list(range(size))
     folds: list = [None] * size  # folds[d] = AND of slices combo[0..d]
     rebuild_from = 0
     while True:
         for d in range(rebuild_from, size):
-            member = slice_of(combo[d])
-            folds[d] = member if d == 0 else kernel.and_many(folds[d - 1], member, m)
-        yield mask_of(combo), BinaryMatrix.from_packed(folds[size - 1], m, kernel=kernel)
+            member = grid[combo[d]]
+            folds[d] = member if d == 0 else KERNEL.and_many(folds[d - 1], member, m)
+        yield mask_of(combo), BinaryMatrix(folds[size - 1], m)
         position = size - 1
         while position >= 0 and combo[position] == l - size + position:
             position -= 1

@@ -206,12 +206,9 @@ def run_job_worker(job_dir: str) -> int:
                 if result is None:
                     mmap_manifest = manifest.get("mmap")
                     if mmap_manifest is not None:
-                        # mmap operation needs the packed-word backend so
-                        # the mapped pages are adopted zero-copy.
                         dataset = Dataset3D.open_mmap(
                             mmap_manifest["path"],
                             tuple(mmap_manifest["shape"]),
-                            kernel="numpy",
                         )
                     else:
                         try:

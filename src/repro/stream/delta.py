@@ -35,7 +35,6 @@ from typing import Union
 import numpy as np
 
 from ..core.dataset import AXIS_NAMES, Dataset3D
-from ..core.kernels import Kernel
 from ..io import dataset_fingerprint
 
 __all__ = [
@@ -236,16 +235,13 @@ def _fresh_label(axis: int, existing: list[str]) -> str:
 def apply_deltas(
     dataset: Dataset3D,
     deltas: "list[Delta] | tuple[Delta, ...]",
-    *,
-    kernel: "str | Kernel | None" = None,
 ) -> DeltaApplication:
     """Apply a delta batch in order and return the edited dataset.
 
     Coordinates are validated against the tensor shape *at the point
     the delta applies* (earlier deltas in the batch may have resized
     it).  Dropping the last slice of an axis is rejected — a dataset
-    keeps at least one slice per axis.  The new dataset inherits the
-    old one's kernel unless ``kernel`` overrides it.
+    keeps at least one slice per axis.
     """
     tensor = np.array(dataset.data, dtype=bool)
     labels = [
@@ -268,7 +264,6 @@ def apply_deltas(
         height_labels=labels[0],
         row_labels=labels[1],
         column_labels=labels[2],
-        kernel=dataset.kernel if kernel is None else kernel,
     )
     maps = []
     for axis, old_size in enumerate(dataset.shape):

@@ -51,6 +51,7 @@ from ..core.closure import ClosureCache, close, is_closed_cube
 from ..core.constraints import Thresholds
 from ..core.cube import Cube
 from ..core.dataset import Dataset3D
+from ..core.kernels import KERNEL
 from ..core.result import MiningResult, MiningStats
 from ..cubeminer.algorithm import _run, search_root
 from ..obs.metrics import MiningMetrics
@@ -183,7 +184,6 @@ def _maintain_applied(
     # Skipped when every height is dirty: then no FCC is clean.
     if dirty != all_heights:
         cache = ClosureCache()
-        kernel = new.kernel
         grid = new.ones_grid()
         for cube in result:
             rows = _remap(cube.rows, application.row_map)
@@ -192,7 +192,7 @@ def _maintain_applied(
                 continue
             clean = _remap(cube.heights, application.height_map) & ~dirty
             covering = (
-                kernel.grid_supporting_heights(grid, rows, columns, candidates=dirty)
+                KERNEL.grid_supporting_heights(grid, rows, columns, candidates=dirty)
                 if dirty
                 else 0
             )

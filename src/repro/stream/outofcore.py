@@ -26,16 +26,15 @@ import numpy as np
 from ..core.constraints import Thresholds
 from ..core.cube import Cube
 from ..core.dataset import Dataset3D
-from ..core.dice import DICE_KEPT_SHAPE, DiceRegion, diamond_dice, packed_grid
-from ..core.kernels import release_mapped_pages, words_per_row
-from ..core.kernels.base import WORD_DTYPE
+from ..core.bitset import indices
+from ..core.dice import DICE_KEPT_SHAPE, DiceRegion, diamond_dice
+from ..core.kernels import WORD_DTYPE, release_mapped_pages, words_per_row
 from ..core.result import MiningResult, MiningStats
 from ..fcp import FCPMiner
 from ..fcp.dminer import DMiner
 from ..fcp.matrix import BinaryMatrix
 from ..obs.metrics import MiningMetrics
 from ..rsm.algorithm import mine_slice, rsm_mine
-from ..rsm.slices import representative_slice
 
 __all__ = ["stream_mine"]
 
@@ -57,7 +56,7 @@ def _extract_region(
 ) -> tuple[Dataset3D, np.ndarray, np.ndarray, np.ndarray]:
     """Materialize the diced subtensor (kept rows unpack one height at a
     time, with mapped pages released in between)."""
-    grid = packed_grid(dataset)
+    grid = dataset.packed_grid()
     m = dataset.n_columns
     height_index = np.flatnonzero(region.heights)
     row_index = np.flatnonzero(region.rows)
@@ -84,7 +83,6 @@ def _extract_region(
         height_labels=labels[0],
         row_labels=labels[1],
         column_labels=labels[2],
-        kernel=dataset.kernel,
     )
     return diced, height_index, row_index, column_index
 
@@ -160,6 +158,24 @@ def stream_mine(
     )
 
 
+def _closed_in_words(
+    grid: np.ndarray, heights: int, rows: int, columns: int, metrics: MiningMetrics
+) -> bool:
+    """Lemma 1 on the packed grid: no height outside ``heights`` covers
+    ``rows x columns``.  Reads only the pattern's rows of each outside
+    height, so the grid stays out of core."""
+    metrics.kernel_ops += 1
+    l, _, words = grid.shape
+    row_index = indices(rows)
+    column_words = np.frombuffer(
+        columns.to_bytes(words * 8, "little"), dtype=WORD_DTYPE
+    )
+    for k in range(l):
+        if not heights >> k & 1 and not (column_words & ~grid[k, row_index]).any():
+            return False
+    return True
+
+
 def _mine_streaming(
     dataset: Dataset3D,
     thresholds: Thresholds,
@@ -172,8 +188,7 @@ def _mine_streaming(
     words = words_per_row(m)
     chunk_rows = max(int(chunk_rows), 1)
     slice_cells = n * m
-    native = dataset.kernel.words_native
-    grid = packed_grid(dataset) if native else None
+    grid = dataset.packed_grid()
     cubes: list[Cube] = []
     for size in range(thresholds.min_h, l + 1):
         if size * slice_cells < thresholds.min_volume:
@@ -182,28 +197,31 @@ def _mine_streaming(
             heights = 0
             for k in subset:
                 heights |= 1 << k
-            if native:
-                rs_words = np.empty((n, words), dtype=WORD_DTYPE)
-                members = list(subset)
-                for r0 in range(0, n, chunk_rows):
-                    r1 = min(n, r0 + chunk_rows)
-                    # Fold member slices one at a time through basic
-                    # slicing (an advanced index materializes a
-                    # members-wide copy and, on a mapped grid, faults a
-                    # whole large folio per member stream), releasing
-                    # pages every few members — this is what keeps peak
-                    # RSS below the file size.
-                    acc = np.array(grid[members[0], r0:r1])
-                    for i in range(1, len(members)):
-                        np.bitwise_and(acc, grid[members[i], r0:r1], out=acc)
-                        if i % 8 == 0:
-                            release_mapped_pages(grid)
-                    rs_words[r0:r1] = acc
-                    metrics.stream_chunks_read += len(members)
-                    release_mapped_pages(grid)
-                rs = BinaryMatrix.from_packed(rs_words, m, kernel=dataset.kernel)
-            else:
-                rs = representative_slice(dataset, heights)
-                metrics.stream_chunks_read += size
-            cubes += mine_slice(dataset, heights, rs, thresholds, miner, metrics)
+            rs_words = np.empty((n, words), dtype=WORD_DTYPE)
+            members = list(subset)
+            for r0 in range(0, n, chunk_rows):
+                r1 = min(n, r0 + chunk_rows)
+                # Fold member slices one at a time through basic
+                # slicing (an advanced index materializes a
+                # members-wide copy and, on a mapped grid, faults a
+                # whole large folio per member stream), releasing
+                # pages every few members — this is what keeps peak
+                # RSS below the file size.
+                acc = np.array(grid[members[0], r0:r1])
+                for i in range(1, len(members)):
+                    np.bitwise_and(acc, grid[members[i], r0:r1], out=acc)
+                    if i % 8 == 0:
+                        release_mapped_pages(grid)
+                rs_words[r0:r1] = acc
+                metrics.stream_chunks_read += len(members)
+                release_mapped_pages(grid)
+            cubes += mine_slice(
+                dataset,
+                heights,
+                BinaryMatrix.from_packed(rs_words, m),
+                thresholds,
+                miner,
+                metrics,
+                closed_in=lambda h, r, c: _closed_in_words(grid, h, r, c, metrics),
+            )
     return cubes

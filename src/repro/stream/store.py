@@ -10,10 +10,10 @@ content fingerprint (:func:`repro.io.dataset_fingerprint`)::
 The ``.npy`` holds the canonical word layout of
 :func:`repro.core.kernels.words_from_tensor`, so
 :meth:`MmapDatasetStore.open` hands it straight to
-:meth:`repro.core.dataset.Dataset3D.open_mmap`: on the numpy kernel the
-mapping *is* the dataset's ones-grid — no copy, pages fault in on
-demand — and :func:`repro.stream.outofcore.stream_mine` can mine a
-tensor whose packed size exceeds RAM.  Both files are written to a
+:meth:`repro.core.dataset.Dataset3D.open_mmap`: the mapping *is* the
+dataset's storage — no copy, pages fault in on demand — and
+:func:`repro.stream.outofcore.stream_mine` can mine a tensor whose
+packed size exceeds RAM.  Both files are written to a
 temporary name and renamed into place, so a crash mid-write never
 leaves a readable-but-wrong entry.
 
@@ -37,12 +37,11 @@ import numpy as np
 from ..chaos.io import IOShim, StoreCorruptionError, sha256_file
 from ..core.dataset import Dataset3D
 from ..core.kernels import (
-    Kernel,
+    WORD_DTYPE,
     release_mapped_pages,
     words_from_tensor,
     words_per_row,
 )
-from ..core.kernels.base import WORD_DTYPE
 from ..io import dataset_fingerprint
 from ..obs.metrics import ChaosCounters
 
@@ -177,7 +176,7 @@ class MmapDatasetStore:
         fingerprint = dataset_fingerprint(dataset)
         if fingerprint in self:
             return fingerprint
-        words = words_from_tensor(np.asarray(dataset.data, dtype=bool))
+        words = dataset.packed_grid()
         tmp = self.root / f".{fingerprint}.tmp.npy"
         try:
             np.save(tmp, words)
@@ -195,7 +194,7 @@ class MmapDatasetStore:
         self._write_meta(
             fingerprint,
             dataset.shape,
-            int(np.asarray(dataset.data).sum()),
+            dataset.count_ones(),
             dataset.height_labels,
             dataset.row_labels,
             dataset.column_labels,
@@ -279,15 +278,12 @@ class MmapDatasetStore:
                 f"sha256 {actual[:12]} != recorded {expected[:12]}",
             )
 
-    def open(
-        self, fingerprint: str, *, kernel: "str | Kernel | None" = None
-    ) -> Dataset3D:
+    def open(self, fingerprint: str) -> Dataset3D:
         """Open one entry as a memory-mapped dataset."""
         meta = self.meta(fingerprint)
         return Dataset3D.open_mmap(
             self.path(fingerprint),
             tuple(meta["shape"]),
-            kernel=kernel,
             height_labels=meta.get("height_labels"),
             row_labels=meta.get("row_labels"),
             column_labels=meta.get("column_labels"),

@@ -1,7 +1,7 @@
 """The declared runtime dependencies cover what the package calls.
 
-``np.bitwise_count`` (numpy >= 2.0) backs the numpy kernel's popcounts
-and ``core.dice.diamond_dice``, so ``pyproject.toml`` must not
+``np.bitwise_count`` (numpy >= 2.0) backs ``core.dice.diamond_dice``'s
+popcounts, so ``pyproject.toml`` must not
 admit an older numpy.
 """
 
