@@ -21,11 +21,16 @@ import pytest
 
 from common import elutriation_bench
 from repro.core.bitset import full_mask, mask_of
-from repro.core.closure import column_support, height_support, row_support
+from repro.core.closure import (
+    column_support,
+    height_set_closed,
+    height_support,
+    row_set_closed,
+    row_support,
+)
 from repro.core.constraints import Thresholds
 from repro.core.dataset import Dataset3D
 from repro.cubeminer.algorithm import cubeminer_mine
-from repro.cubeminer.checks import height_set_closed, row_set_closed
 from repro.cubeminer.cutter import HeightOrder, build_cutters
 from repro.datasets import random_tensor
 from repro.fcp import dminer_mine

@@ -498,21 +498,34 @@ class Dataset3D:
     # ------------------------------------------------------------------
     def __getstate__(self) -> dict:
         # The bitmask caches can dwarf the tensor itself; workers rebuild
-        # them lazily, so only the tensor and labels travel.
-        return {
-            "data": self.data,
+        # them lazily, so only the storage (packed words or the tensor)
+        # and the labels travel.
+        state: dict = {
             "height_labels": self._height_labels,
             "row_labels": self._row_labels,
             "column_labels": self._column_labels,
         }
+        if self._words is not None:
+            state["words"] = self._words
+            state["shape"] = self._shape
+        else:
+            state["data"] = self._data
+        return state
 
     def __setstate__(self, state: dict) -> None:
         # Pickles of older versions also carry a "kernel" name; it is ignored.
-        data = state["data"]
-        data.setflags(write=False)
-        self._data = data
-        self._words = None
-        self._shape = tuple(int(d) for d in data.shape)
+        if "words" in state:
+            words = state["words"]
+            words.setflags(write=False)
+            self._data = None
+            self._words = words
+            self._shape = tuple(state["shape"])
+        else:
+            data = state["data"]
+            data.setflags(write=False)
+            self._data = data
+            self._words = None
+            self._shape = tuple(int(d) for d in data.shape)
         self._height_labels = state["height_labels"]
         self._row_labels = state["row_labels"]
         self._column_labels = state["column_labels"]

@@ -1,7 +1,7 @@
 """CubeMiner: direct 3D mining of frequent closed cubes (Section 5)."""
 
+from ..core.closure import height_set_closed, row_set_closed
 from .algorithm import CubeMiner, CubeMinerStats, cubeminer_mine, search_root
-from .checks import height_set_closed, row_set_closed
 from .cutter import Cutter, HeightOrder, build_cutters, height_permutation
 from .trace import (
     PRUNE_METRIC_FIELDS,

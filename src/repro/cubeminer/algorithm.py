@@ -54,6 +54,7 @@ import time
 from collections import deque
 from collections.abc import Callable
 
+from ..core.closure import height_set_closed, row_set_closed
 from ..core.constraints import Thresholds
 from ..core.cube import Cube
 from ..core.dataset import Dataset3D
@@ -70,7 +71,6 @@ from ..obs import (
     PruneEvent,
     resolve_progress,
 )
-from .checks import height_set_closed, row_set_closed
 from .cutter import Cutter, CutterIndex, HeightOrder, build_cutters
 
 __all__ = [
@@ -320,8 +320,8 @@ def _run(
     found so far in ``partial_cubes``.
 
     A leaf (a node no cutter applies to) runs Lemma 4 and then Lemma 5
-    as kernel sweeps (:func:`~repro.cubeminer.checks.height_set_closed`,
-    :func:`~repro.cubeminer.checks.row_set_closed`).  A leaf that fails
+    as kernel sweeps (:func:`~repro.core.closure.height_set_closed`,
+    :func:`~repro.core.closure.row_set_closed`).  A leaf that fails
     one emits its node event (``is_leaf=False``) and one ``"leaf"``
     prune event, counted under ``pruned_height_unclosed`` or
     ``pruned_row_unclosed``, so every visited node still emits exactly

@@ -22,11 +22,11 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
+from ..core.closure import height_set_closed, row_set_closed
 from ..core.constraints import Thresholds
 from ..core.cube import Cube
 from ..core.dataset import Dataset3D
 from .algorithm import search_root
-from .checks import height_set_closed, row_set_closed
 from .cutter import Cutter, CutterIndex, HeightOrder
 
 __all__ = [

@@ -122,9 +122,8 @@ class MiningMetrics(_Counters):
     # stream.maintain()'s final merge: passes run and cubes it dropped.
     shard_merges: int = 0
     shard_merge_dropped: int = 0
-    # -- support memos of stream.maintain()'s patch pass and final merge
-    # (repro.core.closure.ClosureCache); CubeMiner keeps no cache, so
-    # both read 0 on a mining run.
+    # -- always 0: no closure query is memoized.  Kept so stats JSON and
+    # the readers that look these names up keep their shape.
     closure_cache_hits: int = 0
     closure_cache_misses: int = 0
     # -- streaming / out-of-core (repro.stream) ------------------------

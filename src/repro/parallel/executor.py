@@ -74,7 +74,11 @@ from ..obs import (
     resolve_progress,
 )
 from ..rsm.algorithm import mine_slice, resolve_base_axis
-from ..rsm.slices import enumerate_height_subsets, representative_slice
+from ..rsm.slices import (
+    enumerate_height_subsets,
+    min_subset_size,
+    representative_slice,
+)
 from .checkpoint import CheckpointJournal, run_fingerprint
 from .faults import FaultPlan
 from .shm import ShmDatasetRef, ShmError, ShmManager, attach_dataset, publish_dataset
@@ -416,12 +420,7 @@ def parallel_rsm_mine(
     def plan() -> tuple[list[int], list[Cube], dict]:
         if not working_thresholds.feasible_for_shape(working.shape):
             return [], [], {}
-        # Like rsm_mine, skip the subset sizes whose slices are too
-        # small to reach min_volume.
-        slice_cells = working.n_rows * working.n_columns
-        min_size = max(
-            working_thresholds.min_h, -(-working_thresholds.min_volume // slice_cells)
-        )
+        min_size = min_subset_size(working_thresholds, working.shape)
         return list(enumerate_height_subsets(working.n_heights, min_size)), [], {}
 
     return _drive(

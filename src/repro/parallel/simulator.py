@@ -34,7 +34,11 @@ from ..cubeminer.cutter import HeightOrder
 from ..fcp import get_fcp_miner
 from ..obs.metrics import MiningMetrics
 from ..rsm.algorithm import mine_slice, resolve_base_axis
-from ..rsm.slices import representative_slice, enumerate_height_subsets
+from ..rsm.slices import (
+    enumerate_height_subsets,
+    min_subset_size,
+    representative_slice,
+)
 
 __all__ = [
     "CommunicationModel",
@@ -120,9 +124,11 @@ def measure_rsm_task_times(
 ) -> list[float]:
     """Wall-clock time of every RSM task (one representative slice each).
 
-    The sum of the returned times is the sequential RSM mining time
-    (minus enumeration overhead); feeding them to
-    :func:`simulate_response_times` reproduces parallel RSM.
+    The tasks are the subsets RSM mines, those of at least
+    :func:`~repro.rsm.slices.min_subset_size` heights.  The sum of the
+    returned times is the sequential RSM mining time (minus enumeration
+    overhead); feeding them to :func:`simulate_response_times`
+    reproduces parallel RSM.
     """
     axis = resolve_base_axis(dataset, base_axis)
     order = order_moving_axis_first(axis)
@@ -133,7 +139,8 @@ def measure_rsm_task_times(
     if not working_thresholds.feasible_for_shape(working.shape):
         return times
     metrics = MiningMetrics()
-    for heights in enumerate_height_subsets(working.n_heights, working_thresholds.min_h):
+    min_size = min_subset_size(working_thresholds, working.shape)
+    for heights in enumerate_height_subsets(working.n_heights, min_size):
         t0 = time.perf_counter()
         rs = representative_slice(working, heights)
         mine_slice(working, heights, rs, working_thresholds, miner, metrics)

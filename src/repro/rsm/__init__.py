@@ -1,8 +1,7 @@
 """Representative Slice Mining: FCCs via 2D FCP miners (Section 4)."""
 
-from .algorithm import RSMMiner, resolve_base_axis, rsm_mine
+from .algorithm import RSMMiner, height_closed_in, resolve_base_axis, rsm_mine
 from .incremental import append_height_slice
-from .postprune import height_closed_in
 from .slices import (
     count_height_subsets,
     enumerate_height_subsets,

@@ -9,8 +9,9 @@ RSM mines FCCs in three phases:
    slice with the ``minR`` / ``minC`` thresholds (phase 2,
    :mod:`repro.fcp` — D-Miner by default, as in the paper);
 3. keep a pattern only when its height set is exactly the enumerated
-   subset, i.e. no outside slice also contains it (phase 3, Lemma 1,
-   :mod:`repro.rsm.postprune`).
+   subset, i.e. no outside slice also contains it (phase 3, Lemma 1:
+   :func:`~repro.core.closure.height_set_closed`, bound here as
+   ``height_closed_in``).
 
 Each FCC is produced exactly once — by the subset equal to its height
 support set.  The base dimension defaults to heights; ``base_axis``
@@ -29,8 +30,8 @@ from __future__ import annotations
 
 import time
 from collections.abc import Callable
-from math import comb
 
+from ..core.closure import height_set_closed as height_closed_in
 from ..core.constraints import Thresholds
 from ..core.cube import Cube
 from ..core.dataset import Dataset3D
@@ -49,10 +50,15 @@ from ..obs import (
     SliceEvent,
     resolve_progress,
 )
-from .postprune import height_closed_in
-from .slices import count_height_subsets, iter_size_slices
+from .slices import count_height_subsets, iter_size_slices, min_subset_size
 
-__all__ = ["rsm_mine", "mine_slice", "RSMMiner", "resolve_base_axis"]
+__all__ = [
+    "rsm_mine",
+    "mine_slice",
+    "RSMMiner",
+    "resolve_base_axis",
+    "height_closed_in",
+]
 
 _AXIS_BY_NAME = {"height": 0, "row": 1, "column": 2}
 
@@ -187,10 +193,14 @@ def mine_slice(
 
     Mines the 2D FCPs of ``rs`` (the AND of the slices in ``heights``),
     drops patterns below the volume floor, and keeps the rest only when
-    Lemma 1 says no outside height covers them.  Every RSM variant
-    calls this; each owns its own subset enumeration and slice fold.
+    Lemma 1 says no outside height covers them.  That one sweep is the
+    whole closure check: a 2D pattern's rows and columns are already
+    closed in 3D, because the RS row/column supports equal the 3D
+    ones.  Every RSM variant calls this; each owns its own subset
+    enumeration and slice fold.
     The slice, its patterns and the post-prune outcome are tallied into
-    ``metrics``; with a ``sink``, each Lemma-1 discard emits a
+    ``metrics``, each :func:`height_closed_in` sweep as one
+    ``kernel_ops``; with a ``sink``, each Lemma-1 discard emits a
     ``PruneEvent("postprune")`` and the slice a closing
     :class:`~repro.obs.events.SliceEvent`.  ``closed_in(heights, rows,
     columns)`` replaces :func:`height_closed_in` as the Lemma-1 test
@@ -209,9 +219,8 @@ def mine_slice(
             continue
         metrics.postprune_checked += 1
         if closed_in is None:
-            closed = height_closed_in(
-                dataset, heights, pattern.rows, pattern.columns, metrics=metrics
-            )
+            metrics.kernel_ops += 1
+            closed = height_closed_in(dataset, heights, pattern.rows, pattern.columns)
         else:
             closed = closed_in(heights, pattern.rows, pattern.columns)
         if closed:
@@ -253,14 +262,10 @@ def _mine_base_height(
         if thresholds.feasible_for_shape(dataset.shape):
             n_heights = dataset.n_heights
             total = count_height_subsets(n_heights, thresholds.min_h)
-            slice_cells = dataset.n_rows * dataset.n_columns
-            n_enumerated = 0
-            for size in range(thresholds.min_h, n_heights + 1):
-                if size * slice_cells < thresholds.min_volume:
-                    # No slice of this size can reach the volume floor:
-                    # skip the whole size without enumerating it.
-                    n_enumerated += comb(n_heights, size)
-                    continue
+            first = min_subset_size(thresholds, dataset.shape)
+            # The sizes below the volume floor count as done unenumerated.
+            n_enumerated = total - count_height_subsets(n_heights, first)
+            for size in range(first, n_heights + 1):
                 for heights, rs in iter_size_slices(dataset, size):
                     n_enumerated += 1
                     cubes += mine_slice(

@@ -14,6 +14,7 @@ from collections.abc import Iterator
 from itertools import combinations
 
 from ..core.bitset import mask_of
+from ..core.constraints import Thresholds
 from ..core.dataset import Dataset3D
 from ..core.kernels import KERNEL
 from ..fcp.matrix import BinaryMatrix
@@ -21,6 +22,7 @@ from ..fcp.matrix import BinaryMatrix
 __all__ = [
     "enumerate_height_subsets",
     "count_height_subsets",
+    "min_subset_size",
     "representative_slice",
     "iter_representative_slices",
     "iter_size_slices",
@@ -49,6 +51,19 @@ def count_height_subsets(n_heights: int, min_h: int) -> int:
     from math import comb
 
     return sum(comb(n_heights, size) for size in range(min_h, n_heights + 1))
+
+
+def min_subset_size(thresholds: Thresholds, shape: tuple[int, int, int]) -> int:
+    """Smallest height subset RSM enumerates on a tensor of ``shape``.
+
+    ``max(minH, ceil(min_volume / (n * m)))``: a cube with fewer
+    heights holds fewer than ``min_volume`` cells even over every row
+    and column.  Slices without cells give ``l + 1`` (no subset).
+    """
+    l, n, m = shape
+    if n * m == 0:
+        return l + 1
+    return max(thresholds.min_h, -(-thresholds.min_volume // (n * m)))
 
 
 def representative_slice(dataset: Dataset3D, heights: int) -> BinaryMatrix:

@@ -19,7 +19,7 @@ from ..fcp import FCPMiner, Pattern2D
 from ..fcp.matrix import BinaryMatrix
 from ..obs import CollectingSink
 from .algorithm import rsm_mine
-from .slices import count_height_subsets, representative_slice
+from .slices import count_height_subsets, min_subset_size, representative_slice
 
 __all__ = ["SliceTrace", "trace_rsm", "render_rsm_table"]
 
@@ -53,7 +53,9 @@ def trace_rsm(
     """
     if not thresholds.feasible_for_shape(dataset.shape):
         return []
-    n_subsets = count_height_subsets(dataset.n_heights, thresholds.min_h)
+    n_subsets = count_height_subsets(
+        dataset.n_heights, min_subset_size(thresholds, dataset.shape)
+    )
     if n_subsets > _MAX_TRACE_SUBSETS:
         raise ValueError(
             f"trace_rsm keeps every slice in memory; {n_subsets} subsets "

@@ -47,7 +47,7 @@ from __future__ import annotations
 import time
 
 from ..core.bitset import bit_count, full_mask
-from ..core.closure import ClosureCache, close, is_closed_cube
+from ..core.closure import close, is_closed_cube
 from ..core.constraints import Thresholds
 from ..core.cube import Cube
 from ..core.dataset import Dataset3D
@@ -57,7 +57,7 @@ from ..cubeminer.algorithm import _run, search_root
 from ..obs.metrics import MiningMetrics
 # Not called here; the bindings stay for perfbench/spans.py, which
 # times the RSM slice and post-prune layers at these names.
-from ..rsm.postprune import height_closed_in  # noqa: F401
+from ..core.closure import height_set_closed as height_closed_in  # noqa: F401
 from ..rsm.slices import iter_size_slices  # noqa: F401
 from .delta import Delta, DeltaApplication, apply_deltas
 
@@ -84,7 +84,6 @@ def merge_shard_results(
     triples: list[Triple],
     *,
     metrics: MiningMetrics | None = None,
-    revalidate: bool = True,
 ) -> list[Triple]:
     """Merge partial cube-triple lists into one canonical result.
 
@@ -96,28 +95,18 @@ def merge_shard_results(
     only on the input set, which makes the merge associative and
     idempotent however the inputs are grouped or ordered.
     """
-    cache = ClosureCache()
-    seen: set[Triple] = set()
     kept: list[Triple] = []
     dropped = 0
-    for triple in triples:
-        if triple in seen:
-            continue
-        seen.add(triple)
-        if revalidate:
-            cube = Cube(*triple)
-            if not thresholds.satisfied_by(cube) or not is_closed_cube(
-                dataset, cube, cache=cache
-            ):
-                dropped += 1
-                continue
-        kept.append(triple)
+    for triple in set(triples):
+        cube = Cube(*triple)
+        if thresholds.satisfied_by(cube) and is_closed_cube(dataset, cube):
+            kept.append(triple)
+        else:
+            dropped += 1
     kept.sort()
     if metrics is not None:
         metrics.shard_merges += 1
         metrics.shard_merge_dropped += dropped
-        metrics.closure_cache_hits += cache.hits
-        metrics.closure_cache_misses += cache.misses
     return kept
 
 
@@ -183,7 +172,6 @@ def _maintain_applied(
     # --- Pass 1: patch the surviving cubes ----------------------------
     # Skipped when every height is dirty: then no FCC is clean.
     if dirty != all_heights:
-        cache = ClosureCache()
         grid = new.ones_grid()
         for cube in result:
             rows = _remap(cube.rows, application.row_map)
@@ -199,11 +187,9 @@ def _maintain_applied(
             heights = clean | covering
             if heights == 0:
                 continue
-            patched = close(new, Cube(heights, rows, columns), cache=cache)
+            patched = close(new, Cube(heights, rows, columns))
             triples.add((patched.heights, patched.rows, patched.columns))
             cubes_patched += 1
-        metrics.closure_cache_hits += cache.hits
-        metrics.closure_cache_misses += cache.misses
 
     # --- Pass 2: CubeMiner restricted to cubes with a dirty height ----
     # Its root is the diced region of the new tensor; a root without a

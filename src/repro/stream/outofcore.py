@@ -35,6 +35,7 @@ from ..fcp.dminer import DMiner
 from ..fcp.matrix import BinaryMatrix
 from ..obs.metrics import MiningMetrics
 from ..rsm.algorithm import mine_slice, rsm_mine
+from ..rsm.slices import min_subset_size
 
 __all__ = ["stream_mine"]
 
@@ -187,12 +188,9 @@ def _mine_streaming(
     l, n, m = dataset.shape
     words = words_per_row(m)
     chunk_rows = max(int(chunk_rows), 1)
-    slice_cells = n * m
     grid = dataset.packed_grid()
     cubes: list[Cube] = []
-    for size in range(thresholds.min_h, l + 1):
-        if size * slice_cells < thresholds.min_volume:
-            continue
+    for size in range(min_subset_size(thresholds, dataset.shape), l + 1):
         for subset in combinations(range(l), size):
             heights = 0
             for k in subset:

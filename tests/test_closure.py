@@ -1,11 +1,13 @@
-"""Unit tests for the closure operators (Definition 3.1/3.2)."""
+"""Unit and property tests for the closure operators (Definition 3.1/3.2)."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.bitset import full_mask, mask_of
+from repro.core.bitset import full_mask, is_subset, mask_of
 from repro.core.closure import (
     close,
     column_support,
@@ -16,6 +18,8 @@ from repro.core.closure import (
 )
 from repro.core.cube import Cube
 from repro.core.dataset import Dataset3D
+from repro.datasets import random_tensor
+from tests.conftest import STORAGES, in_storage
 
 
 class TestPaperExamples:
@@ -131,3 +135,88 @@ class TestClose:
     def test_close_incomplete_raises(self, paper_ds):
         with pytest.raises(ValueError, match="zero cells"):
             close(paper_ds, Cube.from_labels(paper_ds, "h1", "r4", "c1"))
+
+
+def _fixpoint(dataset: Dataset3D, cube: Cube) -> Cube:
+    """Apply H, then R, then C, each to the latest sets, until none changes."""
+    heights, rows, columns = cube.heights, cube.rows, cube.columns
+    while True:
+        grown_heights = height_support(dataset, rows, columns)
+        grown_rows = row_support(dataset, grown_heights, columns)
+        grown = (grown_heights, grown_rows, column_support(dataset, grown_heights, grown_rows))
+        if grown == (heights, rows, columns):
+            return Cube(heights, rows, columns)
+        heights, rows, columns = grown
+
+
+@st.composite
+def datasets_and_cubes(draw):
+    """A small random dataset in one storage plus a batch of cubes.
+
+    Cubes are drawn three ways: arbitrary masks (empty, incomplete or
+    closed by chance), single one-cells, and the fixpoint closure of
+    each such cell with and without one of its heights, so complete
+    seeds and closed cubes both occur often.
+    """
+    l = draw(st.integers(min_value=1, max_value=7))
+    n = draw(st.integers(min_value=1, max_value=7))
+    m = draw(st.sampled_from([1, 3, 8, 64, 65, 70, 257]))
+    density = draw(st.sampled_from([0.2, 0.5, 0.8, 0.95]))
+    seed = draw(st.integers(min_value=0, max_value=2**16))
+    storage = draw(st.sampled_from(STORAGES))
+    dataset = in_storage(random_tensor((l, n, m), density, seed=seed), storage)
+    masks = st.tuples(
+        st.integers(min_value=0, max_value=(1 << l) - 1),
+        st.integers(min_value=0, max_value=(1 << n) - 1),
+        st.integers(min_value=0, max_value=(1 << m) - 1),
+    )
+    cubes = [Cube(*triple) for triple in draw(st.lists(masks, min_size=1, max_size=20))]
+    ones = np.argwhere(dataset.data)
+    if len(ones):
+        for index in draw(st.lists(st.integers(0, len(ones) - 1), max_size=5)):
+            k, i, j = (int(v) for v in ones[index])
+            cell = Cube(1 << k, 1 << i, 1 << j)
+            closed = _fixpoint(dataset, cell)
+            one_height = closed.heights & -closed.heights
+            cubes += [cell, closed, Cube(one_height, closed.rows, closed.columns)]
+    return dataset, cubes
+
+
+def _closed_by_definition(dataset: Dataset3D, cube: Cube) -> bool:
+    """Definition 3.2 from full supports: complete and maximal on each axis."""
+    heights, rows, columns = cube.heights, cube.rows, cube.columns
+    return (
+        not cube.is_empty()
+        and is_subset(columns, column_support(dataset, heights, rows))
+        and heights == height_support(dataset, rows, columns)
+        and rows == row_support(dataset, heights, columns)
+        and columns == column_support(dataset, heights, rows)
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(datasets_and_cubes())
+def test_close_is_the_operator_fixpoint(case):
+    """One ``close`` pass lands on the fixpoint, a closed cube holding the seed."""
+    dataset, cubes = case
+    for cube in cubes:
+        if cube.is_empty() or not is_subset(
+            cube.columns, column_support(dataset, cube.heights, cube.rows)
+        ):
+            with pytest.raises(ValueError):
+                close(dataset, cube)
+            continue
+        closed = close(dataset, cube)
+        assert closed == _fixpoint(dataset, cube)
+        assert closed.contains(cube)
+        assert is_closed_cube(dataset, closed)
+        assert close(dataset, closed) == closed
+
+
+@settings(max_examples=80, deadline=None)
+@given(datasets_and_cubes())
+def test_is_closed_cube_is_definition_3_2(case):
+    """``is_closed_cube`` == Definition 3.2 on empty, incomplete and closed cubes."""
+    dataset, cubes = case
+    for cube in cubes:
+        assert is_closed_cube(dataset, cube) == _closed_by_definition(dataset, cube)

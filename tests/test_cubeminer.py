@@ -8,13 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.bitset import full_mask, mask_of
-from repro.core.closure import is_closed_cube
+from repro.core.closure import height_set_closed, is_closed_cube, row_set_closed
 from repro.core.constraints import Thresholds
 from repro.core.dataset import Dataset3D
 from repro.core.reference import reference_mine
 from repro.cubeminer import CubeMiner, HeightOrder, cubeminer_mine
 from repro.cubeminer.algorithm import _run, search_root
-from repro.cubeminer.checks import height_set_closed, row_set_closed
 from repro.cubeminer.cutter import build_cutters
 from repro.datasets import random_tensor
 from repro.obs import CollectingSink, MiningMetrics

@@ -6,8 +6,9 @@ out-of-core folds.  One hypothesis property pins that boundary for
 random shapes, column counts straddling the 64-bit word edges
 included: the words round-trip to the tensor, every way of building a
 dataset from words yields the in-memory masks and cubes, and stray
-tail bits are rejected.  Pickles written before the kernel registry
-was removed still load.
+tail bits are rejected.  A dataset stored as words pickles its words,
+not the tensor, and pickles written before the kernel registry was
+removed still load.
 """
 
 from __future__ import annotations
@@ -137,3 +138,21 @@ def test_kernel_era_pickle_still_loads():
         reference_mine(dataset, Thresholds(1, 1, 1))
     )
 
+
+def test_word_storage_pickles_its_words(tmp_path):
+    """An 8x64x4096 mapped dataset pickles its 256 KiB of words; neither
+    pickling nor unpickling builds the boolean tensor."""
+    data = np.random.default_rng(5).random((8, 64, 4096)) < 0.3
+    path = tmp_path / "grid.npy"
+    np.save(path, words_from_tensor(data))
+    mapped = Dataset3D.open_mmap(path, data.shape)
+    blob = pickle.dumps(mapped)
+    assert mapped._data is None
+    assert 8 * 64 * 4096 // 8 < len(blob) < 2 * 8 * 64 * 4096 // 8
+    clone = pickle.loads(blob)
+    assert clone._data is None
+    assert clone.ones_masks() == mapped.ones_masks()
+    assert clone._data is None
+    assert clone == mapped
+    assert np.array_equal(clone.data, data)
+    assert clone.column_labels == mapped.column_labels

@@ -164,6 +164,21 @@ class TestTaskTimeMeasurement:
         assert len(times) == 4  # the 4 subsets of Table 2
         assert all(t >= 0 for t in times)
 
+    @pytest.mark.parametrize("base_axis", ["height", "auto"])
+    def test_rsm_task_times_skip_sizes_below_the_volume_floor(self, base_axis):
+        """One task per slice RSM mines: sizes too small for ``min_volume``
+        are neither mined nor timed."""
+        from repro.datasets import random_tensor
+        from repro.rsm import rsm_mine
+
+        dataset = random_tensor((6, 5, 8), 0.7, seed=3)
+        thresholds = Thresholds(1, 1, 1, min_volume=120)
+        times = measure_rsm_task_times(dataset, thresholds, base_axis=base_axis)
+        mined = rsm_mine(dataset, thresholds, base_axis=base_axis)
+        assert len(times) == mined.stats["rs_slices_mined"]
+        if base_axis == "height":
+            assert len(times) == 42  # the 42 subsets of >= 3 of the 6 heights
+
     def test_rsm_infeasible_gives_empty(self, paper_ds):
         assert measure_rsm_task_times(paper_ds, Thresholds(9, 9, 9)) == []
 

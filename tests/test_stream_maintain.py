@@ -16,9 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import mine
-from repro.core.closure import ClosureCache, is_closed_cube
 from repro.core.constraints import Thresholds
-from repro.core.cube import Cube
 from repro.core.dataset import Dataset3D
 from repro.cubeminer.algorithm import cubeminer_mine
 from repro.datasets import random_tensor
@@ -273,31 +271,3 @@ class TestMergeAlgebra:
         assert merged == sorted(set(good) | set(survivors))
         assert metrics.shard_merge_dropped == len(impostors) - len(survivors)
         assert metrics.shard_merge_dropped >= 1
-
-    def test_merge_counts_its_closure_memo(self):
-        """The revalidation's support memo reaches ``closure_cache_*``."""
-        dataset = random_tensor((5, 8, 10), 0.4, seed=7)
-        thresholds = Thresholds(1, 2, 2)
-        good = cube_triples(cubeminer_mine(dataset, thresholds))
-        h, r, c = next(t for t in good if t[0] & (t[0] - 1))
-        # Same rows and columns as a cube checked before it: the height
-        # support query is answered from the memo.
-        triples = good + [(h & -h, r, c)]
-        metrics = MiningMetrics()
-        merge_shard_results(dataset, thresholds, triples, metrics=metrics)
-        replay = ClosureCache()
-        for triple in triples:
-            if thresholds.satisfied_by(Cube(*triple)):
-                is_closed_cube(dataset, Cube(*triple), cache=replay)
-        assert replay.hits > 0 and replay.misses > 0
-        assert metrics.closure_cache_hits == replay.hits
-        assert metrics.closure_cache_misses == replay.misses
-
-    def test_merge_without_revalidation_only_dedupes_and_sorts(self):
-        dataset = random_tensor((4, 5, 6), 0.5, seed=3)
-        thresholds = Thresholds(2, 2, 2)
-        junk = [(1, 1, 1), (3, 3, 3), (1, 1, 1)]
-        merged = merge_shard_results(
-            dataset, thresholds, junk, revalidate=False
-        )
-        assert merged == [(1, 1, 1), (3, 3, 3)]
