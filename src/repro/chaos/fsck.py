@@ -13,6 +13,15 @@ reports every violation as a typed :class:`FsckIssue`:
   pairs, dead job directories, delta logs whose base dataset is no
   longer registered.  Harmless to correctness, but they accumulate.
 
+fsck owns the *structure* of the tree — names, pairings, orphans,
+temps, record ids.  For *content* it calls each store's own check: the
+result-document reader (:meth:`~repro.chaos.io.IOShim.read_document`,
+through :func:`~repro.service.jobs.read_job_result` for job results)
+for cache entries and job results, the registry's
+:func:`~repro.service.registry.load_verified` for datasets, and the mmap
+store's :func:`~repro.stream.store.verify_grid` for packed grids.  It
+never constructs a store (the mmap store's constructor sweeps temps).
+
 With ``repair=True`` corrupt and orphaned items are moved into
 ``<data_dir>/quarantined/fsck/`` (never deleted — an operator can
 post-mortem them) and stale temps are removed; a second scan of the
@@ -28,7 +37,7 @@ import shutil
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .io import sha256_file
+from .io import CHECKSUM_MISMATCH, IOShim, StoreCorruptionError
 
 __all__ = ["FsckIssue", "FsckReport", "fsck_data_dir"]
 
@@ -117,6 +126,7 @@ class _Fsck:
         self.root = data_dir
         self.repair = repair
         self.verify = verify_checksums
+        self.io = IOShim()
         self.report = FsckReport(root=str(data_dir))
         self._quarantine_root = data_dir / "quarantined" / "fsck"
 
@@ -196,6 +206,8 @@ class _Fsck:
         return self.report
 
     def _scan_registry(self, root: Path) -> None:
+        from ..service.registry import load_verified
+
         if not root.is_dir():
             return
         self._sweep_temps("datasets", root)
@@ -209,7 +221,7 @@ class _Fsck:
             try:
                 meta = json.loads(meta_path.read_text())
                 recorded = str(meta["fingerprint"])
-            except (ValueError, KeyError) as error:
+            except (ValueError, KeyError, TypeError) as error:
                 issue = self._issue(
                     "datasets", meta_path, "bad-meta", f"unreadable metadata: {error}"
                 )
@@ -233,16 +245,10 @@ class _Fsck:
                 continue
             if self.verify:
                 try:
-                    from ..core.dataset import Dataset3D
-                    from ..io import dataset_fingerprint
-
-                    actual = dataset_fingerprint(Dataset3D.load_npz(npz))
-                except Exception as error:  # noqa: BLE001 - scan any garbage
-                    actual = f"<unreadable: {error}>"
-                if actual != fp:
+                    load_verified(npz, fp)
+                except (OSError, StoreCorruptionError) as error:
                     issue = self._issue(
-                        "datasets", npz, "content-mismatch",
-                        f"stored tensor hashes to {actual[:24]}, not {fp[:12]}",
+                        "datasets", npz, "content-mismatch", str(error)
                     )
                     self._quarantine(issue, meta_path, npz)
         for npz in sorted(root.glob("*.npz")):
@@ -279,26 +285,20 @@ class _Fsck:
                 self._quarantine(issue, path)
                 continue
             try:
-                doc = json.loads(path.read_text())
-            except ValueError as error:
-                issue = self._issue(
-                    "cache", path, "unreadable", f"not valid JSON: {error}"
+                self.io.read_document("cache", path)
+            except (OSError, StoreCorruptionError) as error:
+                kind = (
+                    "checksum-mismatch"
+                    if getattr(error, "detail", None) == CHECKSUM_MISMATCH
+                    else "unreadable"
                 )
+                issue = self._issue("cache", path, kind, str(error))
                 self._quarantine(issue, path)
-                continue
-            if isinstance(doc, dict) and "sha256" in doc and "payload" in doc:
-                body = json.dumps(doc["payload"]).encode()
-                import hashlib
-
-                if hashlib.sha256(body).hexdigest() != doc["sha256"]:
-                    issue = self._issue(
-                        "cache", path, "checksum-mismatch",
-                        "payload does not match its recorded sha256",
-                    )
-                    self._quarantine(issue, path)
         self.report.scanned["cache_entries"] = count
 
     def _scan_jobs(self, root: Path) -> None:
+        from ..service.jobs import read_job_result
+
         if not root.is_dir():
             return
         count = resumable = 0
@@ -335,16 +335,12 @@ class _Fsck:
             if status in ("queued", "running"):
                 resumable += 1
             result = job_dir / "result.json"
-            digest = job_dir / "result.sha256"
-            if result.exists() and digest.exists():
+            if self.verify and result.exists():
                 try:
-                    recorded = digest.read_text().strip()
-                except OSError:
-                    recorded = ""
-                if self.verify and sha256_file(result) != recorded:
+                    read_job_result(self.io, job_dir)
+                except (OSError, StoreCorruptionError) as error:
                     issue = self._issue(
-                        "jobs", result, "checksum-mismatch",
-                        "result.json does not match its recorded sha256",
+                        "jobs", result, "checksum-mismatch", str(error)
                     )
                     self._quarantine(issue, job_dir)
         self.report.scanned["jobs"] = count
@@ -387,6 +383,8 @@ class _Fsck:
         self.report.scanned["delta_logs"] = count
 
     def _scan_mmap(self, root: Path) -> None:
+        from ..stream.store import verify_grid
+
         if not root.is_dir():
             return
         self._sweep_temps("mmap", root)
@@ -399,6 +397,8 @@ class _Fsck:
             npy = root / f"{fp}.npy"
             try:
                 meta = json.loads(meta_path.read_text())
+                if not isinstance(meta, dict):
+                    raise ValueError("not a JSON object")
             except ValueError as error:
                 issue = self._issue(
                     "mmap", meta_path, "bad-meta", f"unreadable metadata: {error}"
@@ -412,12 +412,12 @@ class _Fsck:
                 )
                 self._quarantine(issue, meta_path)
                 continue
-            recorded = meta.get("sha256")
-            if self.verify and recorded:
-                if sha256_file(npy) != recorded:
+            if self.verify:
+                try:
+                    verify_grid(npy, meta)
+                except (OSError, StoreCorruptionError) as error:
                     issue = self._issue(
-                        "mmap", npy, "checksum-mismatch",
-                        "packed grid does not match its recorded sha256",
+                        "mmap", npy, "checksum-mismatch", str(error)
                     )
                     self._quarantine(issue, meta_path, npy)
         for npy in sorted(root.glob("*.npy")):

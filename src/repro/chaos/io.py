@@ -21,12 +21,17 @@ actually structured to survive.
 store that finds a checksum or fingerprint mismatch raises it instead
 of handing corrupt data up the stack, and the service degrades it to
 miss-evict-requeue instead of crashing the daemon.
+
+:meth:`IOShim.write_document` / :meth:`IOShim.read_document` are the one
+writer and the one reader of the checksummed result document that both
+the threshold-lattice cache entries and the job results are stored as.
 """
 
 from __future__ import annotations
 
 import errno
 import hashlib
+import json
 import os
 import time
 import uuid
@@ -39,6 +44,16 @@ __all__ = [
     "sha256_bytes",
     "sha256_file",
 ]
+
+#: The envelope around a stored payload's exact JSON bytes:
+#: ``{"schema": 1, "sha256": "<64 hex digits>", "payload": <body>}``.
+_ENVELOPE_HEAD = b'{"schema": 1, "sha256": "'
+_ENVELOPE_MID = b'", "payload": '
+_DIGEST_LEN = 64
+
+#: :attr:`StoreCorruptionError.detail` of a document whose bytes do not
+#: hash to their recorded digest.
+CHECKSUM_MISMATCH = "checksum mismatch"
 
 
 class StoreCorruptionError(RuntimeError):
@@ -65,6 +80,16 @@ def sha256_file(path: "str | Path", chunk_size: int = 1 << 20) -> str:
                 break
             digest.update(chunk)
     return digest.hexdigest()
+
+
+def _parse_document(site: str, path: "str | Path", data: bytes) -> dict:
+    try:
+        document = json.loads(data)
+    except ValueError as error:
+        raise StoreCorruptionError(site, path, f"not valid JSON: {error}") from None
+    if not isinstance(document, dict):
+        raise StoreCorruptionError(site, path, "not a JSON object")
+    return document
 
 
 def _flip_bit(data: bytes, bit: int) -> bytes:
@@ -244,6 +269,61 @@ class IOShim:
 
     def read_text(self, site: str, path: "str | Path") -> str:
         return self.read_bytes(site, path).decode()
+
+    # ------------------------------------------------------------------
+    # Checksummed result documents
+    # ------------------------------------------------------------------
+    def write_document(self, site: str, path: "str | Path", payload: dict) -> None:
+        """Store ``payload`` atomically inside a checksummed envelope.
+
+        The digest covers the payload's exact serialization; splicing
+        the envelope around the already-serialized body makes the hashed
+        bytes the stored bytes.
+        """
+        body = json.dumps(payload).encode()
+        digest = sha256_bytes(body).encode()
+        self.atomic_write_bytes(
+            site, path, _ENVELOPE_HEAD + digest + _ENVELOPE_MID + body + b"}"
+        )
+
+    def read_document(
+        self,
+        site: str,
+        path: "str | Path",
+        *,
+        legacy_digest: "str | None" = None,
+    ) -> dict:
+        """Read one stored document and verify it; returns the payload.
+
+        An envelope from :meth:`write_document` is checked by hashing the
+        stored payload bytes.  Any other file must be a plain payload
+        carrying ``schema`` and ``cubes``, as older daemons wrote; with
+        ``legacy_digest`` (the ``result.sha256`` sidecar an older job
+        directory holds) its bytes must also hash to that digest.
+        Everything else raises :class:`StoreCorruptionError`; a failed
+        read raises :class:`OSError`.
+        """
+        data = self.read_bytes(site, path)
+        digest_end = len(_ENVELOPE_HEAD) + _DIGEST_LEN
+        body_start = digest_end + len(_ENVELOPE_MID)
+        if (
+            data.startswith(_ENVELOPE_HEAD)
+            and data[digest_end:body_start] == _ENVELOPE_MID
+            and data.endswith(b"}")
+        ):
+            recorded = data[len(_ENVELOPE_HEAD) : digest_end]
+            body = data[body_start:-1]
+            if sha256_bytes(body).encode() != recorded:
+                raise StoreCorruptionError(site, path, CHECKSUM_MISMATCH)
+            return _parse_document(site, path, body)
+        if legacy_digest is not None and sha256_bytes(data) != legacy_digest:
+            raise StoreCorruptionError(site, path, CHECKSUM_MISMATCH)
+        document = _parse_document(site, path, data)
+        if "schema" not in document or "cubes" not in document:
+            raise StoreCorruptionError(
+                site, path, "neither a checksummed envelope nor a result payload"
+            )
+        return document
 
     # ------------------------------------------------------------------
     # Worker faults

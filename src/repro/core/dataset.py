@@ -208,6 +208,17 @@ class Dataset3D:
         sl = self.data[k]
         return int(sl.size - sl.sum())
 
+    def height_slice(self, k: int) -> np.ndarray:
+        """The ``(n, m)`` boolean cells of height slice ``k``.
+
+        A dataset that stores words and has not built its tensor unpacks
+        just this slice.
+        """
+        if self._data is not None:
+            return self._data[k]
+        _, n, m = self._shape
+        return tensor_from_words(self._words[k : k + 1], (1, n, m))[0]
+
     # ------------------------------------------------------------------
     # Bitmask views (the miners' working representation)
     # ------------------------------------------------------------------

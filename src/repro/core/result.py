@@ -209,8 +209,14 @@ class MiningResult:
                 f"unsupported MiningResult schema {schema!r} "
                 f"(this build reads schema {cls.SCHEMA_VERSION})"
             )
+        raw_cubes = payload.get("cubes")
+        if not isinstance(raw_cubes, list):
+            raise ValueError(
+                "MiningResult payload needs a 'cubes' list, got "
+                f"{type(raw_cubes).__name__}"
+            )
         cubes = []
-        for entry in payload.get("cubes") or []:
+        for entry in raw_cubes:
             if len(entry) != 3:
                 raise ValueError(f"expected [h, r, c] masks, got {entry!r}")
             cubes.append(Cube(*(int(mask) for mask in entry)))

@@ -24,6 +24,8 @@ import io as _io
 import json
 from pathlib import Path
 
+import numpy as np
+
 from .core.constraints import Thresholds
 from .core.cube import Cube
 from .core.dataset import Dataset3D
@@ -34,6 +36,7 @@ __all__ = [
     "save_triples",
     "load_triples",
     "load_event_csv",
+    "FingerprintStream",
     "dataset_fingerprint",
     "dataset_to_payload",
     "dataset_from_payload",
@@ -76,8 +79,6 @@ class DatasetFormatError(ValueError):
 # ----------------------------------------------------------------------
 def save_triples(dataset: Dataset3D, path: str | Path) -> None:
     """Write the dataset's one-cells as sparse triples text."""
-    import numpy as np
-
     l, n, m = dataset.shape
     with open(Path(path), "w") as handle:
         handle.write(f"{l} {n} {m}\n")
@@ -202,6 +203,52 @@ def load_event_csv(
 # ----------------------------------------------------------------------
 # Content fingerprint and JSON wire format (the service registry key)
 # ----------------------------------------------------------------------
+class FingerprintStream:
+    """The content fingerprint, fed one chunk of cells at a time.
+
+    The fingerprint hashes the shape, then the *flattened* boolean
+    tensor packed in C order with big-endian bit order, byte-padded
+    only at the very end.  Feeding it slice by slice therefore needs a
+    bit carry: a chunk whose bit count is not a multiple of 8 leaves up
+    to 7 bits for the next chunk's first byte.
+    """
+
+    #: Cells absorbed per packbits round — bounds the temporaries so a
+    #: whole height slice is never duplicated just to hash it.
+    _STEP = 1 << 23
+
+    def __init__(self, shape: tuple[int, int, int]) -> None:
+        self._digest = hashlib.sha256()
+        self._digest.update(repr(tuple(int(d) for d in shape)).encode())
+        self._carry = np.zeros(0, dtype=np.uint8)
+        self._done = False
+
+    def update(self, bits: np.ndarray) -> None:
+        """Absorb the next chunk of cell values (any shape, C order)."""
+        if self._done:
+            raise RuntimeError("fingerprint stream already finalized")
+        flat = np.asarray(bits, dtype=bool).reshape(-1).view(np.uint8)
+        for pos in range(0, len(flat), self._STEP):
+            chunk = flat[pos : pos + self._STEP]
+            if len(self._carry):
+                chunk = np.concatenate([self._carry, chunk])
+            whole = (len(chunk) // 8) * 8
+            if whole:
+                self._digest.update(np.packbits(chunk[:whole]).tobytes())
+            # Copy so the carry never pins the chunk (or the caller's
+            # slice buffer) alive between updates.
+            self._carry = chunk[whole:].copy()
+
+    def hexdigest(self) -> str:
+        """Finalize (padding the trailing partial byte) and return."""
+        if not self._done:
+            if len(self._carry):
+                self._digest.update(np.packbits(self._carry).tobytes())
+                self._carry = np.zeros(0, dtype=np.uint8)
+            self._done = True
+        return self._digest.hexdigest()
+
+
 def dataset_fingerprint(dataset: Dataset3D) -> str:
     """A sha256 digest of the dataset's *cell content*.
 
@@ -210,14 +257,14 @@ def dataset_fingerprint(dataset: Dataset3D) -> str:
     mined cube sets, so two uploads of the same
     tensor share one registry entry and one threshold-lattice cache
     line.  This is the key the service's dataset registry and result
-    cache are organized around.
+    cache are organized around.  Heights are hashed one at a time
+    through :class:`FingerprintStream`, so a dataset stored as packed
+    words (memory-mapped, shared memory) never builds its tensor.
     """
-    import numpy as np
-
-    digest = hashlib.sha256()
-    digest.update(repr(tuple(dataset.shape)).encode())
-    digest.update(np.packbits(dataset.data, axis=None).tobytes())
-    return digest.hexdigest()
+    stream = FingerprintStream(dataset.shape)
+    for k in range(dataset.n_heights):
+        stream.update(dataset.height_slice(k))
+    return stream.hexdigest()
 
 
 def dataset_to_payload(dataset: Dataset3D) -> dict:
@@ -227,8 +274,6 @@ def dataset_to_payload(dataset: Dataset3D) -> dict:
     the JSON twin of the sparse-triples text format, used by
     ``POST /v1/datasets``.
     """
-    import numpy as np
-
     return {
         "schema": 1,
         "shape": list(dataset.shape),
@@ -313,9 +358,7 @@ def result_to_json(result: MiningResult, dataset: Dataset3D | None = None) -> st
     payload: dict = {
         "algorithm": result.algorithm,
         "dataset_shape": list(result.dataset_shape) if result.dataset_shape else None,
-        "thresholds": (
-            list(result.thresholds.as_tuple()) if result.thresholds else None
-        ),
+        "thresholds": result.thresholds.to_dict() if result.thresholds else None,
         "elapsed_seconds": result.elapsed_seconds,
         "stats": result.stats.to_dict(),
         "cubes": [
@@ -344,7 +387,9 @@ def result_from_json(text: str) -> MiningResult:
         for entry in payload["cubes"]
     ]
     thresholds = (
-        Thresholds(*payload["thresholds"]) if payload.get("thresholds") else None
+        Thresholds.from_dict(payload["thresholds"])
+        if payload.get("thresholds")
+        else None
     )
     shape = payload.get("dataset_shape")
     return MiningResult(

@@ -13,26 +13,26 @@ a query is answered whenever any stored entry *dominates* it
 provenance in ``MiningStats.extra["cache"]``.
 
 Entries persist under ``<root>/<fp>/<algorithm>/<h>-<r>-<c>-<v>.json``
-as checksummed envelopes — ``{"schema": 1, "sha256": <digest of the
-serialized payload>, "payload": <MiningResult.to_payload()>}`` — written
-atomically through the :class:`~repro.chaos.io.IOShim`, so a restarted
-daemon reopens its whole cache by scanning the tree.  Every read
-verifies the digest; an entry that fails (bit rot, torn write) degrades
-to a **miss** and is evicted, never served — the caller simply mines
-fresh and re-stores.  Plain pre-envelope payload files from older
-daemons still parse (unverified).  Hit / miss / filter counters are
-kept for ``/health`` and the service benchmark.
+as the checksummed result document of
+:meth:`~repro.chaos.io.IOShim.write_document` (``{"schema": 1,
+"sha256": <digest of the payload bytes>, "payload":
+<MiningResult.to_payload()>}``), so a restarted daemon reopens its
+whole cache by scanning the tree.  Every read goes through
+:meth:`~repro.chaos.io.IOShim.read_document`; an entry that fails (bit
+rot, torn write) degrades to a **miss** and is evicted, never served —
+the caller simply mines fresh and re-stores.  Plain pre-envelope
+payload files from older daemons still load (unverified).  Hit / miss /
+filter counters are kept for ``/health``.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 from dataclasses import dataclass
 from pathlib import Path
 
-from ..chaos.io import IOShim, StoreCorruptionError, sha256_bytes
+from ..chaos.io import IOShim, StoreCorruptionError
 from ..core.constraints import Thresholds
 from ..core.result import MiningResult, MiningStats
 from ..obs.metrics import ChaosCounters
@@ -41,22 +41,12 @@ __all__ = ["CacheAnswer", "ThresholdLatticeCache", "load_entry_payload"]
 
 
 def load_entry_payload(path: "str | Path") -> dict:
-    """Parse one stored cache file into a ``MiningResult`` payload dict.
+    """Read one stored cache file through the one document reader.
 
-    Understands both the checksummed envelope and the legacy plain
-    payload; a digest mismatch raises
-    :class:`~repro.chaos.io.StoreCorruptionError`.  Shared with the job
-    worker, which reads base results for incremental maintenance
-    straight off disk.
+    Returns the ``MiningResult`` payload dict; a file that fails
+    verification raises :class:`~repro.chaos.io.StoreCorruptionError`.
     """
-    path = Path(path)
-    doc = json.loads(path.read_text())
-    if isinstance(doc, dict) and "sha256" in doc and "payload" in doc:
-        body = json.dumps(doc["payload"])
-        if sha256_bytes(body.encode()) != doc["sha256"]:
-            raise StoreCorruptionError("cache", path, "checksum mismatch")
-        return doc["payload"]
-    return doc
+    return IOShim().read_document("cache", path)
 
 
 @dataclass
@@ -133,18 +123,7 @@ class ThresholdLatticeCache:
         entry_dir = self.root / fingerprint / algorithm
         entry_dir.mkdir(parents=True, exist_ok=True)
         path = entry_dir / f"{_key_name(result.thresholds)}.json"
-        # The digest covers the payload's exact serialization; splicing
-        # the envelope around the already-serialized body guarantees the
-        # hashed bytes are the stored bytes.
-        body = json.dumps(result.to_payload())
-        doc = (
-            '{"schema": 1, "sha256": "'
-            + sha256_bytes(body.encode())
-            + '", "payload": '
-            + body
-            + "}"
-        )
-        self.io.atomic_write_text("cache", path, doc)
+        self.io.write_document("cache", path, result.to_payload())
         with self._lock:
             self._index.setdefault((fingerprint, algorithm), {})[
                 result.thresholds
@@ -184,15 +163,10 @@ class ThresholdLatticeCache:
             return None
         stored_thresholds, path = best
         try:
-            doc = json.loads(self.io.read_text("cache", path))
-            payload = doc
-            if isinstance(doc, dict) and "sha256" in doc and "payload" in doc:
-                body = json.dumps(doc["payload"])
-                if sha256_bytes(body.encode()) != doc["sha256"]:
-                    raise StoreCorruptionError("cache", path, "checksum mismatch")
-                payload = doc["payload"]
-            source = MiningResult.from_payload(payload)
-        except (OSError, ValueError, StoreCorruptionError) as error:
+            source = MiningResult.from_payload(self.io.read_document("cache", path))
+        except (
+            OSError, ValueError, KeyError, TypeError, StoreCorruptionError
+        ) as error:
             # A vanished or corrupt entry degrades to a miss, never an
             # error: the caller simply mines fresh (and re-stores).
             # Corruption additionally evicts the poisoned file so a

@@ -6,10 +6,14 @@ Every job owns one directory under the manager's root::
     jobs/<id>/task.json         worker manifest (spec + dataset path)
     jobs/<id>/events.jsonl      worker-appended typed events + progress
     jobs/<id>/checkpoint.jsonl  parallel chunk journal (when enabled)
-    jobs/<id>/result.json       MiningResult payload, written atomically
-    jobs/<id>/result.sha256     digest of result.json (verify-on-read)
+    jobs/<id>/result.json       MiningResult payload as a checksummed
+                                result document, written atomically
     jobs/<id>/error.json        failure record, written atomically
     jobs/quarantined/<id>/      poison jobs, moved aside with a manifest
+
+Job directories written by older daemons may instead hold a plain
+``result.json`` next to a ``result.sha256`` digest sidecar; those
+results are still checked against the sidecar.
 
 The split keeps exactly one writer per file: the daemon owns
 ``job.json``, the worker owns everything it produces.  A daemon killed
@@ -40,8 +44,11 @@ The manager is hardened against its own infrastructure failing:
   silent past ``heartbeat_timeout`` is killed and its job retried.
 
 All daemon-side disk traffic goes through an injectable
-:class:`~repro.chaos.io.IOShim`, and results are verified against their
-``result.sha256`` sidecar on every read — the chaos battery in
+:class:`~repro.chaos.io.IOShim`.  Results are written and read through
+its one result-document writer and reader
+(:meth:`~repro.chaos.io.IOShim.write_document` /
+:meth:`~repro.chaos.io.IOShim.read_document`), the same pair the result
+cache uses, so every read is verified — the chaos battery in
 ``tests/test_chaos.py`` drives faults through exactly these seams.
 
 Workers stream :mod:`repro.obs` events as JSON lines
@@ -65,7 +72,7 @@ from collections import deque
 from dataclasses import replace
 from pathlib import Path
 
-from ..chaos.io import IOShim, StoreCorruptionError, sha256_bytes
+from ..chaos.io import IOShim, StoreCorruptionError
 from ..core.dataset import Dataset3D
 from ..core.result import MiningResult
 from ..obs import MiningCancelled, event_to_dict
@@ -73,10 +80,10 @@ from ..obs.metrics import ChaosCounters
 from ..options import options_from_dict
 from ..parallel.checkpoint import journal_status
 from .cache import ThresholdLatticeCache
-from .registry import DatasetRegistry
+from .registry import DatasetRegistry, load_verified
 from .schemas import JobRecord, JobSpec, ServiceError
 
-__all__ = ["JobManager", "run_job_worker"]
+__all__ = ["JobManager", "read_job_result", "run_job_worker"]
 
 #: Event kinds too hot to journal (one line per tree node).
 _FIREHOSE_KINDS = frozenset({"node", "prune"})
@@ -121,7 +128,7 @@ def run_job_worker(job_dir: str) -> int:
 
     Reads the ``task.json`` manifest, mines, streams events (plus a
     periodic heartbeat for the manager's watchdog), and writes
-    ``result.json`` + its ``result.sha256`` digest, or ``error.json``.
+    ``result.json`` (a checksummed result document) or ``error.json``.
     Module-level so it stays importable under the ``spawn`` start
     method.
     """
@@ -211,28 +218,9 @@ def run_job_worker(job_dir: str) -> int:
                             tuple(mmap_manifest["shape"]),
                         )
                     else:
-                        try:
-                            dataset = Dataset3D.load_npz(manifest["dataset_path"])
-                        except OSError:
-                            raise
-                        except Exception as error:
-                            # numpy/zipfile raise untyped decode errors on
-                            # corrupt archives; keep the retryable channel.
-                            raise StoreCorruptionError(
-                                "registry",
-                                manifest["dataset_path"],
-                                f"unreadable npz: {error}",
-                            ) from error
-                        from ..io import dataset_fingerprint
-
-                        actual = dataset_fingerprint(dataset)
-                        if actual != spec.dataset:
-                            raise StoreCorruptionError(
-                                "registry",
-                                manifest["dataset_path"],
-                                f"fingerprint {actual[:12]} != expected "
-                                f"{spec.dataset[:12]}",
-                            )
+                        dataset = load_verified(
+                            manifest["dataset_path"], spec.dataset
+                        )
                     options = options_from_dict(spec.algorithm, spec.options)
                     checkpoint_path = manifest.get("checkpoint_path")
                     if checkpoint_path is not None:
@@ -273,16 +261,9 @@ def run_job_worker(job_dir: str) -> int:
                     directory, emit, f"{type(error).__name__}: {error}"
                 )
                 return 1
-            payload = json.dumps(result.to_payload()).encode()
-            # Digest first, payload second: result.json existing implies
-            # its sidecar does too, so verify-on-read never races a
-            # half-published pair.
-            tmp = directory / ".result.sha256.tmp"
-            tmp.write_text(sha256_bytes(payload))
-            os.replace(tmp, directory / "result.sha256")
-            tmp = directory / ".result.json.tmp"
-            tmp.write_bytes(payload)
-            os.replace(tmp, directory / "result.json")
+            IOShim().write_document(
+                "jobs", directory / "result.json", result.to_payload()
+            )
             emit({"kind": "job-done", "n_cubes": len(result)})
         finally:
             stop_beating.set()
@@ -308,12 +289,10 @@ def _run_maintenance(manifest: dict, spec: JobSpec, emit) -> "MiningResult | Non
     if not base_dataset_path or not base_result_path:
         emit({"kind": "maintain-fallback", "reason": "base unavailable"})
         return None
-    from .cache import load_entry_payload
-
     try:
         base_dataset = Dataset3D.load_npz(base_dataset_path)
         base_result = MiningResult.from_payload(
-            load_entry_payload(base_result_path)
+            IOShim().read_document("cache", base_result_path)
         )
         deltas = deltas_from_payload(maintenance.get("deltas") or [])
     except Exception as error:  # noqa: BLE001 - any unreadable base mines fresh
@@ -341,6 +320,28 @@ def _run_maintenance(manifest: dict, spec: JobSpec, emit) -> "MiningResult | Non
     stream_stats = result.stats.extra.get("stream", {})
     emit({"kind": "maintain-done", **stream_stats})
     return result
+
+
+def read_job_result(io: IOShim, directory: Path) -> dict:
+    """The verified result payload of one job directory.
+
+    The one job-result load helper, shared by the manager and
+    ``repro-fcc fsck``.  Reads ``result.json`` through
+    :meth:`~repro.chaos.io.IOShim.read_document`; a plain ``result.json``
+    written by an older daemon is checked against the ``result.sha256``
+    sidecar it wrote next to it.  Raises :class:`OSError` or
+    :class:`~repro.chaos.io.StoreCorruptionError`.
+    """
+    sidecar = directory / "result.sha256"
+    legacy_digest = None
+    if sidecar.exists():
+        try:
+            legacy_digest = sidecar.read_text().strip() or None
+        except OSError:
+            pass
+    return io.read_document(
+        "jobs", directory / "result.json", legacy_digest=legacy_digest
+    )
 
 
 # ----------------------------------------------------------------------
@@ -583,13 +584,9 @@ class JobManager:
                 record.n_cubes = len(answer.result)
                 directory = self._dir(record.id)
                 directory.mkdir(parents=True, exist_ok=True)
-                body = json.dumps(answer.result.to_payload())
-                self.io.atomic_write_text(
-                    "jobs",
-                    directory / "result.sha256",
-                    sha256_bytes(body.encode()),
+                self.io.write_document(
+                    "jobs", directory / "result.json", answer.result.to_payload()
                 )
-                self.io.atomic_write_text("jobs", directory / "result.json", body)
                 with open(directory / "events.jsonl", "a") as events:
                     self.io.append_line(
                         "jobs",
@@ -972,28 +969,22 @@ class JobManager:
             records = list(self._records.values())
         return sorted(records, key=lambda r: r.created, reverse=True)
 
+    def _read_result(self, job_id: str) -> dict:
+        """:func:`read_job_result`, counting ``corruption_detected``."""
+        try:
+            return read_job_result(self.io, self._dir(job_id))
+        except StoreCorruptionError:
+            self.chaos.corruption_detected += 1
+            raise
+
     def _load_result(self, job_id: str) -> "tuple[MiningResult | None, str]":
         """Read + verify a job's result; ``(None, why)`` on any problem."""
-        directory = self._dir(job_id)
-        path = directory / "result.json"
         try:
-            data = self.io.read_bytes("jobs", path)
+            return MiningResult.from_payload(self._read_result(job_id)), ""
         except OSError as error:
             return None, f"result of job {job_id} is unreadable: {error}"
-        sidecar = directory / "result.sha256"
-        if sidecar.exists():
-            try:
-                expected = sidecar.read_text().strip()
-            except OSError:
-                expected = ""
-            if expected and sha256_bytes(data) != expected:
-                self.chaos.corruption_detected += 1
-                return (
-                    None,
-                    f"result of job {job_id} failed checksum verification",
-                )
-        try:
-            return MiningResult.from_payload(json.loads(data)), ""
+        except StoreCorruptionError as error:
+            return None, f"result of job {job_id} failed verification: {error.detail}"
         except (ValueError, KeyError, TypeError) as error:
             self.chaos.corruption_detected += 1
             return None, f"result of job {job_id} is not a valid payload: {error}"
@@ -1013,32 +1004,17 @@ class JobManager:
                 "not-done",
                 f"job {job_id} is {record.status}, not done",
             )
-        directory = self._dir(job_id)
         try:
-            data = self.io.read_bytes("jobs", directory / "result.json")
+            payload = self._read_result(job_id)
         except OSError:
             raise ServiceError(
                 500, "result-unreadable", f"result of job {job_id} is unreadable"
             ) from None
-        sidecar = directory / "result.sha256"
-        if sidecar.exists():
-            try:
-                expected = sidecar.read_text().strip()
-            except OSError:
-                expected = ""
-            if expected and sha256_bytes(data) != expected:
-                self.chaos.corruption_detected += 1
-                raise ServiceError(
-                    500,
-                    "result-corrupt",
-                    f"result of job {job_id} failed checksum verification",
-                )
-        try:
-            payload = json.loads(data)
-        except ValueError:
-            self.chaos.corruption_detected += 1
+        except StoreCorruptionError:
             raise ServiceError(
-                500, "result-corrupt", f"result of job {job_id} is unparsable"
+                500,
+                "result-corrupt",
+                f"result of job {job_id} failed verification",
             ) from None
         stats = payload.setdefault("stats", {})
         if isinstance(stats, dict):

@@ -12,10 +12,12 @@ Writes are atomic (tmp file + ``os.replace`` through the
 :class:`~repro.chaos.io.IOShim`, rolled back on failure), so a daemon
 killed mid-upload never leaves a half-written dataset behind; an
 ``.npz`` without its ``.json`` twin (or vice versa) is ignored on scan.
-Reads verify: :meth:`DatasetRegistry.load` re-fingerprints the loaded
-tensor against its content address and raises a typed
+Reads verify: :func:`load_verified` re-fingerprints the loaded tensor
+against its content address and raises a typed
 :class:`~repro.chaos.io.StoreCorruptionError` on mismatch — corrupt
-bytes never reach a miner.
+bytes never reach a miner.  It is the one dataset check: the registry's
+:meth:`DatasetRegistry.load`, the job worker and ``repro-fcc fsck`` all
+call it.
 """
 
 from __future__ import annotations
@@ -32,7 +34,33 @@ from ..core.dataset import Dataset3D
 from ..io import dataset_fingerprint
 from ..obs.metrics import ChaosCounters
 
-__all__ = ["DatasetEntry", "DatasetRegistry"]
+__all__ = ["DatasetEntry", "DatasetRegistry", "load_verified"]
+
+
+def load_verified(path: "str | Path", fingerprint: str) -> Dataset3D:
+    """Load one stored ``.npz`` and check it against its content address.
+
+    Raises :class:`~repro.chaos.io.StoreCorruptionError` when the archive
+    does not decode or its tensor does not hash to ``fingerprint``
+    (disk rot, a truncated write that survived, anything), and
+    :class:`OSError` when the file cannot be read.
+    """
+    try:
+        dataset = Dataset3D.load_npz(path)
+    except OSError:
+        raise
+    except Exception as error:  # numpy/zipfile raise untyped decode errors
+        raise StoreCorruptionError(
+            "registry", path, f"unreadable npz: {error}"
+        ) from error
+    actual = dataset_fingerprint(dataset)
+    if actual != fingerprint:
+        raise StoreCorruptionError(
+            "registry",
+            path,
+            f"fingerprint {actual[:12]} != expected {fingerprint[:12]}",
+        )
+    return dataset
 
 
 @dataclass(frozen=True)
@@ -87,7 +115,7 @@ class DatasetRegistry:
                 continue  # half-registered leftovers are invisible
             try:
                 entry = DatasetEntry.from_dict(json.loads(meta_path.read_text()))
-            except (ValueError, KeyError):
+            except (ValueError, KeyError, TypeError):
                 continue
             if entry.fingerprint == fp:
                 self._entries[fp] = entry
@@ -145,35 +173,20 @@ class DatasetRegistry:
         self.get(fingerprint)
         return self.root / f"{fingerprint}.npz"
 
-    def load(self, fingerprint: str, *, verify: bool = True) -> Dataset3D:
-        """Materialize a registered dataset, verified against its address.
+    def load(self, fingerprint: str) -> Dataset3D:
+        """Materialize a registered dataset, verified by :func:`load_verified`.
 
-        ``verify=True`` (the default) re-fingerprints the loaded tensor;
-        a mismatch — disk rot, a truncated write that survived, anything
-        — raises :class:`~repro.chaos.io.StoreCorruptionError` instead
-        of letting corrupt cells masquerade as the registered dataset.
+        A mismatch raises :class:`~repro.chaos.io.StoreCorruptionError`
+        (counted in ``corruption_detected``) instead of letting corrupt
+        cells masquerade as the registered dataset.
         """
         path = self.path(fingerprint)
         self.io.check("registry", "read", str(path))
         try:
-            dataset = Dataset3D.load_npz(path)
-        except OSError:
-            raise
-        except Exception as error:  # numpy/zipfile raise untyped decode errors
+            return load_verified(path, fingerprint)
+        except StoreCorruptionError:
             self.chaos.corruption_detected += 1
-            raise StoreCorruptionError(
-                "registry", path, f"unreadable npz: {error}"
-            ) from error
-        if verify:
-            actual = dataset_fingerprint(dataset)
-            if actual != fingerprint:
-                self.chaos.corruption_detected += 1
-                raise StoreCorruptionError(
-                    "registry",
-                    path,
-                    f"fingerprint {actual[:12]} != expected {fingerprint[:12]}",
-                )
-        return dataset
+            raise
 
     def list(self) -> list[DatasetEntry]:
         """All entries, newest first."""

@@ -25,7 +25,6 @@ the fly, so even the *writer* never holds more than one slice.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import time
@@ -42,59 +41,31 @@ from ..core.kernels import (
     words_from_tensor,
     words_per_row,
 )
-from ..io import dataset_fingerprint
+from ..io import FingerprintStream, dataset_fingerprint
 from ..obs.metrics import ChaosCounters
 
-__all__ = ["MmapDatasetStore", "StreamingSliceWriter"]
+__all__ = ["MmapDatasetStore", "StreamingSliceWriter", "verify_grid"]
 
 #: Version tag of the ``.json`` sidecar schema.
 META_VERSION = 1
 
 
-class _FingerprintStream:
-    """Streaming twin of :func:`repro.io.dataset_fingerprint`.
+def verify_grid(path: "str | Path", meta: dict) -> None:
+    """Re-hash one entry's packed grid against the digest in its sidecar.
 
-    The canonical fingerprint packs the *flattened* boolean tensor
-    (C order, big-endian bit order, byte-padded only at the very end),
-    so feeding it slice-by-slice needs a bit carry: a chunk whose bit
-    count is not a multiple of 8 leaves up to 7 bits for the next
-    chunk's first byte.
+    The one mmap content check: :meth:`MmapDatasetStore.verify` and
+    ``repro-fcc fsck`` both call it.  Raises
+    :class:`~repro.chaos.io.StoreCorruptionError` on mismatch and does
+    nothing for pre-digest legacy entries.
     """
-
-    def __init__(self, shape: tuple[int, int, int]) -> None:
-        self._digest = hashlib.sha256()
-        self._digest.update(repr(tuple(int(d) for d in shape)).encode())
-        self._carry = np.zeros(0, dtype=np.uint8)
-        self._done = False
-
-    #: Cells absorbed per packbits round — bounds the temporaries so a
-    #: whole height slice is never duplicated just to hash it.
-    _STEP = 1 << 23
-
-    def update(self, bits: np.ndarray) -> None:
-        """Absorb the next chunk of cell values (any shape, C order)."""
-        if self._done:
-            raise RuntimeError("fingerprint stream already finalized")
-        flat = np.asarray(bits, dtype=bool).reshape(-1).view(np.uint8)
-        for pos in range(0, len(flat), self._STEP):
-            chunk = flat[pos : pos + self._STEP]
-            if len(self._carry):
-                chunk = np.concatenate([self._carry, chunk])
-            whole = (len(chunk) // 8) * 8
-            if whole:
-                self._digest.update(np.packbits(chunk[:whole]).tobytes())
-            # Copy so the carry never pins the chunk (or the caller's
-            # slice buffer) alive between updates.
-            self._carry = chunk[whole:].copy()
-
-    def hexdigest(self) -> str:
-        """Finalize (padding the trailing partial byte) and return."""
-        if not self._done:
-            if len(self._carry):
-                self._digest.update(np.packbits(self._carry).tobytes())
-                self._carry = np.zeros(0, dtype=np.uint8)
-            self._done = True
-        return self._digest.hexdigest()
+    expected = meta.get("sha256")
+    if not expected:
+        return
+    actual = sha256_file(path)
+    if actual != expected:
+        raise StoreCorruptionError(
+            "mmap", path, f"sha256 {actual[:12]} != recorded {expected[:12]}"
+        )
 
 
 class MmapDatasetStore:
@@ -263,20 +234,13 @@ class MmapDatasetStore:
         open, so verification is explicit: ``repro-fcc fsck`` and the
         chaos battery call it; hot paths trust the digest until asked.
         Raises :class:`~repro.chaos.io.StoreCorruptionError` on
-        mismatch, does nothing for pre-digest legacy entries.
+        mismatch (see :func:`verify_grid`).
         """
-        meta = self.meta(fingerprint)
-        expected = meta.get("sha256")
-        if not expected:
-            return
-        actual = sha256_file(self.path(fingerprint))
-        if actual != expected:
+        try:
+            verify_grid(self.path(fingerprint), self.meta(fingerprint))
+        except StoreCorruptionError:
             self.chaos.corruption_detected += 1
-            raise StoreCorruptionError(
-                "mmap",
-                self.path(fingerprint),
-                f"sha256 {actual[:12]} != recorded {expected[:12]}",
-            )
+            raise
 
     def open(self, fingerprint: str) -> Dataset3D:
         """Open one entry as a memory-mapped dataset."""
@@ -315,7 +279,7 @@ class StreamingSliceWriter:
     The packed grid streams into a temporary memory-mapped ``.npy``
     (pages released as slices land, so resident memory stays one slice
     deep) while the canonical content fingerprint accumulates through
-    :class:`_FingerprintStream`.  :meth:`seal` renames the finished
+    :class:`repro.io.FingerprintStream`.  :meth:`seal` renames the finished
     file under the fingerprint it computed — until then the store never
     shows a partial entry.  Usable as a context manager; leaving the
     block without sealing aborts and removes the temporary file.
@@ -340,7 +304,7 @@ class StreamingSliceWriter:
         self._grid = np.lib.format.open_memmap(
             self._tmp, mode="w+", dtype=WORD_DTYPE, shape=(l, n, words_per_row(m))
         )
-        self._fingerprint = _FingerprintStream(self.shape)
+        self._fingerprint = FingerprintStream(self.shape)
         self._next = 0
         self._n_ones = 0
 

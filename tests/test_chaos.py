@@ -21,6 +21,7 @@ from __future__ import annotations
 import io as io_module
 import json
 import os
+import random
 import threading
 import time
 import urllib.error
@@ -43,6 +44,7 @@ from repro.chaos import (
 from repro.cli import main as cli_main
 from repro.core.constraints import Thresholds
 from repro.core.dataset import Dataset3D
+from repro.core.result import MiningResult
 from repro.io import dataset_fingerprint
 from repro.obs.metrics import ChaosCounters
 from repro.parallel.checkpoint import CheckpointJournal, load_journal
@@ -54,9 +56,11 @@ from repro.service import (
     ServiceApp,
     ServiceClient,
     ServiceClientError,
+    ServiceError,
     ThresholdLatticeCache,
     load_entry_payload,
 )
+from repro.service.jobs import run_job_worker
 from repro.stream.delta import DeltaLog, SetCell
 from repro.stream.store import MmapDatasetStore
 
@@ -101,6 +105,52 @@ def flip_byte(path, offset: int = 40) -> None:
     offset %= max(1, len(data))
     data[offset] ^= 0xFF
     path.write_bytes(bytes(data))
+
+
+def flipped_copies(data: bytes, *, head: int = 128, sample: int = 256, seed: int = 0):
+    """``data`` with one bit flipped: every bit of the first ``head``
+    bytes, then a seeded sample of the bits after them."""
+    head_bits = min(len(data), head) * 8
+    rest = range(head_bits, len(data) * 8)
+    sampled = random.Random(seed).sample(rest, min(sample, len(rest)))
+    bits = [*range(head_bits), *sampled]
+    for bit in bits:
+        buf = bytearray(data)
+        buf[bit // 8] ^= 1 << (bit % 8)
+        yield bit, bytes(buf)
+
+
+def worker_job(data_dir):
+    """A ``done`` job directory whose result was written by the real
+    worker code, run in-process."""
+    registry = DatasetRegistry(data_dir / "datasets")
+    cache = ThresholdLatticeCache(data_dir / "cache")
+    dataset = small_dataset()
+    fp = registry.register(dataset).fingerprint
+    spec = JobSpec(dataset=fp, thresholds=Thresholds(1, 2, 2))
+    job_id = "feedface0001"
+    job_dir = data_dir / "jobs" / job_id
+    job_dir.mkdir(parents=True)
+    (job_dir / "task.json").write_text(
+        json.dumps(
+            {"spec": spec.to_dict(), "dataset_path": str(registry.path(fp))}
+        )
+    )
+    assert run_job_worker(str(job_dir)) == 0
+    (job_dir / "job.json").write_text(
+        json.dumps(
+            {
+                "schema": 1,
+                "id": job_id,
+                "spec": spec.to_dict(),
+                "status": "done",
+                "created": time.time() - 10,
+                "started": time.time() - 5,
+                "finished": time.time(),
+            }
+        )
+    )
+    return registry, cache, dataset, job_id, job_dir
 
 
 # ----------------------------------------------------------------------
@@ -259,6 +309,11 @@ class TestRegistryChaos:
             registry.load(fp)
         assert counters.corruption_detected == 1
 
+    def test_metadata_that_is_not_an_object_is_skipped(self, tmp_path):
+        fp = DatasetRegistry(tmp_path).register(small_dataset()).fingerprint
+        (tmp_path / f"{fp}.json").write_text("[1, 2]")
+        assert fp not in DatasetRegistry(tmp_path)
+
 
 class TestCacheChaos:
     def _result(self):
@@ -307,6 +362,24 @@ class TestCacheChaos:
         answer = fresh.lookup("fp", "cubeminer", result.thresholds)
         assert answer is not None
         assert cube_set(answer.result) == cube_set(result)
+
+    def test_every_bit_flip_is_detected_or_harmless(self, tmp_path):
+        # The first 128 bytes hold the envelope's keys and digest: a flip
+        # there (say "sha256" -> "sha257") must not demote the entry to a
+        # plain payload served without its cubes.
+        dataset, result = self._result()
+        ThresholdLatticeCache(tmp_path).put("fp", "cubeminer", result)
+        path = next(tmp_path.glob("fp/cubeminer/*.json"))
+        clean = path.read_bytes()
+        for bit, data in flipped_copies(clean):
+            path.write_bytes(data)
+            counters = ChaosCounters()
+            cache = ThresholdLatticeCache(tmp_path, chaos=counters)
+            answer = cache.lookup("fp", "cubeminer", Thresholds(1, 2, 2))
+            if answer is None:
+                assert counters.corruption_detected == 1, bit
+            else:
+                assert cube_set(answer.result) == cube_set(result), bit
 
     def test_load_entry_payload_raises_typed(self, tmp_path):
         path = tmp_path / "entry.json"
@@ -568,6 +641,43 @@ class TestRecoverRaces:
         finally:
             manager.shutdown()
 
+    def test_every_result_bit_flip_is_detected_or_harmless(
+        self, tmp_path, monkeypatch
+    ):
+        data = tmp_path / "data"
+        registry, cache, dataset, job_id, job_dir = worker_job(data)
+        assert not (job_dir / "result.sha256").exists()
+        expected = cube_set(mine(dataset, Thresholds(1, 2, 2)))
+        monkeypatch.setattr(
+            JobManager,
+            "_start",
+            lambda self, record: pytest.fail("a done job must not re-run"),
+        )
+        manager = JobManager(data / "jobs", registry, cache, max_workers=1)
+        try:
+            result_path = job_dir / "result.json"
+            clean = result_path.read_bytes()
+            for bit, flipped in flipped_copies(clean):
+                result_path.write_bytes(flipped)
+                # The requeue decision (watcher and restart recovery).
+                before = manager.chaos.corruption_detected
+                loaded, _why = manager._load_result(job_id)
+                if loaded is None:
+                    assert manager.chaos.corruption_detected == before + 1, bit
+                else:
+                    assert cube_set(loaded) == expected, bit
+                # The served document.
+                before = manager.chaos.corruption_detected
+                try:
+                    payload = manager.result_payload(job_id)
+                except ServiceError as error:
+                    assert error.code == "result-corrupt", bit
+                    assert manager.chaos.corruption_detected == before + 1, bit
+                else:
+                    assert cube_set(MiningResult.from_payload(payload)) == expected
+        finally:
+            manager.shutdown()
+
     def test_quarantined_jobs_stay_contained_across_restart(self, tmp_path):
         data = tmp_path / "data"
         registry, cache, _dataset, job_id, job_dir = self._seed_running_job(
@@ -759,6 +869,39 @@ class TestFsck:
         assert report.clean
         assert report.scanned["jobs_resumable"] == 1
 
+    def test_corrupt_envelope_job_result_is_checksum_mismatch(self, tmp_path):
+        data = tmp_path / "data"
+        _registry, _cache, _dataset, job_id, job_dir = worker_job(data)
+        assert fsck_data_dir(data).clean
+        result = job_dir / "result.json"
+        flip_byte(result, offset=len(result.read_bytes()) // 2)
+        assert fsck_data_dir(data, verify_checksums=False).clean
+        report = fsck_data_dir(data)
+        assert [(i.store, i.kind) for i in report.errors] == [
+            ("jobs", "checksum-mismatch")
+        ]
+
+    def test_cache_hit_job_result_is_an_envelope(self, tmp_path):
+        data, fp = self._populated_data_dir(tmp_path)
+        registry = DatasetRegistry(data / "datasets")
+        cache = ThresholdLatticeCache(data / "cache")
+        manager = JobManager(data / "jobs", registry, cache, max_workers=1)
+        try:
+            record = manager.submit(
+                JobSpec(dataset=fp, thresholds=Thresholds(1, 2, 3))
+            )
+            assert record.cache_hit
+            job_dir = data / "jobs" / record.id
+            assert not (job_dir / "result.sha256").exists()
+            assert (job_dir / "result.json").read_bytes().startswith(
+                b'{"schema": 1, "sha256": "'
+            )
+            payload = IOShim().read_document("jobs", job_dir / "result.json")
+            assert len(MiningResult.from_payload(payload)) == record.n_cubes
+        finally:
+            manager.shutdown()
+        assert fsck_data_dir(data).clean
+
     def test_cli_exit_codes(self, tmp_path, capsys):
         data, _fp = self._populated_data_dir(tmp_path)
         assert cli_main(["fsck", "--data-dir", str(data)]) == 0
@@ -776,6 +919,13 @@ class TestFsck:
         with pytest.raises(SystemExit) as exit_info:
             cli_main(["fsck", "--data-dir", str(tmp_path / "nope")])
         assert exit_info.value.code == 65
+
+    @pytest.mark.parametrize("store", ["datasets", "mmap"])
+    def test_metadata_that_is_not_an_object_is_bad_meta(self, tmp_path, store):
+        data, fp = self._populated_data_dir(tmp_path)
+        (data / store / f"{fp}.json").write_text("[1, 2]")
+        report = fsck_data_dir(data)
+        assert [(i.store, i.kind) for i in report.errors] == [(store, "bad-meta")]
 
     def test_serve_refuses_corrupt_store(self, tmp_path, capsys):
         data, fp = self._populated_data_dir(tmp_path)

@@ -93,6 +93,35 @@ class TestUpdateLocal:
             main(["update", "--updates", str(tmp_path / "absent.json")])
 
 
+class TestUpdateMinVolume:
+    def test_update_keeps_the_mined_min_volume(self, tmp_path, capsys):
+        from repro.datasets.synthetic import random_tensor
+        from repro.stream.delta import SetCell, apply_deltas
+
+        dataset = random_tensor((5, 6, 8), 0.7, seed=3)
+        dataset.save_npz(tmp_path / "base.npz")
+        assert main([
+            "mine", "--input", str(tmp_path / "base.npz"),
+            "--min-h", "1", "--min-r", "1", "--min-c", "1",
+            "--min-volume", "20",
+            "--out-json", str(tmp_path / "result.json"),
+        ]) == 0
+        (tmp_path / "updates.json").write_text(json.dumps({"deltas": [
+            {"op": "set-cell", "height": 0, "row": 0, "column": 0},
+        ]}))
+        assert main([
+            "update", "--updates", str(tmp_path / "updates.json"),
+            "--input", str(tmp_path / "base.npz"),
+            "--result", str(tmp_path / "result.json"),
+            "--out-json", str(tmp_path / "maintained.json"),
+        ]) == 0
+        maintained = result_from_json((tmp_path / "maintained.json").read_text())
+        thresholds = Thresholds(1, 1, 1, min_volume=20)
+        assert maintained.thresholds == thresholds
+        edited = apply_deltas(dataset, [SetCell(0, 0, 0)]).dataset
+        assert maintained.cubes == mine(edited, thresholds).cubes
+
+
 class TestUpdateBadInput:
     @pytest.mark.parametrize(
         "content",

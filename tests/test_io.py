@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import io as _io
 import json
 
@@ -10,9 +11,12 @@ import numpy as np
 import pytest
 
 from repro.api import mine
+from repro.core.constraints import Thresholds
 from repro.core.dataset import Dataset3D
 from repro.io import (
     DatasetFormatError,
+    FingerprintStream,
+    dataset_fingerprint,
     load_triples,
     raw_cubes_from_payload,
     raw_cubes_to_payload,
@@ -21,6 +25,7 @@ from repro.io import (
     result_to_json,
     save_triples,
 )
+from tests.conftest import STORAGES, in_storage
 
 
 class TestTriples:
@@ -243,6 +248,16 @@ class TestJson:
         assert len(rebuilt) == 0
         assert rebuilt.thresholds is None
 
+    def test_min_volume_round_trips(self, paper_ds):
+        thresholds = Thresholds(1, 1, 1, min_volume=6)
+        payload = json.loads(result_to_json(mine(paper_ds, thresholds)))
+        assert payload["thresholds"] == thresholds.to_dict()
+        assert result_from_json(json.dumps(payload)).thresholds == thresholds
+
+    def test_three_value_thresholds_still_load(self):
+        rebuilt = result_from_json('{"cubes": [], "thresholds": [2, 3, 4]}')
+        assert rebuilt.thresholds == Thresholds(2, 3, 4)
+
 
 class TestCsv:
     @pytest.fixture
@@ -272,3 +287,34 @@ class TestCsv:
             assert int(record[0]) == cube.h_support
             assert int(record[1]) == cube.r_support
             assert int(record[2]) == cube.c_support
+
+
+class TestFingerprint:
+    """One fingerprint layout: the shape, then the C-order packed bits."""
+
+    @staticmethod
+    def _whole_tensor_digest(data: np.ndarray) -> str:
+        digest = hashlib.sha256(repr(tuple(data.shape)).encode())
+        digest.update(np.packbits(data, axis=None).tobytes())
+        return digest.hexdigest()
+
+    # (3, 5, 7): 35 cells per height, so heights straddle byte edges.
+    @pytest.mark.parametrize("shape", [(3, 5, 7), (2, 4, 8), (1, 3, 130)])
+    @pytest.mark.parametrize("storage", STORAGES)
+    def test_digest_unchanged(self, shape, storage):
+        data = np.random.default_rng(7).random(shape) < 0.5
+        dataset = in_storage(Dataset3D(data), storage)
+        assert dataset_fingerprint(dataset) == self._whole_tensor_digest(data)
+
+    def test_word_stored_tensor_never_built(self):
+        data = np.random.default_rng(3).random((4, 5, 7)) < 0.5
+        dataset = in_storage(Dataset3D(data), "numpy")
+        assert dataset_fingerprint(dataset) == self._whole_tensor_digest(data)
+        assert dataset._data is None
+
+    def test_stream_chunking_is_invisible(self):
+        data = np.random.default_rng(5).random((3, 5, 7)) < 0.5
+        stream = FingerprintStream(data.shape)
+        for cell in data.reshape(-1):
+            stream.update(np.array([cell]))
+        assert stream.hexdigest() == self._whole_tensor_digest(data)
