@@ -546,19 +546,28 @@ class Dataset3D:
     # ------------------------------------------------------------------
     # Dunder protocol
     # ------------------------------------------------------------------
+    # Both compare and hash one height slice at a time, so a dataset
+    # that stores words (a memory mapping or a shared-memory attach)
+    # never builds its whole boolean tensor.
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Dataset3D):
             return NotImplemented
         return (
             self.shape == other.shape
-            and bool(np.array_equal(self.data, other.data))
             and self._height_labels == other._height_labels
             and self._row_labels == other._row_labels
             and self._column_labels == other._column_labels
+            and all(
+                np.array_equal(self.height_slice(k), other.height_slice(k))
+                for k in range(self.n_heights)
+            )
         )
 
     def __hash__(self) -> int:
-        return hash((self.shape, self.data.tobytes()))
+        return hash(
+            (self.shape,)
+            + tuple(hash(self.height_slice(k).tobytes()) for k in range(self.n_heights))
+        )
 
     def __repr__(self) -> str:
         l, n, m = self.shape

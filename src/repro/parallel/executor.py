@@ -59,7 +59,6 @@ from ..core.constraints import Thresholds
 from ..core.cube import Cube
 from ..core.dataset import Dataset3D
 from ..core.dice import DICE_KEPT_SHAPE
-from ..core.permute import map_cube_from_transposed, order_moving_axis_first
 from ..core.result import MiningResult, MiningStats
 from ..cubeminer.algorithm import StackItem, _run, cubeminer_tasks, search_root
 from ..cubeminer.cutter import HeightOrder
@@ -73,12 +72,8 @@ from ..obs import (
     ProgressController,
     resolve_progress,
 )
-from ..rsm.algorithm import mine_slice, resolve_base_axis
-from ..rsm.slices import (
-    enumerate_height_subsets,
-    min_subset_size,
-    representative_slice,
-)
+from ..rsm.algorithm import mine_slice, plan_subsets
+from ..rsm.slices import iter_size_slices
 from .checkpoint import CheckpointJournal, run_fingerprint
 from .faults import FaultPlan
 from .shm import ShmDatasetRef, ShmError, ShmManager, attach_dataset, publish_dataset
@@ -135,7 +130,9 @@ def _rsm_worker_chunk(
 ) -> tuple[list[Triple], dict[str, int]]:
     """Mine a chunk of representative slices.
 
-    Returns the raw cube triples plus the chunk's counter tallies (as a
+    The chunk folds through :func:`~repro.rsm.slices.iter_size_slices`,
+    about one AND per subset, as a sequential run does.  Returns the
+    raw cube triples plus the chunk's counter tallies (as a
     picklable dict).  ``progress``/``sink``/``metrics`` are only bound
     on the inline path — pool workers run with the defaults and the
     driver merges their returned tallies.
@@ -147,8 +144,8 @@ def _rsm_worker_chunk(
     miner = get_fcp_miner(_worker_context)
     found: list[Triple] = []
     try:
-        for done, heights in enumerate(height_masks, start=1):
-            rs = representative_slice(dataset, heights)
+        slices = iter_size_slices(dataset, height_masks)
+        for done, (heights, rs) in enumerate(slices, start=1):
             for cube in mine_slice(dataset, heights, rs, thresholds, miner, stats, sink):
                 found.append((cube.heights, cube.rows, cube.columns))
             if progress is not None:
@@ -412,27 +409,18 @@ def parallel_rsm_mine(
         raise ValueError(f"n_workers must be >= 1, got {n_workers}")
     get_fcp_miner(fcp_miner)  # validate the name before forking
     start = time.perf_counter()
-    axis = resolve_base_axis(dataset, base_axis)
-    order = order_moving_axis_first(axis)
-    working = dataset if axis == 0 else dataset.transpose(order)  # type: ignore[arg-type]
-    working_thresholds = thresholds.permute(order)
-
-    def plan() -> tuple[list[int], list[Cube], dict]:
-        if not working_thresholds.feasible_for_shape(working.shape):
-            return [], [], {}
-        min_size = min_subset_size(working_thresholds, working.shape)
-        return list(enumerate_height_subsets(working.n_heights, min_size)), [], {}
+    base = plan_subsets(dataset, thresholds, base_axis)
 
     return _drive(
         dataset,
         thresholds,
-        algorithm=f"parallel-rsm-{'hrc'[axis]}[{fcp_miner}]x{n_workers}",
+        algorithm=f"parallel-rsm-{'hrc'[base.axis]}[{fcp_miner}]x{n_workers}",
         phase="parallel-rsm",
-        plan=plan,
+        plan=lambda: (list(base.subsets()), [], {}),
         worker_fn=_rsm_worker_chunk,
-        working=working,
-        worker_state=(working_thresholds, fcp_miner),
-        to_cube=lambda triple: map_cube_from_transposed(Cube(*triple), order),
+        working=base.dataset,
+        worker_state=(base.thresholds, fcp_miner),
+        to_cube=lambda triple: base.to_caller(Cube(*triple)),
         start=start,
         stats=metrics if metrics is not None else MiningMetrics(),
         n_workers=n_workers,

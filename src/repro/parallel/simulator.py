@@ -28,17 +28,12 @@ from dataclasses import dataclass
 
 from ..core.constraints import Thresholds
 from ..core.dataset import Dataset3D
-from ..core.permute import order_moving_axis_first
 from ..cubeminer.algorithm import _run, cubeminer_tasks, search_root
 from ..cubeminer.cutter import HeightOrder
 from ..fcp import get_fcp_miner
 from ..obs.metrics import MiningMetrics
-from ..rsm.algorithm import mine_slice, resolve_base_axis
-from ..rsm.slices import (
-    enumerate_height_subsets,
-    min_subset_size,
-    representative_slice,
-)
+from ..rsm.algorithm import mine_slice, plan_subsets
+from ..rsm.slices import iter_size_slices
 
 __all__ = [
     "CommunicationModel",
@@ -125,26 +120,24 @@ def measure_rsm_task_times(
     """Wall-clock time of every RSM task (one representative slice each).
 
     The tasks are the subsets RSM mines, those of at least
-    :func:`~repro.rsm.slices.min_subset_size` heights.  The sum of the
-    returned times is the sequential RSM mining time (minus enumeration
-    overhead); feeding them to :func:`simulate_response_times`
-    reproduces parallel RSM.
+    :func:`~repro.rsm.slices.min_subset_size` heights, folded in
+    enumeration order as a sequential run folds them.  A task's time
+    covers its incremental fold step (about one AND over the slice,
+    since consecutive subsets share their prefix) plus its 2D mine and
+    post-prune, so the times sum to the sequential RSM mining time;
+    feeding them to :func:`simulate_response_times` reproduces parallel
+    RSM.
     """
-    axis = resolve_base_axis(dataset, base_axis)
-    order = order_moving_axis_first(axis)
-    working = dataset if axis == 0 else dataset.transpose(order)  # type: ignore[arg-type]
-    working_thresholds = thresholds.permute(order)
+    base = plan_subsets(dataset, thresholds, base_axis)
     miner = get_fcp_miner(fcp_miner)
-    times: list[float] = []
-    if not working_thresholds.feasible_for_shape(working.shape):
-        return times
     metrics = MiningMetrics()
-    min_size = min_subset_size(working_thresholds, working.shape)
-    for heights in enumerate_height_subsets(working.n_heights, min_size):
-        t0 = time.perf_counter()
-        rs = representative_slice(working, heights)
-        mine_slice(working, heights, rs, working_thresholds, miner, metrics)
-        times.append(time.perf_counter() - t0)
+    times: list[float] = []
+    t0 = time.perf_counter()
+    for heights, rs in iter_size_slices(base.dataset, base.subsets()):
+        mine_slice(base.dataset, heights, rs, base.thresholds, miner, metrics)
+        t1 = time.perf_counter()
+        times.append(t1 - t0)
+        t0 = t1
     return times
 
 

@@ -5,7 +5,7 @@ from .incremental import append_height_slice
 from .slices import (
     count_height_subsets,
     enumerate_height_subsets,
-    iter_representative_slices,
+    iter_size_slices,
     representative_slice,
 )
 
@@ -17,6 +17,6 @@ __all__ = [
     "height_closed_in",
     "count_height_subsets",
     "enumerate_height_subsets",
-    "iter_representative_slices",
+    "iter_size_slices",
     "representative_slice",
 ]

@@ -29,7 +29,8 @@ progress/cancellation checkpoint after every slice.
 from __future__ import annotations
 
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
+from dataclasses import dataclass
 
 from ..core.closure import height_set_closed as height_closed_in
 from ..core.constraints import Thresholds
@@ -50,13 +51,20 @@ from ..obs import (
     SliceEvent,
     resolve_progress,
 )
-from .slices import count_height_subsets, iter_size_slices, min_subset_size
+from .slices import (
+    count_height_subsets,
+    enumerate_height_subsets,
+    iter_size_slices,
+    min_subset_size,
+)
 
 __all__ = [
     "rsm_mine",
     "mine_slice",
     "RSMMiner",
     "resolve_base_axis",
+    "SubsetPlan",
+    "plan_subsets",
     "height_closed_in",
 ]
 
@@ -78,6 +86,51 @@ def resolve_base_axis(dataset: Dataset3D, base_axis: int | str) -> int:
     if base_axis not in (0, 1, 2):
         raise ValueError(f"base axis index must be 0, 1 or 2, got {base_axis}")
     return base_axis
+
+
+@dataclass(frozen=True, slots=True)
+class SubsetPlan:
+    """RSM's base dimension moved to the height axis, and what to mine.
+
+    ``dataset`` and ``thresholds`` are the caller's, transposed and
+    permuted by ``order`` so the base dimension comes first;
+    ``min_size`` is the smallest subset worth mining (``l + 1``, so no
+    subset, when the thresholds cannot be met).
+    """
+
+    axis: int
+    order: tuple[int, int, int]
+    dataset: Dataset3D
+    thresholds: Thresholds
+    min_size: int
+
+    def subsets(self) -> Iterator[int]:
+        """The height masks RSM mines, in enumeration order."""
+        return enumerate_height_subsets(self.dataset.n_heights, self.min_size)
+
+    def to_caller(self, cube: Cube) -> Cube:
+        """Map a cube found on ``dataset`` back to the caller's axes."""
+        return cube if self.axis == 0 else map_cube_from_transposed(cube, self.order)
+
+
+def plan_subsets(
+    dataset: Dataset3D, thresholds: Thresholds, base_axis: int | str
+) -> SubsetPlan:
+    """The one base-axis setup of every RSM driver.
+
+    Resolves ``base_axis``, moves it first, permutes the thresholds to
+    match and computes :func:`~repro.rsm.slices.min_subset_size`.
+    """
+    axis = resolve_base_axis(dataset, base_axis)
+    order = order_moving_axis_first(axis)
+    if axis != 0:
+        dataset = dataset.transpose(order)
+        thresholds = thresholds.permute(order)
+    if thresholds.feasible_for_shape(dataset.shape):
+        min_size = min_subset_size(thresholds, dataset.shape)
+    else:
+        min_size = dataset.n_heights + 1
+    return SubsetPlan(axis, order, dataset, thresholds, min_size)
 
 
 def rsm_mine(
@@ -116,12 +169,11 @@ def rsm_mine(
         result (cubes mapped back to the caller's axis order) attached.
     """
     miner = get_fcp_miner(fcp_miner) if isinstance(fcp_miner, str) else fcp_miner
-    axis = resolve_base_axis(dataset, base_axis)
-    axis_name = ("H", "R", "C")[axis]
+    start = time.perf_counter()
+    plan = plan_subsets(dataset, thresholds, base_axis)
     stats = metrics if metrics is not None else MiningMetrics()
     controller = resolve_progress(progress, deadline)
-    algorithm = f"rsm-{axis_name.lower()}[{miner.name}]"
-    start = time.perf_counter()
+    algorithm = f"rsm-{'hrc'[plan.axis]}[{miner.name}]"
     if on_event is not None:
         on_event(
             MineStart(
@@ -131,31 +183,28 @@ def rsm_mine(
             )
         )
 
-    order = None if axis == 0 else order_moving_axis_first(axis)
-
-    def map_back(raw_cubes: list[Cube]) -> list[Cube]:
-        if order is None:
-            return raw_cubes
-        return [map_cube_from_transposed(cube, order) for cube in raw_cubes]
-
-    if axis == 0:
-        working, working_thresholds = dataset, thresholds
-    else:
-        working = dataset.transpose(order)  # type: ignore[arg-type]
-        working_thresholds = thresholds.permute(order)  # type: ignore[arg-type]
-
+    working, working_thresholds = plan.dataset, plan.thresholds
+    before = stats.copy()
+    cubes: list[Cube] = []
+    total = count_height_subsets(working.n_heights, working_thresholds.min_h)
+    # The sizes below the volume floor count as done unenumerated.
+    done = total - count_height_subsets(working.n_heights, plan.min_size)
     try:
         if controller is not None:
             controller.checkpoint(stats, phase="rsm", done=0)
-        raw_cubes, extra = _mine_base_height(
-            working, working_thresholds, miner, stats, on_event, controller
-        )
+        # Through this module's binding, which perfbench's span wraps.
+        for heights, rs in iter_size_slices(working, plan.subsets()):
+            done += 1
+            cubes += mine_slice(
+                working, heights, rs, working_thresholds, miner, stats, on_event
+            )
+            if controller is not None:
+                controller.checkpoint(stats, phase="rsm", done=done, total=total)
     except MiningCancelled as exc:
         elapsed = time.perf_counter() - start
-        partial_cubes = map_back(list(exc.partial_cubes))
         exc.metrics = stats
         exc.partial = MiningResult(
-            cubes=partial_cubes,
+            cubes=[plan.to_caller(cube) for cube in cubes],
             algorithm=algorithm,
             thresholds=thresholds,
             dataset_shape=dataset.shape,
@@ -166,8 +215,14 @@ def rsm_mine(
             on_event(MineDone(algorithm, len(exc.partial), elapsed, cancelled=True))
         raise
 
+    extra = {
+        "representative_slices": stats.rs_slices_mined - before.rs_slices_mined,
+        "fcp_patterns": stats.fcp_patterns - before.fcp_patterns,
+        "postprune_checked": stats.postprune_checked - before.postprune_checked,
+        "postprune_pruned": stats.postprune_discards - before.postprune_discards,
+    }
     result = MiningResult(
-        cubes=map_back(raw_cubes),
+        cubes=[plan.to_caller(cube) for cube in cubes],
         algorithm=algorithm,
         thresholds=thresholds,
         dataset_shape=dataset.shape,
@@ -196,8 +251,10 @@ def mine_slice(
     Lemma 1 says no outside height covers them.  That one sweep is the
     whole closure check: a 2D pattern's rows and columns are already
     closed in 3D, because the RS row/column supports equal the 3D
-    ones.  Every RSM variant calls this; each owns its own subset
-    enumeration and slice fold.
+    ones.  Every RSM variant calls this on the subsets of
+    :func:`~repro.rsm.slices.enumerate_height_subsets`, folded by
+    :func:`~repro.rsm.slices.iter_size_slices` (the out-of-core miner
+    folds packed words instead).
     The slice, its patterns and the post-prune outcome are tallied into
     ``metrics``, each :func:`height_closed_in` sweep as one
     ``kernel_ops``; with a ``sink``, each Lemma-1 discard emits a
@@ -240,52 +297,6 @@ def mine_slice(
     if sink is not None:
         sink(SliceEvent(heights, len(patterns), len(kept)))
     return kept
-
-
-def _mine_base_height(
-    dataset: Dataset3D,
-    thresholds: Thresholds,
-    miner: FCPMiner,
-    metrics: MiningMetrics,
-    sink: EventSink | None = None,
-    progress: ProgressController | None = None,
-) -> tuple[list[Cube], dict[str, int]]:
-    """RSM's three phases with the height axis as base dimension.
-
-    Returns the found cubes plus the legacy flat stats keys; on
-    cancellation the raised exception carries the cubes found so far in
-    ``partial_cubes``.
-    """
-    before = metrics.copy()
-    cubes: list[Cube] = []
-    try:
-        if thresholds.feasible_for_shape(dataset.shape):
-            n_heights = dataset.n_heights
-            total = count_height_subsets(n_heights, thresholds.min_h)
-            first = min_subset_size(thresholds, dataset.shape)
-            # The sizes below the volume floor count as done unenumerated.
-            n_enumerated = total - count_height_subsets(n_heights, first)
-            for size in range(first, n_heights + 1):
-                for heights, rs in iter_size_slices(dataset, size):
-                    n_enumerated += 1
-                    cubes += mine_slice(
-                        dataset, heights, rs, thresholds, miner, metrics, sink
-                    )
-                    if progress is not None:
-                        progress.checkpoint(
-                            metrics, phase="rsm", done=n_enumerated, total=total
-                        )
-    except MiningCancelled as exc:
-        exc.partial_cubes = cubes
-        exc.metrics = metrics
-        raise
-    extra = {
-        "representative_slices": metrics.rs_slices_mined - before.rs_slices_mined,
-        "fcp_patterns": metrics.fcp_patterns - before.fcp_patterns,
-        "postprune_checked": metrics.postprune_checked - before.postprune_checked,
-        "postprune_pruned": metrics.postprune_discards - before.postprune_discards,
-    }
-    return cubes, extra
 
 
 class RSMMiner:

@@ -6,14 +6,23 @@ for other axes) is enumerated over every subset of size at least
 into one *representative slice* (RS): an RS cell is 1 only when every
 contributing height has a 1 there.  Any 2D FCP of the RS is therefore
 simultaneously contained in all contributing heights.
+
+Phase 1 makes two decisions, each with one implementation here that
+every RSM driver uses: *which* subsets, in which order
+(:func:`enumerate_height_subsets`, size-major and lexicographic,
+starting at :func:`min_subset_size`), and *how* a slice is folded
+(:func:`iter_size_slices`, which shares AND prefixes between
+consecutive subsets).  Only the out-of-core miner
+(:mod:`repro.stream.outofcore`) folds packed words instead, chunk by
+chunk of rows.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from itertools import combinations
 
-from ..core.bitset import mask_of
+from ..core.bitset import iter_bits, mask_of
 from ..core.constraints import Thresholds
 from ..core.dataset import Dataset3D
 from ..core.kernels import KERNEL
@@ -24,7 +33,6 @@ __all__ = [
     "count_height_subsets",
     "min_subset_size",
     "representative_slice",
-    "iter_representative_slices",
     "iter_size_slices",
 ]
 
@@ -69,57 +77,38 @@ def min_subset_size(thresholds: Thresholds, shape: tuple[int, int, int]) -> int:
 def representative_slice(dataset: Dataset3D, heights: int) -> BinaryMatrix:
     """AND the height slices of ``heights`` into one representative slice.
 
-    One :meth:`~repro.core.kernels.python_int.PythonIntKernel.grid_fold_rows`
-    over the selected slices of the dataset's mask grid.
+    The one-subset case of :func:`iter_size_slices`: a fold from scratch.
     """
-    if heights == 0:
-        raise ValueError("a representative slice needs at least one height")
-    m = dataset.n_columns
-    return BinaryMatrix(KERNEL.grid_fold_rows(dataset.ones_grid(), heights, m), m)
-
-
-def iter_representative_slices(
-    dataset: Dataset3D, min_h: int
-) -> Iterator[tuple[int, BinaryMatrix]]:
-    """Yield ``(heights_mask, representative_slice)`` for every subset."""
-    for heights in enumerate_height_subsets(dataset.n_heights, min_h):
-        yield heights, representative_slice(dataset, heights)
+    ((_, rs),) = iter_size_slices(dataset, (heights,))
+    return rs
 
 
 def iter_size_slices(
-    dataset: Dataset3D, size: int
+    dataset: Dataset3D, height_masks: Iterable[int]
 ) -> Iterator[tuple[int, BinaryMatrix]]:
-    """Yield every size-``size`` subset with its representative slice.
+    """Yield ``(heights, representative_slice)`` for each of ``height_masks``.
 
-    Subsets come in the same ascending-member lexicographic order as
-    ``itertools.combinations``, so interleaving the per-size calls
-    reproduces :func:`iter_representative_slices` exactly.  Unlike the
-    one-shot fold, consecutive subsets share their partial AND results:
-    advancing the combination at position ``p`` reuses the fold of the
-    first ``p`` members and extends it with one
-    :meth:`~repro.core.kernels.python_int.PythonIntKernel.and_many` per changed position —
-    amortized ~1 batched AND per subset instead of ``size - 1``.
+    RSM's one int-grid slice fold.  A subset reuses the AND of the
+    members it shares with the previous subset as a prefix, in
+    ascending member order, and extends it with one
+    :meth:`~repro.core.kernels.python_int.PythonIntKernel.and_many` per
+    further member.  Over the size-major lexicographic order of
+    :func:`enumerate_height_subsets` that is about one ``and_many`` per
+    subset instead of ``size - 1``.  Any sequence of non-empty masks
+    folds correctly; an empty mask raises ``ValueError``.
     """
-    l = dataset.n_heights
-    if size < 1 or size > l:
-        return
     grid = dataset.ones_grid()
     m = dataset.n_columns
-
-    combo = list(range(size))
-    folds: list = [None] * size  # folds[d] = AND of slices combo[0..d]
-    rebuild_from = 0
-    while True:
-        for d in range(rebuild_from, size):
-            member = grid[combo[d]]
-            folds[d] = member if d == 0 else KERNEL.and_many(folds[d - 1], member, m)
-        yield mask_of(combo), BinaryMatrix(folds[size - 1], m)
-        position = size - 1
-        while position >= 0 and combo[position] == l - size + position:
-            position -= 1
-        if position < 0:
-            return
-        combo[position] += 1
-        for q in range(position + 1, size):
-            combo[q] = combo[q - 1] + 1
-        rebuild_from = position
+    previous = 0
+    folds: list[list[int]] = []  # folds[d] = AND of the first d + 1 members
+    for heights in height_masks:
+        if heights <= 0:
+            raise ValueError("a representative slice needs at least one height")
+        # Members below the lowest bit where the two masks differ are
+        # the shared prefix (all of them for a repeated mask).
+        below = ((heights ^ previous) & -(heights ^ previous)) - 1
+        del folds[(heights & below).bit_count():]
+        for k in iter_bits(heights & ~below):
+            folds.append(KERNEL.and_many(folds[-1], grid[k], m) if folds else grid[k])
+        previous = heights
+        yield heights, BinaryMatrix(folds[-1], m)

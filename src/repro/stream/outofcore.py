@@ -19,7 +19,6 @@ result is exactly the FCCs of the original tensor.
 from __future__ import annotations
 
 import time
-from itertools import combinations
 
 import numpy as np
 
@@ -35,7 +34,7 @@ from ..fcp.dminer import DMiner
 from ..fcp.matrix import BinaryMatrix
 from ..obs.metrics import MiningMetrics
 from ..rsm.algorithm import mine_slice, rsm_mine
-from ..rsm.slices import min_subset_size
+from ..rsm.slices import enumerate_height_subsets, min_subset_size
 
 __all__ = ["stream_mine"]
 
@@ -184,42 +183,44 @@ def _mine_streaming(
     chunk_rows: int,
     metrics: MiningMetrics,
 ) -> list[Cube]:
-    """RSM's base-height loop with chunk-folded representative slices."""
+    """RSM's base-height loop with chunk-folded representative slices.
+
+    The subsets are RSM's own (:func:`enumerate_height_subsets`), but
+    each slice folds from scratch: sharing AND prefixes between subsets,
+    as :func:`~repro.rsm.slices.iter_size_slices` does, would keep a
+    stack of up to ``l`` word planes, which is the whole packed tensor.
+    """
     l, n, m = dataset.shape
     words = words_per_row(m)
     chunk_rows = max(int(chunk_rows), 1)
     grid = dataset.packed_grid()
     cubes: list[Cube] = []
-    for size in range(min_subset_size(thresholds, dataset.shape), l + 1):
-        for subset in combinations(range(l), size):
-            heights = 0
-            for k in subset:
-                heights |= 1 << k
-            rs_words = np.empty((n, words), dtype=WORD_DTYPE)
-            members = list(subset)
-            for r0 in range(0, n, chunk_rows):
-                r1 = min(n, r0 + chunk_rows)
-                # Fold member slices one at a time through basic
-                # slicing (an advanced index materializes a
-                # members-wide copy and, on a mapped grid, faults a
-                # whole large folio per member stream), releasing
-                # pages every few members — this is what keeps peak
-                # RSS below the file size.
-                acc = np.array(grid[members[0], r0:r1])
-                for i in range(1, len(members)):
-                    np.bitwise_and(acc, grid[members[i], r0:r1], out=acc)
-                    if i % 8 == 0:
-                        release_mapped_pages(grid)
-                rs_words[r0:r1] = acc
-                metrics.stream_chunks_read += len(members)
-                release_mapped_pages(grid)
-            cubes += mine_slice(
-                dataset,
-                heights,
-                BinaryMatrix.from_packed(rs_words, m),
-                thresholds,
-                miner,
-                metrics,
-                closed_in=lambda h, r, c: _closed_in_words(grid, h, r, c, metrics),
-            )
+    first = min_subset_size(thresholds, dataset.shape)
+    for heights in enumerate_height_subsets(l, first):
+        members = indices(heights)
+        rs_words = np.empty((n, words), dtype=WORD_DTYPE)
+        for r0 in range(0, n, chunk_rows):
+            r1 = min(n, r0 + chunk_rows)
+            # Fold member slices one at a time through basic slicing
+            # (an advanced index materializes a members-wide copy and,
+            # on a mapped grid, faults a whole large folio per member
+            # stream), releasing pages every few members — this is
+            # what keeps peak RSS below the file size.
+            acc = np.array(grid[members[0], r0:r1])
+            for i in range(1, len(members)):
+                np.bitwise_and(acc, grid[members[i], r0:r1], out=acc)
+                if i % 8 == 0:
+                    release_mapped_pages(grid)
+            rs_words[r0:r1] = acc
+            metrics.stream_chunks_read += len(members)
+            release_mapped_pages(grid)
+        cubes += mine_slice(
+            dataset,
+            heights,
+            BinaryMatrix.from_packed(rs_words, m),
+            thresholds,
+            miner,
+            metrics,
+            closed_in=lambda h, r, c: _closed_in_words(grid, h, r, c, metrics),
+        )
     return cubes

@@ -28,9 +28,11 @@ from repro.core.kernels import (
     tensor_from_words,
     words_from_tensor,
 )
+from repro.datasets import random_tensor
 from repro.fcp.matrix import BinaryMatrix
 from repro.parallel import ShmError, ShmManager, attach_dataset, publish_dataset
 from repro.stream import MmapDatasetStore
+from tests.conftest import STORAGES, in_storage
 
 #: Column counts at and around the word edges, plus one wider than 256.
 _COLUMNS = [0, 1, 63, 64, 65, 130, 300]
@@ -156,3 +158,18 @@ def test_word_storage_pickles_its_words(tmp_path):
     assert clone == mapped
     assert np.array_equal(clone.data, data)
     assert clone.column_labels == mapped.column_labels
+
+
+@pytest.mark.parametrize("storage", STORAGES)
+def test_compare_and_hash_leave_word_storage_out_of_core(storage):
+    """Equal datasets compare and hash equal across the two storages, and
+    neither operation builds a word-stored dataset's boolean tensor."""
+    source = random_tensor((4, 5, 70), 0.5, seed=8)
+    words = in_storage(source, "numpy")
+    other = in_storage(source, storage)
+    assert words == other and other == words
+    assert hash(words) == hash(other)
+    assert words != in_storage(random_tensor((4, 5, 70), 0.5, seed=9), storage)
+    assert words._data is None
+    if storage == "numpy":
+        assert other._data is None

@@ -5,11 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.bitset import bit_count
 from repro.core.constraints import Thresholds
 from repro.core.dataset import Dataset3D
 from repro.core.reference import reference_mine
 from repro.cubeminer import cubeminer_mine, search_root
 from repro.cubeminer.cutter import HeightOrder
+from repro.datasets import random_tensor
 from repro.parallel import (
     CommunicationModel,
     cubeminer_tasks,
@@ -20,6 +22,8 @@ from repro.parallel import (
     schedule_makespan,
     simulate_response_times,
 )
+from repro.parallel.executor import CHUNKS_PER_WORKER, _chunked
+from repro.rsm import enumerate_height_subsets, rsm_mine
 from tests.conftest import random_dataset
 
 
@@ -69,6 +73,29 @@ class TestParallelExecution:
         th = Thresholds(1, 1, 1)
         result = parallel_rsm_mine(ds, th, n_workers=n_workers)
         assert result.same_cubes(reference_mine(ds, th))
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_parallel_rsm_chunks_across_subset_sizes_match_rsm_mine(self, n_workers):
+        """A chunk that spans a subset-size boundary folds through the same
+        prefix-sharing fold: the run returns rsm_mine's cubes and counters."""
+        ds = random_tensor((6, 6, 14), 0.65, seed=21)
+        th = Thresholds(2, 2, 2)
+        chunks = _chunked(
+            list(enumerate_height_subsets(6, 2)), n_workers * CHUNKS_PER_WORKER
+        )
+        assert any(len({bit_count(h) for h in chunk}) > 1 for chunk in chunks)
+        expected = rsm_mine(ds, th, base_axis="height")
+        result = parallel_rsm_mine(ds, th, n_workers=n_workers, base_axis="height")
+        assert result.cubes == expected.cubes
+        for name in (
+            "rs_slices_mined",
+            "fcp_patterns",
+            "postprune_checked",
+            "postprune_discards",
+        ):
+            assert getattr(result.stats.metrics, name) == getattr(
+                expected.stats.metrics, name
+            ), name
 
     def test_parallel_rsm_base_axes(self, paper_ds, paper_thresholds):
         for axis in ("height", "row", "column"):

@@ -9,9 +9,10 @@ invisible:
   out-of-core paths run, must agree with an elementwise ``int`` model
   on masks read from either dataset storage (``tests.conftest.STORAGES``),
   including empty lists and multi-word universes;
-* the incremental prefix-folded slice enumeration must reproduce the
-  one-shot :func:`iter_representative_slices` stream exactly on either
-  storage — same subsets in the same order with equal matrices — and
+* the prefix-sharing slice fold :func:`iter_size_slices` must give
+  every mask of any sequence (RSM's own subset order, but also size
+  changes, gaps and repeats) the slice a fold from scratch gives it,
+  on either storage — and
   a :meth:`BinaryMatrix.from_packed` word array must behave like a from-masks
   matrix everywhere (access, equality, hashing, pickling).
 """
@@ -26,12 +27,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.bitset import full_mask, indices
+from repro.core.dataset import Dataset3D
 from repro.core.kernels import KERNEL
 from repro.cubeminer.cutter import Cutter, CutterIndex, build_cutters
 from repro.datasets import paper_example, random_tensor
 from repro.fcp.matrix import BinaryMatrix
 from repro.rsm.slices import (
-    iter_representative_slices,
+    enumerate_height_subsets,
     iter_size_slices,
     representative_slice,
 )
@@ -205,14 +207,49 @@ def test_from_packed_behaves_like_from_row_masks(storage):
 )
 @pytest.mark.parametrize("min_h", [1, 2, 4])
 def test_incremental_enumeration_matches_oneshot(storage, shape, density, seed, min_h):
+    """RSM's own subset order through the prefix-sharing fold gives every
+    subset the slice a fold from scratch gives it."""
     dataset = in_storage(random_tensor(shape, density, seed=seed), storage)
-    incremental = []
-    for size in range(min_h, dataset.n_heights + 1):
-        incremental.extend(iter_size_slices(dataset, size))
-    oneshot = list(iter_representative_slices(dataset, min_h))
-    assert [heights for heights, _ in incremental] == [h for h, _ in oneshot]
-    for (_, got), (_, want) in zip(incremental, oneshot):
-        assert got == want
+    subsets = list(enumerate_height_subsets(dataset.n_heights, min_h))
+    incremental = list(iter_size_slices(dataset, subsets))
+    assert [heights for heights, _ in incremental] == subsets
+    for heights, rs in incremental:
+        assert rs == representative_slice(dataset, heights)
+
+
+@st.composite
+def mask_sequences(draw):
+    """A dataset and a sequence of non-empty height masks in any order:
+    size changes, gaps, repeats and single masks included."""
+    l = draw(st.integers(min_value=1, max_value=6))
+    n = draw(st.integers(min_value=1, max_value=4))
+    m = draw(st.sampled_from([5, 70]))
+    cells = draw(st.lists(st.booleans(), min_size=l * n * m, max_size=l * n * m))
+    data = np.array(cells, dtype=bool).reshape(l, n, m)
+    masks = st.integers(min_value=1, max_value=(1 << l) - 1)
+    return data, draw(st.lists(masks, min_size=1, max_size=12))
+
+
+@pytest.mark.parametrize("storage", STORAGES)
+@settings(max_examples=60, deadline=None)
+@given(case=mask_sequences())
+def test_slice_fold_matches_representative_slice(storage, case):
+    data, masks = case
+    dataset = in_storage(Dataset3D(data), storage)
+    folded = list(iter_size_slices(dataset, masks))
+    assert [heights for heights, _ in folded] == masks
+    for heights, rs in folded:
+        expected = [full_mask(dataset.n_columns)] * dataset.n_rows
+        for k in indices(heights):
+            expected = [a & b for a, b in zip(expected, dataset.ones_grid()[k])]
+        assert rs.row_masks() == expected
+        assert rs == representative_slice(dataset, heights)
+
+
+def test_slice_fold_rejects_an_empty_mask():
+    dataset = random_tensor((3, 4, 8), 0.5, seed=1)
+    with pytest.raises(ValueError, match="at least one height"):
+        list(iter_size_slices(dataset, [0b11, 0]))
 
 
 @pytest.mark.parametrize("storage", STORAGES)
@@ -229,12 +266,3 @@ def test_representative_slice_matches_manual_fold(storage):
                     mask &= source.ones_masks()[k][i]
             expected.append(mask)
         assert rs.row_masks() == expected
-
-
-def test_iter_size_slices_degenerate_sizes():
-    dataset = random_tensor((3, 4, 8), 0.5, seed=1)
-    assert list(iter_size_slices(dataset, 0)) == []
-    assert list(iter_size_slices(dataset, 4)) == []
-    singles = list(iter_size_slices(dataset, 3))
-    assert len(singles) == 1
-    assert singles[0][0] == full_mask(3)
