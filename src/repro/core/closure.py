@@ -15,11 +15,14 @@ complete cube cover it?  If a height ``h`` outside ``H'`` has no zero
 inside ``R' x C'``, then ``(H' + h, R', C')`` is a strictly larger
 complete cube and ``H'`` is not closed; symmetrically for an absent
 row.  :func:`height_set_closed` and :func:`row_set_closed` answer it
-with one kernel support sweep restricted to the outside candidates.
-CubeMiner runs both once per leaf of its tree, RSM's post-prune
-(Lemma 1) runs the height one on every 2D pattern, and
-:func:`is_closed_cube` — which ``stream.maintain()``'s merge applies —
-is the column fold plus the two of them.
+with one kernel support sweep restricted to the outside candidates, or,
+given the *profile* of the cube's rows (heights) — the AND of those
+rows (heights) per height (row) — with one AND per outside element.
+CubeMiner runs both once per leaf of its tree, reading the profiles its
+track-core rule already memoizes; RSM's post-prune (Lemma 1) runs the
+height one on every 2D pattern, and :func:`is_closed_cube` — which
+``stream.maintain()``'s merge applies — is the column fold plus the two
+of them.
 
 All set arguments and return values are integer bitmasks
 (see :mod:`repro.core.bitset`); the batch work runs on the compute
@@ -72,36 +75,65 @@ def is_all_ones(dataset: Dataset3D, cube: Cube) -> bool:
     return is_subset(cube.columns, column_support(dataset, cube.heights, cube.rows))
 
 
+def _none_covers(candidates: int, columns: int, profile: list[int]) -> bool:
+    """True when no ``x`` in ``candidates`` has ``columns`` inside ``profile[x]``."""
+    while candidates:
+        low = candidates & -candidates
+        if columns & profile[low.bit_length() - 1] == columns:
+            return False
+        candidates ^= low
+    return True
+
+
 def height_set_closed(
-    dataset: Dataset3D, heights: int, rows: int, columns: int
+    dataset: Dataset3D,
+    heights: int,
+    rows: int,
+    columns: int,
+    profile: list[int] | None = None,
 ) -> bool:
     """Lemmas 1 and 4: False when some absent height covers R' x C'.
 
-    For a complete cube this is ``heights == H(R' x C')``.
+    For a complete cube this is ``heights == H(R' x C')``.  ``profile``,
+    when given, is the AND of ``rows`` per height (entry ``k`` is the
+    AND of ``ones[k][i]`` over ``i`` in ``rows``): height ``k`` then
+    covers the cube iff ``columns & ~profile[k] == 0``, one AND per
+    outside height instead of a sweep over its rows.
     """
     outside = full_mask(dataset.n_heights) & ~heights
-    return (
-        KERNEL.grid_supporting_heights(
-            dataset.ones_grid(), rows, columns, candidates=outside
+    if profile is None:
+        return (
+            KERNEL.grid_supporting_heights(
+                dataset.ones_grid(), rows, columns, candidates=outside
+            )
+            == 0
         )
-        == 0
-    )
+    return _none_covers(outside, columns, profile)
 
 
 def row_set_closed(
-    dataset: Dataset3D, heights: int, rows: int, columns: int
+    dataset: Dataset3D,
+    heights: int,
+    rows: int,
+    columns: int,
+    profile: list[int] | None = None,
 ) -> bool:
     """Lemma 5: False when some absent row covers H' x C'.
 
-    For a complete cube this is ``rows == R(H' x C')``.
+    For a complete cube this is ``rows == R(H' x C')``.  ``profile``,
+    when given, is the AND of ``heights`` per row (entry ``i`` is the
+    AND of ``ones[k][i]`` over ``k`` in ``heights``), read as in
+    :func:`height_set_closed`.
     """
     outside = full_mask(dataset.n_rows) & ~rows
-    return (
-        KERNEL.grid_supporting_rows(
-            dataset.ones_grid(), heights, columns, candidates=outside
+    if profile is None:
+        return (
+            KERNEL.grid_supporting_rows(
+                dataset.ones_grid(), heights, columns, candidates=outside
+            )
+            == 0
         )
-        == 0
-    )
+    return _none_covers(outside, columns, profile)
 
 
 def is_closed_cube(dataset: Dataset3D, cube: Cube) -> bool:

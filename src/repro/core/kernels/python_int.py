@@ -14,7 +14,7 @@ support query with an empty opposing set returns every candidate.
 
 from __future__ import annotations
 
-from ..bitset import full_mask, is_subset, iter_bits
+from ..bitset import full_mask, iter_bits
 
 __all__ = ["PythonIntKernel"]
 
@@ -73,20 +73,6 @@ class PythonIntKernel:
                     return 0
         return acc
 
-    def grid_fold_rows(self, grid: list[list[int]], heights: int, n_bits: int) -> list[int]:
-        """Per-row AND over ``heights``: the representative slice's row masks."""
-        member_iter = iter_bits(heights)
-        first = next(member_iter, None)
-        if first is None:
-            n_rows = len(grid[0]) if grid else 0
-            return [full_mask(n_bits)] * n_rows
-        masks = list(grid[first])
-        for k in member_iter:
-            per_height = grid[k]
-            for i, mask in enumerate(per_height):
-                masks[i] &= mask
-        return masks
-
     def grid_supporting_heights(
         self,
         grid: list[list[int]],
@@ -96,17 +82,20 @@ class PythonIntKernel:
     ) -> int:
         """Heights (among ``candidates``) containing ``columns`` on every row
         of ``rows``: ``H(R' x C')``."""
-        height_iter = (
-            range(len(grid)) if candidates is None else iter_bits(candidates)
-        )
+        pool = full_mask(len(grid)) if candidates is None else candidates
         result = 0
-        for k in height_iter:
-            per_height = grid[k]
-            for i in iter_bits(rows):
-                if not is_subset(columns, per_height[i]):
+        while pool:
+            low = pool & -pool
+            pool ^= low
+            per_height = grid[low.bit_length() - 1]
+            rest = rows
+            while rest:
+                bit = rest & -rest
+                if columns & per_height[bit.bit_length() - 1] != columns:
                     break
+                rest ^= bit
             else:
-                result |= 1 << k
+                result |= low
         return result
 
     def grid_supporting_rows(
@@ -119,12 +108,18 @@ class PythonIntKernel:
         """Rows (among ``candidates``) containing ``columns`` on every height
         of ``heights``: ``R(H' x C')``."""
         n_rows = len(grid[0]) if grid else 0
-        row_iter = range(n_rows) if candidates is None else iter_bits(candidates)
+        pool = full_mask(n_rows) if candidates is None else candidates
         result = 0
-        for i in row_iter:
-            for k in iter_bits(heights):
-                if not is_subset(columns, grid[k][i]):
+        while pool:
+            low = pool & -pool
+            pool ^= low
+            i = low.bit_length() - 1
+            rest = heights
+            while rest:
+                bit = rest & -rest
+                if columns & grid[bit.bit_length() - 1][i] != columns:
                     break
+                rest ^= bit
             else:
-                result |= 1 << i
+                result |= low
         return result

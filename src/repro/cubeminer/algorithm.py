@@ -266,12 +266,13 @@ _PROFILE_ENTRIES = 256
 
 
 class _Profiles(dict):
-    """Memo of track profiles, keyed by a track mask ``t``.
+    """Memo of track profiles, keyed by a non-empty mask ``t``.
 
     The profile of ``t`` is the list whose ``x``-th entry is the AND of
     ``planes[b][x]`` over the bits ``b`` of ``t``: with ``planes`` the
     ones masks by row, the columns each height shares with every row of
-    TM; by height, those each row shares with every height of TL.
+    ``t``; by height, those each row shares with every height of ``t``.
+    ``t`` is a track set (TM, TL) or a leaf's own rows or heights.
     """
 
     __slots__ = ("planes",)
@@ -320,12 +321,15 @@ def _run(
     found so far in ``partial_cubes``.
 
     A leaf (a node no cutter applies to) runs Lemma 4 and then Lemma 5
-    as kernel sweeps (:func:`~repro.core.closure.height_set_closed`,
-    :func:`~repro.core.closure.row_set_closed`).  A leaf that fails
-    one emits its node event (``is_leaf=False``) and one ``"leaf"``
-    prune event, counted under ``pruned_height_unclosed`` or
-    ``pruned_row_unclosed``, so every visited node still emits exactly
-    one node event.
+    (:func:`~repro.core.closure.height_set_closed`,
+    :func:`~repro.core.closure.row_set_closed`) on the memoized
+    profiles of its own rows and heights, the memo the track-core rule
+    reads: one AND per outside height or row.  Both are called through
+    this module's names, which perfbench's ``cubeminer.checks`` span
+    wraps.  A leaf that fails one emits its node event
+    (``is_leaf=False``) and one ``"leaf"`` prune event, counted under
+    ``pruned_height_unclosed`` or ``pruned_row_unclosed``, so every
+    visited node still emits exactly one node event.
 
     A son that passes the paper's prunes and grows a track set then
     runs the track-core rule (see the module docstring).  A middle son
@@ -368,8 +372,10 @@ def _run(
     # ones[k][i] and its transpose, the planes the track profiles fold.
     ones = dataset.ones_masks()
     ones_by_row = [list(plane) for plane in zip(*ones)]
-    height_profiles = _Profiles(ones_by_row)  # by TM: [AND_{i in TM} ones[k][i] per k]
-    row_profiles = _Profiles(ones)  # by TL: [AND_{k in TL} ones[k][i] per i]
+    # By TM, and by a leaf's rows: [AND_{i in TM} ones[k][i] per k].
+    height_profiles = _Profiles(ones_by_row)
+    # By TL, and by a leaf's heights: [AND_{k in TL} ones[k][i] per i].
+    row_profiles = _Profiles(ones)
 
     def track_core(
         heights: int, rows: int, columns: int, track_left: int, track_middle: int
@@ -426,12 +432,16 @@ def _run(
                 # closed column set.  Emit it if its heights and rows are
                 # closed too (Lemmas 4-5).
                 stats.kernel_ops += 1
-                if not height_set_closed(dataset, heights, rows, columns):
+                if not height_set_closed(
+                    dataset, heights, rows, columns, height_profiles[rows]
+                ):
                     stats.pruned_height_unclosed += 1
                     reason = "pruned_height_unclosed"
                 else:
                     stats.kernel_ops += 1
-                    if not row_set_closed(dataset, heights, rows, columns):
+                    if not row_set_closed(
+                        dataset, heights, rows, columns, row_profiles[heights]
+                    ):
                         stats.pruned_row_unclosed += 1
                         reason = "pruned_row_unclosed"
                     else:

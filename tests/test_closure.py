@@ -11,13 +11,16 @@ from repro.core.bitset import full_mask, is_subset, mask_of
 from repro.core.closure import (
     close,
     column_support,
+    height_set_closed,
     height_support,
     is_all_ones,
     is_closed_cube,
+    row_set_closed,
     row_support,
 )
 from repro.core.cube import Cube
 from repro.core.dataset import Dataset3D
+from repro.cubeminer.algorithm import _Profiles
 from repro.datasets import random_tensor
 from tests.conftest import STORAGES, in_storage
 
@@ -220,3 +223,43 @@ def test_is_closed_cube_is_definition_3_2(case):
     dataset, cubes = case
     for cube in cubes:
         assert is_closed_cube(dataset, cube) == _closed_by_definition(dataset, cube)
+
+
+def _profile(planes: list[list[int]], members: int, n_bits: int) -> list[int]:
+    """Entry ``x``: the AND of ``planes[b][x]`` over the bits ``b`` of ``members``."""
+    profile = [full_mask(n_bits)] * len(planes[0])
+    for b in range(len(planes)):
+        if members >> b & 1:
+            profile = [a & mask for a, mask in zip(profile, planes[b])]
+    return profile
+
+
+@pytest.mark.parametrize("storage", STORAGES)
+@settings(max_examples=60, deadline=None)
+@given(datasets_and_cubes())
+def test_profile_checks_match_the_sweeps(storage, case):
+    """With the profile of the cube's rows (heights), ``height_set_closed``
+    (``row_set_closed``) answers as the grid sweep does, on any cube; on
+    a complete cube both are the support-set equalities.  The profiles
+    are also the ones CubeMiner's memo hands its leaf checks."""
+    source, cubes = case
+    dataset = in_storage(source, storage)
+    grid = dataset.ones_grid()
+    by_row = [list(plane) for plane in zip(*grid)]
+    memo_by_rows, memo_by_heights = _Profiles(by_row), _Profiles(grid)
+    m = dataset.n_columns
+    for cube in cubes:
+        heights, rows, columns = cube.heights, cube.rows, cube.columns
+        height_profile = _profile(by_row, rows, m)
+        row_profile = _profile(grid, heights, m)
+        if rows:
+            assert memo_by_rows[rows] == height_profile
+        if heights:
+            assert memo_by_heights[heights] == row_profile
+        height_closed = height_set_closed(dataset, heights, rows, columns)
+        row_closed = row_set_closed(dataset, heights, rows, columns)
+        assert height_set_closed(dataset, heights, rows, columns, height_profile) == height_closed
+        assert row_set_closed(dataset, heights, rows, columns, row_profile) == row_closed
+        if is_subset(columns, column_support(dataset, heights, rows)):
+            assert height_closed == (heights == height_support(dataset, rows, columns))
+            assert row_closed == (rows == row_support(dataset, heights, columns))

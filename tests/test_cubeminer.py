@@ -15,7 +15,7 @@ from repro.core.reference import reference_mine
 from repro.cubeminer import CubeMiner, HeightOrder, cubeminer_mine
 from repro.cubeminer.algorithm import _run, search_root
 from repro.cubeminer.cutter import build_cutters
-from repro.datasets import random_tensor
+from repro.datasets import cdc15_like, random_tensor
 from repro.obs import CollectingSink, MiningMetrics
 from tests.conftest import random_dataset
 
@@ -336,3 +336,39 @@ class TestTrackCore:
         assert len(pruned) == result.stats["pruned_track_core"] == 3
         assert all(e.branch in ("middle", "right") for e in pruned)
         assert "pruned_track_core" not in result.stats.metrics.prune_counts()
+
+
+# ----------------------------------------------------------------------
+# The leaf checks read the engine's memoized profiles of the leaf's rows
+# and heights instead of sweeping the grid.  These counters were taken
+# from the grid-sweep engine; the profile reads must leave every search
+# decision, prune event and tally as it was.
+# ----------------------------------------------------------------------
+_LEAF_COUNTERS = (
+    "nodes_visited",
+    "leaves_emitted",
+    "pruned_height_unclosed",
+    "pruned_row_unclosed",
+    "kernel_ops",
+)
+
+
+class TestLeafCounters:
+    def test_paper_example(self, paper_ds, paper_thresholds):
+        metrics = cubeminer_mine(paper_ds, paper_thresholds).stats.metrics
+        assert tuple(getattr(metrics, name) for name in _LEAF_COUNTERS) == (33, 5, 4, 3, 53)
+
+    @pytest.mark.parametrize(
+        "min_c, n_cubes, expected",
+        [
+            # Figure 3b's minC=32 point.
+            (32, 1669, (8464, 1669, 2074, 66, 14008)),
+            # Figure 6's point: most leaves fail Lemma 4.
+            (28, 4940, (24782, 4940, 6752, 170, 41754)),
+        ],
+    )
+    def test_cdc15_substitute(self, min_c, n_cubes, expected):
+        result = cubeminer_mine(cdc15_like(250, seed=1), Thresholds(3, 3, min_c))
+        assert len(result) == n_cubes
+        metrics = result.stats.metrics
+        assert tuple(getattr(metrics, name) for name in _LEAF_COUNTERS) == expected

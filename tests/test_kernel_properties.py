@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from repro.core.bitset import full_mask, indices, mask_of
 from repro.core.dataset import Dataset3D
 from repro.core.kernels import KERNEL
+from repro.rsm.slices import representative_slice
 from tests.conftest import (
     STORAGES,
     grid_dataset,
@@ -148,17 +149,21 @@ class TestGrids:
 
     @settings(max_examples=60, deadline=None)
     @given(data=grids(), h_bits=st.integers(0))
-    def test_grid_fold_rows_matches_set_model(self, storage, data, h_bits):
+    def test_representative_slice_matches_set_model(self, storage, data, h_bits):
         n_bits, grid = data
-        handle = grid_in_storage(grid, n_bits, storage)
+        dataset = in_storage(grid_dataset(grid, n_bits), storage)
         heights = h_bits & full_mask(len(grid))
+        if not heights:
+            with pytest.raises(ValueError):
+                representative_slice(dataset, heights)
+            return
         expected = []
         for i in range(len(grid[0])):
             acc = set(range(n_bits))
             for k in indices(heights):
                 acc &= set(indices(grid[k][i]))
             expected.append(mask_of(acc))
-        assert KERNEL.grid_fold_rows(handle, heights, n_bits) == expected
+        assert representative_slice(dataset, heights).row_masks() == expected
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -225,10 +230,10 @@ class TestGrids:
             [mask_of(np.flatnonzero(data[k, i]).tolist()) for i in range(4)]
             for k in range(3)
         ]
-        from_tensor = in_storage(Dataset3D(data), storage).ones_grid()
-        from_masks = grid_in_storage(grid_masks, 70, storage)
-        assert from_tensor == from_masks == grid_masks
-        for heights in (0, 0b1, 0b101, 0b111):
-            assert KERNEL.grid_fold_rows(from_tensor, heights, 70) == KERNEL.grid_fold_rows(
-                from_masks, heights, 70
+        from_tensor = in_storage(Dataset3D(data), storage)
+        from_masks = in_storage(grid_dataset(grid_masks, 70), storage)
+        assert from_tensor.ones_grid() == from_masks.ones_grid() == grid_masks
+        for heights in (0b1, 0b101, 0b110, 0b111):
+            assert representative_slice(from_tensor, heights) == representative_slice(
+                from_masks, heights
             )

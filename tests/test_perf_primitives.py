@@ -159,10 +159,13 @@ def _fold_words(words, heights, n_bits):
 @pytest.mark.parametrize("storage", STORAGES)
 @settings(max_examples=60, deadline=None)
 @given(grid_cases())
-def test_intersect_rows_matches_grid_fold_rows(storage, case):
+def test_packed_row_fold_matches_representative_slice(storage, case):
     n_bits, grid, heights = case
     dataset = in_storage(grid_dataset(grid, n_bits), storage)
-    expected = KERNEL.grid_fold_rows(dataset.ones_grid(), heights, n_bits)
+    if heights:
+        expected = representative_slice(dataset, heights).row_masks()
+    else:
+        expected = [full_mask(n_bits)] * len(grid[0])
     assert _fold_words(dataset.packed_grid(), heights, n_bits) == expected
 
 
