@@ -154,7 +154,7 @@ def run_outofcore_child(root: str) -> dict:
     write_seconds = time.perf_counter() - start
     packed_bytes = store.path(fingerprint).stat().st_size
 
-    dataset = store.open(fingerprint)
+    dataset = store.load(fingerprint)
     metrics = MiningMetrics()
     start = time.perf_counter()
     result = stream_mine(

@@ -1,8 +1,8 @@
 """``repro-fcc fsck``: scan every on-disk store for damage, and repair.
 
-One service data directory holds five stores (``datasets/``,
-``cache/``, ``jobs/``, ``deltas/``, ``mmap/``), each with its own
-integrity invariants.  :func:`fsck_data_dir` walks all of them and
+One service data directory holds four stores (``datasets/``,
+``cache/``, ``jobs/``, ``deltas/``), each with its own integrity
+invariants.  :func:`fsck_data_dir` walks all of them and
 reports every violation as a typed :class:`FsckIssue`:
 
 * **errors** — corruption: unreadable metadata, checksum or
@@ -12,15 +12,18 @@ reports every violation as a typed :class:`FsckIssue`:
 * **warnings** — debris: orphaned temp files, half-registered entry
   pairs, dead job directories, delta logs whose base dataset is no
   longer registered.  Harmless to correctness, but they accumulate.
+  A dataset still in the older NPZ layout (``<fp>.npz`` next to its
+  ``<fp>.json``) is a warning too, which repair never moves: opening
+  the store converts it, unless its tensor fails its fingerprint.
 
 fsck owns the *structure* of the tree — names, pairings, orphans,
 temps, record ids.  For *content* it calls each store's own check: the
 result-document reader (:meth:`~repro.chaos.io.IOShim.read_document`,
 through :func:`~repro.service.jobs.read_job_result` for job results)
-for cache entries and job results, the registry's
-:func:`~repro.service.registry.load_verified` for datasets, and the mmap
-store's :func:`~repro.stream.store.verify_grid` for packed grids.  It
-never constructs a store (the mmap store's constructor sweeps temps).
+for cache entries and job results, and the dataset store's
+:func:`~repro.stream.store.verify_grid` for packed grids.  It never
+constructs a store (the dataset store's constructor sweeps temps and
+migrates NPZ entries).
 
 With ``repair=True`` corrupt and orphaned items are moved into
 ``<data_dir>/quarantined/fsck/`` (never deleted — an operator can
@@ -193,11 +196,10 @@ class _Fsck:
     # Store scanners
     # ------------------------------------------------------------------
     def run(self) -> FsckReport:
-        self._scan_registry(self.root / "datasets")
+        self._scan_datasets(self.root / "datasets")
         self._scan_cache(self.root / "cache")
         self._scan_jobs(self.root / "jobs")
         self._scan_deltas(self.root / "deltas")
-        self._scan_mmap(self.root / "mmap")
         quarantined = self.root / "jobs" / "quarantined"
         if quarantined.is_dir():
             self.report.scanned["jobs_quarantined"] = sum(
@@ -205,8 +207,8 @@ class _Fsck:
             )
         return self.report
 
-    def _scan_registry(self, root: Path) -> None:
-        from ..service.registry import load_verified
+    def _scan_datasets(self, root: Path) -> None:
+        from ..stream.store import verify_grid
 
         if not root.is_dir():
             return
@@ -217,15 +219,18 @@ class _Fsck:
                 continue
             count += 1
             fp = meta_path.stem
+            npy = root / f"{fp}.npy"
             npz = root / f"{fp}.npz"
             try:
                 meta = json.loads(meta_path.read_text())
+                if not isinstance(meta, dict):
+                    raise ValueError("not a JSON object")
                 recorded = str(meta["fingerprint"])
-            except (ValueError, KeyError, TypeError) as error:
+            except (ValueError, KeyError) as error:
                 issue = self._issue(
                     "datasets", meta_path, "bad-meta", f"unreadable metadata: {error}"
                 )
-                self._quarantine(issue, meta_path, npz)
+                self._quarantine(issue, meta_path, npy, npz)
                 continue
             if recorded != fp:
                 issue = self._issue(
@@ -234,32 +239,39 @@ class _Fsck:
                     "fingerprint-mismatch",
                     f"metadata names {recorded[:12]}, file named {fp[:12]}",
                 )
-                self._quarantine(issue, meta_path, npz)
+                self._quarantine(issue, meta_path, npy, npz)
                 continue
-            if not npz.exists():
-                issue = self._issue(
-                    "datasets", meta_path, "orphan-meta",
-                    "metadata without its .npz payload", severity="warn",
+            if npz.exists():
+                # Never moved: the store's constructor converts it.
+                self._issue(
+                    "datasets", npz, "unmigrated",
+                    "NPZ entry not yet converted to a packed grid", severity="warn",
                 )
-                self._quarantine(issue, meta_path)
+            if not npy.exists():
+                if not npz.exists():
+                    issue = self._issue(
+                        "datasets", meta_path, "orphan-meta",
+                        "metadata without its .npy payload", severity="warn",
+                    )
+                    self._quarantine(issue, meta_path)
                 continue
             if self.verify:
                 try:
-                    load_verified(npz, fp)
+                    verify_grid(npy, meta)
                 except (OSError, StoreCorruptionError) as error:
                     issue = self._issue(
-                        "datasets", npz, "content-mismatch", str(error)
+                        "datasets", npy, "checksum-mismatch", str(error)
                     )
-                    self._quarantine(issue, meta_path, npz)
-        for npz in sorted(root.glob("*.npz")):
-            if npz.name.startswith("."):
+                    self._quarantine(issue, meta_path, npy)
+        for payload in sorted([*root.glob("*.npy"), *root.glob("*.npz")]):
+            if payload.name.startswith("."):
                 continue
-            if not (root / f"{npz.stem}.json").exists():
+            if not (root / f"{payload.stem}.json").exists():
                 issue = self._issue(
-                    "datasets", npz, "orphan-payload",
-                    ".npz without its metadata", severity="warn",
+                    "datasets", payload, "orphan-payload",
+                    f"{payload.suffix} without its metadata", severity="warn",
                 )
-                self._quarantine(issue, npz)
+                self._quarantine(issue, payload)
         self.report.scanned["datasets"] = count
 
     def _scan_cache(self, root: Path) -> None:
@@ -381,55 +393,6 @@ class _Fsck:
                 )
                 self._quarantine(issue, path)
         self.report.scanned["delta_logs"] = count
-
-    def _scan_mmap(self, root: Path) -> None:
-        from ..stream.store import verify_grid
-
-        if not root.is_dir():
-            return
-        self._sweep_temps("mmap", root)
-        count = 0
-        for meta_path in sorted(root.glob("*.json")):
-            if meta_path.name.startswith("."):
-                continue
-            count += 1
-            fp = meta_path.stem
-            npy = root / f"{fp}.npy"
-            try:
-                meta = json.loads(meta_path.read_text())
-                if not isinstance(meta, dict):
-                    raise ValueError("not a JSON object")
-            except ValueError as error:
-                issue = self._issue(
-                    "mmap", meta_path, "bad-meta", f"unreadable metadata: {error}"
-                )
-                self._quarantine(issue, meta_path, npy)
-                continue
-            if not npy.exists():
-                issue = self._issue(
-                    "mmap", meta_path, "orphan-meta",
-                    "metadata without its .npy payload", severity="warn",
-                )
-                self._quarantine(issue, meta_path)
-                continue
-            if self.verify:
-                try:
-                    verify_grid(npy, meta)
-                except (OSError, StoreCorruptionError) as error:
-                    issue = self._issue(
-                        "mmap", npy, "checksum-mismatch", str(error)
-                    )
-                    self._quarantine(issue, meta_path, npy)
-        for npy in sorted(root.glob("*.npy")):
-            if npy.name.startswith("."):
-                continue
-            if not (root / f"{npy.stem}.json").exists():
-                issue = self._issue(
-                    "mmap", npy, "orphan-payload",
-                    ".npy without its metadata", severity="warn",
-                )
-                self._quarantine(issue, npy)
-        self.report.scanned["mmap_entries"] = count
 
 
 def fsck_data_dir(

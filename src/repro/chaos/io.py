@@ -1,9 +1,10 @@
 """The injectable IO shim: one seam between every store and the disk.
 
-All service-layer stores (:class:`~repro.service.registry.DatasetRegistry`,
+All service-layer stores (the dataset store
+:class:`~repro.stream.store.MmapDatasetStore`, which the service calls
+:class:`~repro.service.registry.DatasetRegistry`,
 :class:`~repro.service.cache.ThresholdLatticeCache`,
 :class:`~repro.service.jobs.JobManager`,
-:class:`~repro.stream.store.MmapDatasetStore`,
 :class:`~repro.stream.delta.DeltaLog`,
 :class:`~repro.parallel.checkpoint.CheckpointJournal`) route their disk
 traffic through an :class:`IOShim`.  The default shim is the hardened
@@ -185,7 +186,7 @@ class IOShim:
     def atomic_finalize(
         self, site: str, tmp: "str | Path", dst: "str | Path"
     ) -> None:
-        """Commit a caller-written temp (np.save/save_npz payloads).
+        """Commit a caller-written temp (``np.save`` payloads).
 
         The caller wrote ``tmp`` itself (numpy needs a real path); this
         seals it under ``dst``.  On failure the temp is removed — the

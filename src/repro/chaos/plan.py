@@ -6,8 +6,8 @@ beyond pool workers: one seedable schedule drives filesystem faults
 corruption), HTTP faults (connection reset, slow handler) and worker
 faults (crash, hang) across every store the service touches.  The plan
 is consulted by :class:`~repro.chaos.io.ChaosShim` at each injectable
-*site* (``registry``, ``cache``, ``jobs``, ``mmap``, ``delta``,
-``checkpoint``, ``http``, ``worker``) and *operation* (``write``,
+*site* (``registry``, ``cache``, ``jobs``, ``delta``, ``checkpoint``,
+``http``, ``worker``) and *operation* (``write``,
 ``finalize``, ``append``, ``read``, ``handle``, ``start``), so a fault
 schedule names exactly where in the stack it strikes.
 

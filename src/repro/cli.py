@@ -174,14 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="TCP port (0 picks an ephemeral one)")
     serve_cmd.add_argument("--max-workers", type=int, default=2,
                            help="concurrent mining worker processes")
-    serve_cmd.add_argument("--mmap", dest="mmap", action="store_true",
-                           help="hand workers memory-mapped packed grids "
-                                "(out-of-core mode: mines tensors larger "
-                                "than RAM)")
-    serve_cmd.add_argument("--in-memory", dest="mmap", action="store_false",
-                           help="load datasets fully into worker memory "
-                                "(the default)")
-    serve_cmd.set_defaults(mmap=False)
     serve_cmd.add_argument("--max-queued", type=int, default=None,
                            help="admission control: reject submissions "
                                 "with HTTP 429 once this many jobs are "
@@ -670,18 +662,15 @@ def _serve(args: argparse.Namespace) -> int:
     app = ServiceApp(
         args.data_dir,
         max_workers=args.max_workers,
-        mmap_datasets=args.mmap,
         max_queued=args.max_queued,
         max_retries=args.max_retries,
         heartbeat_timeout=args.heartbeat_timeout,
     )
     server = bind_server(app, args.host, args.port, verbose=args.verbose)
     host, port = server.server_address[:2]
-    mode = "mmap" if args.mmap else "in-memory"
     print(
         f"repro-fcc service on http://{host}:{port} "
-        f"(data: {args.data_dir}, workers: {args.max_workers}, "
-        f"datasets: {mode})",
+        f"(data: {args.data_dir}, workers: {args.max_workers})",
         flush=True,
     )
 

@@ -4,7 +4,8 @@ The service layer turns the library into a long-running system serving
 repeat mining traffic:
 
 * :mod:`repro.service.registry` — datasets uploaded once, keyed by the
-  sha256 *content* fingerprint (:func:`repro.io.dataset_fingerprint`).
+  sha256 *content* fingerprint (:func:`repro.io.dataset_fingerprint`)
+  and kept as packed word grids that every job mines memory-mapped.
 * :mod:`repro.service.jobs` — a job queue running :func:`repro.mine`
   in worker processes, streaming typed events/progress as JSON lines
   and resuming interrupted parallel jobs from their checkpoint journal.

@@ -42,8 +42,8 @@ degrades, typed, instead of crashing the daemon: a
 ``storage-unavailable``.
 
 All disk and transport traffic routes through one injectable
-:class:`~repro.chaos.io.IOShim` shared by the registry, cache, mmap
-store and job manager; the chaos battery swaps in a
+:class:`~repro.chaos.io.IOShim` shared by the registry, cache and job
+manager; the chaos battery swaps in a
 :class:`~repro.chaos.io.ChaosShim` to prove those degradations hold.
 """
 
@@ -108,7 +108,8 @@ class Response:
 class ServiceApp:
     """The daemon's request router over one data directory.
 
-    ``data_dir`` gains three subtrees: ``datasets/`` (the registry),
+    ``data_dir`` gains three subtrees: ``datasets/`` (the registry, one
+    packed word grid per dataset, always mined memory-mapped),
     ``cache/`` (the threshold lattice) and ``jobs/`` (job state).  All
     three persist across restarts — constructing a new app over an old
     directory recovers every dataset, cache entry and unfinished job.
@@ -120,7 +121,6 @@ class ServiceApp:
         *,
         max_workers: int = 2,
         start_method: str = "spawn",
-        mmap_datasets: bool = False,
         max_queued: "int | None" = None,
         max_retries: int = 2,
         retry_backoff: float = 0.5,
@@ -136,20 +136,12 @@ class ServiceApp:
         self.cache = ThresholdLatticeCache(
             self.data_dir / "cache", io=self.io, chaos=self.chaos
         )
-        self.mmap_store = None
-        if mmap_datasets:
-            from ..stream.store import MmapDatasetStore
-
-            self.mmap_store = MmapDatasetStore(
-                self.data_dir / "mmap", io=self.io, chaos=self.chaos
-            )
         self.jobs = JobManager(
             self.data_dir / "jobs",
             self.registry,
             self.cache,
             max_workers=max_workers,
             start_method=start_method,
-            mmap_store=self.mmap_store,
             max_queued=max_queued,
             max_retries=max_retries,
             retry_backoff=retry_backoff,

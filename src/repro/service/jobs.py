@@ -3,7 +3,7 @@
 Every job owns one directory under the manager's root::
 
     jobs/<id>/job.json          daemon-owned lifecycle record (JobRecord)
-    jobs/<id>/task.json         worker manifest (spec + dataset path)
+    jobs/<id>/task.json         worker manifest (spec + dataset grid path)
     jobs/<id>/events.jsonl      worker-appended typed events + progress
     jobs/<id>/checkpoint.jsonl  parallel chunk journal (when enabled)
     jobs/<id>/result.json       MiningResult payload as a checksummed
@@ -73,14 +73,14 @@ from dataclasses import replace
 from pathlib import Path
 
 from ..chaos.io import IOShim, StoreCorruptionError
-from ..core.dataset import Dataset3D
 from ..core.result import MiningResult
 from ..obs import MiningCancelled, event_to_dict
 from ..obs.metrics import ChaosCounters
 from ..options import options_from_dict
 from ..parallel.checkpoint import journal_status
+from ..stream.store import open_entry
 from .cache import ThresholdLatticeCache
-from .registry import DatasetRegistry, load_verified
+from .registry import DatasetRegistry
 from .schemas import JobRecord, JobSpec, ServiceError
 
 __all__ = ["JobManager", "read_job_result", "run_job_worker"]
@@ -93,6 +93,14 @@ _PARALLEL_ALGORITHMS = frozenset({"parallel-cubeminer", "parallel-rsm"})
 
 #: Subdirectory of the jobs root holding poison jobs (never requeued).
 QUARANTINE_DIR = "quarantined"
+
+#: Retry backoff schedule: attempt ``n`` waits
+#: ``min(retry_backoff * BACKOFF_FACTOR**(n-1), MAX_BACKOFF)`` seconds.
+BACKOFF_FACTOR = 2.0
+MAX_BACKOFF = 30.0
+
+#: ``error.json`` code of a worker whose dataset failed verification.
+STORE_CORRUPT = "store-corrupt"
 
 
 # ----------------------------------------------------------------------
@@ -211,16 +219,7 @@ def run_job_worker(job_dir: str) -> int:
                 if manifest.get("maintain") is not None:
                     result = _run_maintenance(manifest, spec, emit)
                 if result is None:
-                    mmap_manifest = manifest.get("mmap")
-                    if mmap_manifest is not None:
-                        dataset = Dataset3D.open_mmap(
-                            mmap_manifest["path"],
-                            tuple(mmap_manifest["shape"]),
-                        )
-                    else:
-                        dataset = load_verified(
-                            manifest["dataset_path"], spec.dataset
-                        )
+                    dataset = open_entry(manifest["dataset_path"], spec.dataset)
                     options = options_from_dict(spec.algorithm, spec.options)
                     checkpoint_path = manifest.get("checkpoint_path")
                     if checkpoint_path is not None:
@@ -254,6 +253,11 @@ def run_job_worker(job_dir: str) -> int:
                     emit,
                     f"{type(error).__name__}: {error}",
                     retryable=True,
+                    code=(
+                        STORE_CORRUPT
+                        if isinstance(error, StoreCorruptionError)
+                        else None
+                    ),
                 )
                 return 1
             except Exception as error:  # noqa: BLE001 - one failure channel
@@ -290,7 +294,7 @@ def _run_maintenance(manifest: dict, spec: JobSpec, emit) -> "MiningResult | Non
         emit({"kind": "maintain-fallback", "reason": "base unavailable"})
         return None
     try:
-        base_dataset = Dataset3D.load_npz(base_dataset_path)
+        base_dataset = open_entry(base_dataset_path, str(maintenance["base"]))
         base_result = MiningResult.from_payload(
             IOShim().read_document("cache", base_result_path)
         )
@@ -361,11 +365,6 @@ class JobManager:
     start_method:
         ``multiprocessing`` start method for workers; ``spawn`` (the
         default) keeps children clear of the daemon's server threads.
-    mmap_store:
-        Optional :class:`~repro.stream.store.MmapDatasetStore`.  When
-        set, plain mining jobs hand workers a packed memory-mapped grid
-        (materialized into the store on first use) instead of an NPZ to
-        load whole — the daemon's out-of-core mode.
     max_queued:
         Admission-control bound: submissions arriving with this many
         jobs already queued are rejected with HTTP 429 and a
@@ -375,9 +374,10 @@ class JobManager:
         Per-job retry budget for *infrastructure* failures (worker
         crashes, watchdog kills, storage faults).  Exhausting it
         quarantines the job.  Deterministic mining errors never retry.
-    retry_backoff, backoff_factor, max_backoff:
-        Exponential-backoff schedule between retries: attempt ``n``
-        waits ``min(retry_backoff * backoff_factor**(n-1), max_backoff)``
+    retry_backoff:
+        First delay of the exponential-backoff schedule between
+        retries: attempt ``n`` waits
+        ``min(retry_backoff * BACKOFF_FACTOR**(n-1), MAX_BACKOFF)``
         seconds before redispatching.
     heartbeat_interval:
         How often workers append a heartbeat event (seconds).
@@ -403,12 +403,9 @@ class JobManager:
         *,
         max_workers: int = 2,
         start_method: str = "spawn",
-        mmap_store=None,
         max_queued: "int | None" = None,
         max_retries: int = 2,
         retry_backoff: float = 0.5,
-        backoff_factor: float = 2.0,
-        max_backoff: float = 30.0,
         heartbeat_interval: float = 1.0,
         heartbeat_timeout: "float | None" = None,
         io: "IOShim | None" = None,
@@ -428,13 +425,10 @@ class JobManager:
         self.root.mkdir(parents=True, exist_ok=True)
         self.registry = registry
         self.cache = cache
-        self.mmap_store = mmap_store
         self.max_workers = int(max_workers)
         self.max_queued = max_queued
         self.max_retries = int(max_retries)
         self.retry_backoff = float(retry_backoff)
-        self.backoff_factor = float(backoff_factor)
-        self.max_backoff = float(max_backoff)
         self.heartbeat_interval = float(heartbeat_interval)
         self.heartbeat_timeout = heartbeat_timeout
         self.io = io if io is not None else IOShim()
@@ -672,7 +666,6 @@ class JobManager:
                 else None
             ),
             "maintain": self._maintain_manifest(spec),
-            "mmap": self._mmap_manifest(spec),
             "heartbeat_interval": self.heartbeat_interval,
             "chaos": self.io.worker_fault(record.id),
         }
@@ -713,22 +706,6 @@ class JobManager:
             "base_result_path": (
                 str(base_result_path) if base_result_path is not None else None
             ),
-        }
-
-    def _mmap_manifest(self, spec: JobSpec) -> dict | None:
-        """Materialize the job's dataset into the mmap store, if enabled.
-
-        Maintenance jobs patch from the base result and never scan the
-        full tensor, so they keep the NPZ path.
-        """
-        if self.mmap_store is None or spec.maintain is not None:
-            return None
-        if spec.dataset not in self.mmap_store:
-            self.mmap_store.put(self.registry.load(spec.dataset))
-        meta = self.mmap_store.meta(spec.dataset)
-        return {
-            "path": str(self.mmap_store.path(spec.dataset)),
-            "shape": list(meta["shape"]),
         }
 
     def _watch(self, job_id: str, process) -> None:
@@ -777,6 +754,9 @@ class JobManager:
                 doc = json.loads(self.io.read_text("jobs", error_path))
                 message = doc.get("error") or "worker failed"
                 retryable = bool(doc.get("retryable", False))
+                if doc.get("code") == STORE_CORRUPT:
+                    # The worker's verified read caught a damaged dataset.
+                    self.chaos.corruption_detected += 1
             except (OSError, ValueError):
                 message = "worker failed (unreadable error record)"
                 retryable = True
@@ -809,9 +789,8 @@ class JobManager:
             record.status = "queued"
             record.started = None
             delay = min(
-                self.retry_backoff
-                * (self.backoff_factor ** (record.retries - 1)),
-                self.max_backoff,
+                self.retry_backoff * BACKOFF_FACTOR ** (record.retries - 1),
+                MAX_BACKOFF,
             )
             self.chaos.jobs_retried += 1
             self._save_safe(record)

@@ -14,12 +14,13 @@ the two workloads beyond that setting:
   with output bit-identical to a fresh ``mine()``.
 * **Out-of-core mining** — :class:`MmapDatasetStore` persists packed
   uint64 grids as memory-mapped ``.npy`` files
-  (:meth:`repro.core.dataset.Dataset3D.open_mmap`), and
-  :func:`stream_mine` runs RSM over such a mapping in bounded memory:
-  representative slices fold chunk-by-chunk with mapped pages released
-  as soon as they are consumed, optionally after a diamond-dicing
-  prefilter (:func:`diamond_dice`, re-exported from
-  :mod:`repro.core.dice`) shrinks the active region.
+  (:meth:`repro.core.dataset.Dataset3D.open_mmap`); it is also the
+  service daemon's one dataset store.  :func:`stream_mine` runs RSM
+  over such a mapping in bounded memory: representative slices fold
+  chunk-by-chunk with mapped pages released as soon as they are
+  consumed, optionally after a diamond-dicing prefilter
+  (:func:`diamond_dice`, re-exported from :mod:`repro.core.dice`)
+  shrinks the active region.
 
 See ``docs/streaming.md`` for delta semantics, the mmap layout, and the
 service's cache-patching rules.

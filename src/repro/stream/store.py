@@ -1,35 +1,50 @@
-"""The memory-mapped dataset store (out-of-core backend).
+"""The dataset store: every dataset once, as its packed word grid.
 
-A store entry is two files under one root, keyed — like the service's
-:class:`~repro.service.registry.DatasetRegistry` — by the dataset's
-content fingerprint (:func:`repro.io.dataset_fingerprint`)::
+An entry is two files under one root, keyed by the dataset's content
+fingerprint (:func:`repro.io.dataset_fingerprint`)::
 
     <root>/<fp>.npy     packed (l, n, words) little-endian uint64 grid
-    <root>/<fp>.json    shape, labels, one-count, creation time
+    <root>/<fp>.json    fingerprint, shape, one-count, labels, creation
+                        time and the sha256 of the ``.npy``
+
+It is the mining daemon's one dataset store (``<data_dir>/datasets/``;
+:class:`repro.service.registry.DatasetRegistry` is this class) and the
+out-of-core backend.  Registering the same cell content twice — even
+under different labels — lands on the same entry, which is what makes
+the threshold-lattice result cache shareable across uploaders.
 
 The ``.npy`` holds the canonical word layout of
-:func:`repro.core.kernels.words_from_tensor`, so
-:meth:`MmapDatasetStore.open` hands it straight to
-:meth:`repro.core.dataset.Dataset3D.open_mmap`: the mapping *is* the
-dataset's storage — no copy, pages fault in on demand — and
-:func:`repro.stream.outofcore.stream_mine` can mine a tensor whose
-packed size exceeds RAM.  Both files are written to a
-temporary name and renamed into place, so a crash mid-write never
-leaves a readable-but-wrong entry.
+:func:`repro.core.kernels.words_from_tensor`, so :meth:`MmapDatasetStore.load`
+hands it straight to :meth:`repro.core.dataset.Dataset3D.open_mmap`: the
+mapping *is* the dataset's storage — no copy, pages fault in on demand
+— and :func:`repro.stream.outofcore.stream_mine` can mine a tensor
+whose packed size exceeds RAM.  Reads verify: :func:`open_entry`
+re-hashes the grid against the digest in its sidecar before mapping it,
+so corrupt bytes never reach a miner.  It is the one dataset read: the
+store's :meth:`~MmapDatasetStore.load` and the job worker call it, and
+``repro-fcc fsck`` calls its content check, :func:`verify_grid`.
 
-Tensors too large to ever hold in memory enter through
-:class:`StreamingSliceWriter`: height slices stream into the mapping
-one at a time while the canonical content fingerprint accumulates on
-the fly, so even the *writer* never holds more than one slice.
+Both files are written to a temporary name unique to the writer and
+renamed into place through the :class:`~repro.chaos.io.IOShim` (chaos
+site ``registry``), so a crash mid-write never leaves a
+readable-but-wrong entry and concurrent writers of one fingerprint
+never share a temp file.  Tensors too large to ever hold in memory
+enter through :class:`StreamingSliceWriter`: height slices stream into
+the mapping one at a time while the canonical content fingerprint
+accumulates on the fly, so even the *writer* never holds more than one
+slice.
 """
 
 from __future__ import annotations
 
+import errno
 import json
 import os
+import threading
 import time
 import uuid
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -44,39 +59,92 @@ from ..core.kernels import (
 from ..io import FingerprintStream, dataset_fingerprint
 from ..obs.metrics import ChaosCounters
 
-__all__ = ["MmapDatasetStore", "StreamingSliceWriter", "verify_grid"]
+if TYPE_CHECKING:
+    from ..service.registry import DatasetEntry
+
+__all__ = [
+    "MmapDatasetStore",
+    "StreamingSliceWriter",
+    "open_entry",
+    "read_meta",
+    "verify_grid",
+]
 
 #: Version tag of the ``.json`` sidecar schema.
 META_VERSION = 1
 
 
+def read_meta(meta_path: "str | Path", fingerprint: str) -> dict:
+    """The sidecar of entry ``fingerprint``, or :class:`KeyError`.
+
+    The one metadata rule: a sidecar that is missing, is not a JSON
+    object, or names another fingerprint makes its entry invisible.
+    """
+    try:
+        meta = json.loads(Path(meta_path).read_text())
+    except FileNotFoundError:
+        raise KeyError(f"no stored dataset {fingerprint!r}") from None
+    except ValueError:
+        meta = None
+    if not isinstance(meta, dict) or meta.get("fingerprint") != fingerprint:
+        raise KeyError(f"no valid metadata for dataset {fingerprint!r}")
+    return meta
+
+
 def verify_grid(path: "str | Path", meta: dict) -> None:
     """Re-hash one entry's packed grid against the digest in its sidecar.
 
-    The one mmap content check: :meth:`MmapDatasetStore.verify` and
+    The one dataset content check: :func:`open_entry` and
     ``repro-fcc fsck`` both call it.  Raises
-    :class:`~repro.chaos.io.StoreCorruptionError` on mismatch and does
-    nothing for pre-digest legacy entries.
+    :class:`~repro.chaos.io.StoreCorruptionError` on a mismatch or a
+    sidecar without a digest.
     """
     expected = meta.get("sha256")
-    if not expected:
-        return
+    if not isinstance(expected, str) or not expected:
+        raise StoreCorruptionError("registry", path, "no recorded sha256")
     actual = sha256_file(path)
     if actual != expected:
         raise StoreCorruptionError(
-            "mmap", path, f"sha256 {actual[:12]} != recorded {expected[:12]}"
+            "registry", path, f"sha256 {actual[:12]} != recorded {expected[:12]}"
         )
+
+
+def open_entry(path: "str | Path", fingerprint: str) -> Dataset3D:
+    """Verify one stored grid, then open it memory-mapped.
+
+    ``path`` is the entry's ``.npy``; its sidecar sits next to it.
+    Raises :class:`KeyError` when the sidecar is missing or invalid
+    (:func:`read_meta`), :class:`~repro.chaos.io.StoreCorruptionError`
+    when the grid fails its digest or does not decode, and
+    :class:`OSError` when a file cannot be read.  A plain function, so
+    job workers read without constructing a store.
+    """
+    path = Path(path)
+    meta = read_meta(path.with_suffix(".json"), fingerprint)
+    verify_grid(path, meta)
+    try:
+        return Dataset3D.open_mmap(
+            path,
+            tuple(meta["shape"]),
+            height_labels=meta.get("height_labels"),
+            row_labels=meta.get("row_labels"),
+            column_labels=meta.get("column_labels"),
+        )
+    except (ValueError, KeyError, TypeError) as error:
+        raise StoreCorruptionError(
+            "registry", path, f"unreadable grid: {error}"
+        ) from error
 
 
 class MmapDatasetStore:
     """Content-addressed store of packed, memory-mappable datasets.
 
-    Opening a store sweeps temp-file debris from earlier hard kills: a
-    ``.*.tmp.*`` file older than the newest committed entry cannot
-    belong to a write still in flight, so it is removed (and counted in
-    ``chaos.stale_temps_swept``).  Entries record the digest of their
-    packed grid in the ``.json`` sidecar; :meth:`verify` re-hashes the
-    file against it.
+    Opening a store does two pieces of upkeep.  It sweeps temp-file
+    debris from earlier hard kills: a ``.*.tmp.*`` file older than the
+    newest committed entry cannot belong to a write still in flight, so
+    it is removed (and counted in ``chaos.stale_temps_swept``).  Then it
+    converts ``<fp>.npz`` entries written by older daemons into the word
+    layout (:meth:`_migrate_npz`).
     """
 
     def __init__(
@@ -90,7 +158,9 @@ class MmapDatasetStore:
         self.root.mkdir(parents=True, exist_ok=True)
         self.io = io if io is not None else IOShim()
         self.chaos = chaos if chaos is not None else ChaosCounters()
+        self._lock = threading.Lock()
         self._sweep_stale_temps()
+        self._migrate_npz()
 
     def _sweep_stale_temps(self) -> int:
         """Remove temp debris that provably outlived its writer.
@@ -125,6 +195,36 @@ class MmapDatasetStore:
         self.chaos.stale_temps_swept += swept
         return swept
 
+    def _migrate_npz(self) -> None:
+        """Convert ``<fp>.npz`` + sidecar pairs into the word layout.
+
+        Older daemons stored each dataset as an NPZ tensor with a
+        four-field sidecar.  A pair whose tensor hashes to its
+        fingerprint is rewritten as a packed grid (keeping ``created``)
+        and its ``.npz`` removed; a pair that does not decode, fails the
+        hash or cannot be rewritten stays in place for ``repro-fcc fsck``
+        to report.
+        """
+        for npz in sorted(self.root.glob("*.npz")):
+            fingerprint = npz.stem
+            if npz.name.startswith("."):
+                continue
+            try:
+                created = float(
+                    read_meta(self.meta_path(fingerprint), fingerprint)["created"]
+                )
+                dataset = Dataset3D.load_npz(npz)
+            except Exception:  # noqa: BLE001 - numpy/zipfile decode errors are untyped
+                continue
+            if dataset_fingerprint(dataset) != fingerprint:
+                continue
+            try:
+                self._write(fingerprint, dataset, created=created)
+                if fingerprint in self:
+                    npz.unlink()
+            except OSError:
+                continue
+
     # ------------------------------------------------------------------
     # Paths
     # ------------------------------------------------------------------
@@ -138,22 +238,40 @@ class MmapDatasetStore:
     # ------------------------------------------------------------------
     # Write path
     # ------------------------------------------------------------------
-    def put(self, dataset: Dataset3D) -> str:
-        """Store an in-memory dataset; returns its fingerprint.
+    def register(self, dataset: Dataset3D) -> "DatasetEntry":
+        """Store a dataset; returns its :class:`~repro.service.registry.DatasetEntry`.
 
-        Re-storing the same content is a no-op (content addressing).
-        For tensors too large to materialize, use :meth:`writer`.
+        Re-registering known content is a no-op (content addressing).
+        The entry is read back before it is returned: a sidecar write
+        that does not read back (torn, say) raises ``EIO``, and the next
+        call writes the entry again.  For tensors too large to
+        materialize, use :meth:`writer`.
         """
         fingerprint = dataset_fingerprint(dataset)
-        if fingerprint in self:
-            return fingerprint
-        words = dataset.packed_grid()
-        tmp = self.root / f".{fingerprint}.tmp.npy"
+        with self._lock:
+            try:
+                return self.get(fingerprint)
+            except KeyError:
+                pass
+            self._write(fingerprint, dataset)
+            try:
+                return self.get(fingerprint)
+            except KeyError:
+                raise OSError(
+                    errno.EIO,
+                    f"metadata of dataset {fingerprint[:12]} did not read back",
+                ) from None
+
+    def _write(
+        self, fingerprint: str, dataset: Dataset3D, *, created: "float | None" = None
+    ) -> None:
+        # np.save appends ".npy" to any other suffix, so the temp keeps it.
+        tmp = self.root / f".{fingerprint}.{uuid.uuid4().hex[:8]}.tmp.npy"
         try:
-            np.save(tmp, words)
+            np.save(tmp, dataset.packed_grid())
             # Digest the bytes we *meant* to commit, before the rename:
             # anything that mutates the file afterwards (chaos faults,
-            # disk rot) is exactly what verify() must catch.
+            # disk rot) is exactly what verify_grid() must catch.
             digest = sha256_file(tmp)
         except OSError:
             try:
@@ -161,43 +279,42 @@ class MmapDatasetStore:
             except OSError:
                 pass
             raise
-        self.io.atomic_finalize("mmap", tmp, self.path(fingerprint))
-        self._write_meta(
+        self._commit(
             fingerprint,
+            tmp,
+            digest,
             dataset.shape,
             dataset.count_ones(),
-            dataset.height_labels,
-            dataset.row_labels,
-            dataset.column_labels,
-            sha256=digest,
+            (dataset.height_labels, dataset.row_labels, dataset.column_labels),
+            created=created,
         )
-        return fingerprint
 
-    def _write_meta(
+    def _commit(
         self,
         fingerprint: str,
+        tmp: Path,
+        digest: str,
         shape: tuple[int, int, int],
         n_ones: int,
-        height_labels,
-        row_labels,
-        column_labels,
+        labels: tuple,
         *,
-        sha256: "str | None" = None,
+        created: "float | None" = None,
     ) -> None:
+        """Rename a written temp grid into place, then write its sidecar."""
+        self.io.atomic_finalize("registry", tmp, self.path(fingerprint))
         meta = {
             "schema": META_VERSION,
             "fingerprint": fingerprint,
             "shape": [int(d) for d in shape],
             "n_ones": int(n_ones),
-            "height_labels": [str(s) for s in height_labels],
-            "row_labels": [str(s) for s in row_labels],
-            "column_labels": [str(s) for s in column_labels],
-            "created": time.time(),
+            "height_labels": [str(s) for s in labels[0]],
+            "row_labels": [str(s) for s in labels[1]],
+            "column_labels": [str(s) for s in labels[2]],
+            "created": time.time() if created is None else created,
+            "sha256": digest,
         }
-        if sha256 is not None:
-            meta["sha256"] = sha256
         self.io.atomic_write_text(
-            "mmap", self.meta_path(fingerprint), json.dumps(meta, indent=2)
+            "registry", self.meta_path(fingerprint), json.dumps(meta, indent=2)
         )
 
     def writer(
@@ -221,53 +338,63 @@ class MmapDatasetStore:
     # Read path
     # ------------------------------------------------------------------
     def meta(self, fingerprint: str) -> dict:
-        """The sidecar metadata of one entry (:class:`KeyError` if absent)."""
-        path = self.meta_path(fingerprint)
-        if not path.exists():
-            raise KeyError(f"no stored dataset {fingerprint!r}")
-        return json.loads(path.read_text())
+        """The sidecar of one complete entry.
 
-    def verify(self, fingerprint: str) -> None:
-        """Re-hash one entry's packed grid against its recorded digest.
-
-        A whole-file hash defeats the point of memory-mapping on every
-        open, so verification is explicit: ``repro-fcc fsck`` and the
-        chaos battery call it; hot paths trust the digest until asked.
-        Raises :class:`~repro.chaos.io.StoreCorruptionError` on
-        mismatch (see :func:`verify_grid`).
+        Raises :class:`KeyError` when the entry has no ``.npy`` or
+        :func:`read_meta` rejects its sidecar.
         """
+        meta = read_meta(self.meta_path(fingerprint), fingerprint)
+        if not self.path(fingerprint).exists():
+            raise KeyError(f"no stored dataset {fingerprint!r}")
+        return meta
+
+    def get(self, fingerprint: str) -> "DatasetEntry":
+        """The :class:`~repro.service.registry.DatasetEntry` of one entry.
+
+        Raises :class:`KeyError` for an unknown fingerprint or an entry
+        whose sidecar :func:`read_meta` rejects.
+        """
+        from ..service.registry import DatasetEntry
+
         try:
-            verify_grid(self.path(fingerprint), self.meta(fingerprint))
+            return DatasetEntry.from_dict(self.meta(fingerprint))
+        except (ValueError, TypeError):
+            raise KeyError(f"no valid metadata for dataset {fingerprint!r}") from None
+
+    def load(self, fingerprint: str) -> Dataset3D:
+        """Open one entry memory-mapped, verified by :func:`open_entry`.
+
+        A digest mismatch raises
+        :class:`~repro.chaos.io.StoreCorruptionError` (counted in
+        ``corruption_detected``) instead of letting corrupt cells
+        masquerade as the registered dataset.
+        """
+        path = self.path(fingerprint)
+        self.io.check("registry", "read", str(path))
+        try:
+            return open_entry(path, fingerprint)
         except StoreCorruptionError:
             self.chaos.corruption_detected += 1
             raise
 
-    def open(self, fingerprint: str) -> Dataset3D:
-        """Open one entry as a memory-mapped dataset."""
-        meta = self.meta(fingerprint)
-        return Dataset3D.open_mmap(
-            self.path(fingerprint),
-            tuple(meta["shape"]),
-            height_labels=meta.get("height_labels"),
-            row_labels=meta.get("row_labels"),
-            column_labels=meta.get("column_labels"),
-        )
-
-    def list(self) -> list[str]:
-        """Fingerprints of every complete entry, sorted."""
-        out = []
-        for meta_path in sorted(self.root.glob("*.json")):
+    def list(self) -> "list[DatasetEntry]":
+        """Every complete entry's ``DatasetEntry``, newest first."""
+        entries = []
+        for meta_path in self.root.glob("*.json"):
             if meta_path.name.startswith("."):
                 continue
-            fingerprint = meta_path.stem
-            if self.path(fingerprint).exists():
-                out.append(fingerprint)
-        return out
+            try:
+                entries.append(self.get(meta_path.stem))
+            except KeyError:
+                continue
+        return sorted(entries, key=lambda e: e.created, reverse=True)
 
     def __contains__(self, fingerprint: str) -> bool:
-        return (
-            self.path(fingerprint).exists() and self.meta_path(fingerprint).exists()
-        )
+        try:
+            self.get(fingerprint)
+        except KeyError:
+            return False
+        return True
 
     def __len__(self) -> int:
         return len(self.list())
@@ -343,18 +470,17 @@ class StreamingSliceWriter:
         self._grid.flush()
         self._grid = None
         fingerprint = self._fingerprint.hexdigest()
-        digest = sha256_file(self._tmp)
-        self.store.io.atomic_finalize(
-            "mmap", self._tmp, self.store.path(fingerprint)
-        )
-        self.store._write_meta(
+        self.store._commit(
             fingerprint,
+            self._tmp,
+            sha256_file(self._tmp),
             self.shape,
             self._n_ones,
-            self._labels[0] or [f"h{i + 1}" for i in range(self.shape[0])],
-            self._labels[1] or [f"r{i + 1}" for i in range(self.shape[1])],
-            self._labels[2] or [f"c{i + 1}" for i in range(self.shape[2])],
-            sha256=digest,
+            (
+                self._labels[0] or [f"h{i + 1}" for i in range(self.shape[0])],
+                self._labels[1] or [f"r{i + 1}" for i in range(self.shape[1])],
+                self._labels[2] or [f"c{i + 1}" for i in range(self.shape[2])],
+            ),
         )
         return fingerprint
 

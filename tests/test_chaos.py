@@ -304,7 +304,7 @@ class TestRegistryChaos:
         counters = ChaosCounters()
         registry = DatasetRegistry(tmp_path, chaos=counters)
         fp = registry.register(small_dataset()).fingerprint
-        flip_byte(tmp_path / f"{fp}.npz", offset=100)
+        flip_byte(tmp_path / f"{fp}.npy", offset=200)
         with pytest.raises(StoreCorruptionError):
             registry.load(fp)
         assert counters.corruption_detected == 1
@@ -394,16 +394,16 @@ class TestMmapStoreChaos:
     def test_verify_catches_bit_rot(self, tmp_path):
         counters = ChaosCounters()
         store = MmapDatasetStore(tmp_path, chaos=counters)
-        fp = store.put(small_dataset())
-        store.verify(fp)  # clean
+        fp = store.register(small_dataset()).fingerprint
+        store.load(fp)  # clean
         flip_byte(store.path(fp), offset=200)
         with pytest.raises(StoreCorruptionError):
-            store.verify(fp)
+            store.load(fp)
         assert counters.corruption_detected == 1
 
     def test_stale_temp_swept_on_open(self, tmp_path):
         store = MmapDatasetStore(tmp_path)
-        store.put(small_dataset())
+        store.register(small_dataset())
         debris = tmp_path / ".deadbeef.tmp.npy"
         debris.write_bytes(b"\x00" * 32)
         past = time.time() - 3600
@@ -790,11 +790,9 @@ class TestFsck:
         data = tmp_path / "data"
         registry = DatasetRegistry(data / "datasets")
         cache = ThresholdLatticeCache(data / "cache")
-        store = MmapDatasetStore(data / "mmap")
         dataset = small_dataset()
         fp = registry.register(dataset).fingerprint
         cache.put(fp, "cubeminer", mine(dataset, Thresholds(1, 2, 2)))
-        store.put(dataset)
         DeltaLog.open(data / "deltas" / f"{fp}.jsonl", dataset=dataset)
         return data, fp
 
@@ -804,7 +802,6 @@ class TestFsck:
         assert report.clean
         assert report.scanned["datasets"] == 1
         assert report.scanned["cache_entries"] == 1
-        assert report.scanned["mmap_entries"] == 1
         assert report.scanned["delta_logs"] == 1
 
     def test_damage_found_then_repaired(self, tmp_path):
@@ -843,7 +840,7 @@ class TestFsck:
 
     def test_structural_scan_skips_checksums(self, tmp_path):
         data, fp = self._populated_data_dir(tmp_path)
-        flip_byte(data / "datasets" / f"{fp}.npz", offset=100)
+        flip_byte(data / "datasets" / f"{fp}.npy", offset=200)
         # Content damage is invisible structurally, by design: serve's
         # startup check is cheap and verify-on-read covers the rest.
         assert fsck_data_dir(data, verify_checksums=False).clean
@@ -920,7 +917,7 @@ class TestFsck:
             cli_main(["fsck", "--data-dir", str(tmp_path / "nope")])
         assert exit_info.value.code == 65
 
-    @pytest.mark.parametrize("store", ["datasets", "mmap"])
+    @pytest.mark.parametrize("store", ["datasets"])
     def test_metadata_that_is_not_an_object_is_bad_meta(self, tmp_path, store):
         data, fp = self._populated_data_dir(tmp_path)
         (data / store / f"{fp}.json").write_text("[1, 2]")

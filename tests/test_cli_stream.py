@@ -46,12 +46,14 @@ class TestHelp:
 
 
 class TestServeFlags:
-    def test_mmap_flag_parses(self):
-        parser = build_parser()
+    @pytest.mark.parametrize("flag", ["--mmap", "--in-memory"])
+    def test_dataset_mode_flags_are_rejected(self, flag, capsys):
         base = ["serve", "--data-dir", "/tmp/x"]
-        assert parser.parse_args([*base, "--mmap"]).mmap is True
-        assert parser.parse_args([*base, "--in-memory"]).mmap is False
-        assert parser.parse_args(base).mmap is False
+        assert not hasattr(build_parser().parse_args(base), "mmap")
+        with pytest.raises(SystemExit) as info:
+            build_parser().parse_args([*base, flag])
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 class TestUpdateLocal:

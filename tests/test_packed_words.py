@@ -81,7 +81,7 @@ def test_packed_words_boundary(tmp_path_factory, data, min_c):
     store = MmapDatasetStore(tmp_path_factory.mktemp("store"))
     built = {
         "from_packed_grid": Dataset3D.from_packed_grid(words, data.shape),
-        "open_mmap": store.open(store.put(memory)),
+        "open_mmap": store.load(store.register(memory).fingerprint),
     }
     with ShmManager() as manager:
         if m == 0:

@@ -1,5 +1,6 @@
 """Service integration of ``repro.stream``: the updates endpoint,
-maintenance jobs, cache patch-forward, and the mmap dataset mode."""
+maintenance jobs, cache patch-forward, and the daemon's mapped dataset
+grids (verified reads, migration of NPZ-layout data dirs)."""
 
 from __future__ import annotations
 
@@ -10,10 +11,11 @@ import numpy as np
 import pytest
 
 from repro.api import mine
+from repro.chaos import fsck_data_dir
 from repro.core.constraints import Thresholds
 from repro.core.dataset import Dataset3D
 from repro.core.result import MiningResult
-from repro.io import dataset_to_payload
+from repro.io import dataset_fingerprint, dataset_to_payload
 from repro.service import Request, ServiceApp
 from repro.service.schemas import JobSpec
 from repro.stream import DeltaLog
@@ -249,7 +251,7 @@ class TestJobSpecMaintain:
 
 class TestMmapMode:
     def test_mmap_job_mines_identically(self, tmp_path):
-        app = ServiceApp(tmp_path / "data", max_workers=1, mmap_datasets=True)
+        app = ServiceApp(tmp_path / "data", max_workers=1)
         try:
             ds = small_dataset(seed=31)
             th = Thresholds(2, 2, 2)
@@ -267,8 +269,8 @@ class TestMmapMode:
                 },
             ).payload
             assert wait_done(app, record["id"])["status"] == "done"
-            # The packed grid was materialized into the mmap store.
-            assert (app.data_dir / "mmap" / f"{fp}.npy").exists()
+            # The dataset is stored once, as its packed grid.
+            assert (app.data_dir / "datasets" / f"{fp}.npy").exists()
             result = MiningResult.from_payload(
                 get(app, f"/v1/jobs/{record['id']}/result").payload["result"]
             )
@@ -277,3 +279,112 @@ class TestMmapMode:
             )
         finally:
             app.close()
+
+    def test_flipped_grid_byte_never_reaches_a_miner(self, tmp_path):
+        app = ServiceApp(
+            tmp_path / "data", max_workers=1, max_retries=1, retry_backoff=0.05
+        )
+        try:
+            fp = app.registry.register(small_dataset(seed=31)).fingerprint
+            grid = app.data_dir / "datasets" / f"{fp}.npy"
+            data = bytearray(grid.read_bytes())
+            data[200] ^= 0xFF  # a packed word, past the .npy header
+            grid.write_bytes(bytes(data))
+            record = post(
+                app,
+                "/v1/jobs",
+                {
+                    "dataset": fp,
+                    "thresholds": Thresholds(2, 2, 2).to_dict(),
+                    "use_cache": False,
+                },
+            ).payload
+            deadline = time.monotonic() + 120
+            while not app.jobs.get(record["id"]).terminal:
+                assert time.monotonic() < deadline
+                time.sleep(0.05)
+            job = app.jobs.get(record["id"])
+            # Both attempts failed verification in the worker: retried
+            # once, then quarantined, and each detection counted.
+            assert job.status == "quarantined"
+            assert job.retries == 1
+            assert "sha256" in job.error
+            assert app.chaos.corruption_detected == 2
+        finally:
+            app.close()
+
+
+def _legacy_data_dir(tmp_path, pairs):
+    """A data dir in the older NPZ layout: ``<fp>.npz`` plus the
+    four-field sidecar, for each ``(fingerprint, dataset, created)``."""
+    data = tmp_path / "data"
+    root = data / "datasets"
+    root.mkdir(parents=True)
+    for fp, dataset, created in pairs:
+        dataset.save_npz(root / f"{fp}.npz")
+        sidecar = {
+            "fingerprint": fp,
+            "shape": list(dataset.shape),
+            "n_ones": dataset.count_ones(),
+            "created": created,
+        }
+        (root / f"{fp}.json").write_text(json.dumps(sidecar, indent=2))
+    return data
+
+
+class TestNpzMigration:
+    def test_npz_entries_become_grids(self, tmp_path):
+        ds = Dataset3D(
+            small_dataset(seed=41).data,
+            height_labels=["t0", "t1", "t2"],
+        )
+        other = small_dataset(seed=43)
+        pairs = [
+            (dataset_fingerprint(ds), ds, 100.0),
+            (dataset_fingerprint(other), other, 200.0),
+        ]
+        data = _legacy_data_dir(tmp_path, pairs)
+        th = Thresholds(2, 2, 2)
+        app = ServiceApp(data, max_workers=1)
+        try:
+            listed = get(app, "/v1/datasets").payload["datasets"]
+            assert [(d["fingerprint"], d["created"]) for d in listed] == [
+                (pairs[1][0], 200.0),
+                (pairs[0][0], 100.0),
+            ]
+            fp = pairs[0][0]
+            assert app.registry.load(fp) == ds  # labels survive
+            record = post(
+                app,
+                "/v1/jobs",
+                {"dataset": fp, "thresholds": th.to_dict(), "use_cache": False},
+            ).payload
+            assert wait_done(app, record["id"])["status"] == "done"
+            result = MiningResult.from_payload(
+                get(app, f"/v1/jobs/{record['id']}/result").payload["result"]
+            )
+            assert cube_keys(result) == cube_keys(mine(ds, th))
+        finally:
+            app.close()
+        root = data / "datasets"
+        assert sorted(p.name for p in root.iterdir()) == sorted(
+            f"{fp}{suffix}" for fp, _, _ in pairs for suffix in (".json", ".npy")
+        )
+        assert fsck_data_dir(data).clean
+
+    def test_pair_failing_its_hash_stays_and_is_reported(self, tmp_path):
+        fp = dataset_fingerprint(small_dataset(seed=41))
+        data = _legacy_data_dir(tmp_path, [(fp, small_dataset(seed=42), 1.0)])
+        root = data / "datasets"
+        app = ServiceApp(data, max_workers=1)
+        try:
+            assert fp not in app.registry
+            assert get(app, "/v1/datasets").payload["datasets"] == []
+        finally:
+            app.close()
+        for repair in (False, True, False):
+            report = fsck_data_dir(data, repair=repair)
+            assert [(i.store, i.kind, i.severity, i.repaired) for i in report.issues] == [
+                ("datasets", "unmigrated", "warn", False)
+            ]
+        assert sorted(p.name for p in root.iterdir()) == [f"{fp}.json", f"{fp}.npz"]

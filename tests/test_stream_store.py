@@ -10,10 +10,14 @@ RSM returns.
 
 from __future__ import annotations
 
+import json
+import threading
+
 import numpy as np
 import pytest
 
 from repro.api import mine
+from repro.chaos import ChaosPlan, ChaosShim
 from repro.core.constraints import Thresholds
 from repro.core.dataset import Dataset3D
 from repro.core.kernels import PackedBufferError, release_mapped_pages
@@ -44,11 +48,11 @@ def random_dataset(seed: int = 5, shape=(4, 9, 70)) -> Dataset3D:
 def test_put_open_round_trip(tmp_path):
     ds = random_dataset()
     store = MmapDatasetStore(tmp_path)
-    fp = store.put(ds)
+    fp = store.register(ds).fingerprint
     assert fp == dataset_fingerprint(ds)
     assert fp in store
-    assert store.list() == [fp]
-    opened = store.open(fp)
+    assert [entry.fingerprint for entry in store.list()] == [fp]
+    opened = store.load(fp)
     assert opened.shape == ds.shape
     assert np.array_equal(
         np.asarray(opened.data, dtype=bool), np.asarray(ds.data, dtype=bool)
@@ -61,13 +65,83 @@ def test_put_open_round_trip(tmp_path):
 def test_put_is_idempotent(tmp_path):
     ds = random_dataset()
     store = MmapDatasetStore(tmp_path)
-    assert store.put(ds) == store.put(ds)
+    assert store.register(ds) == store.register(ds)
     assert len(store) == 1
 
 
 def test_open_unknown_fingerprint_raises(tmp_path):
     with pytest.raises(KeyError):
-        MmapDatasetStore(tmp_path).open("f" * 64)
+        MmapDatasetStore(tmp_path).load("f" * 64)
+
+
+def _register_together(stores, dataset):
+    """Every store registers ``dataset`` at once, one thread each."""
+    barrier = threading.Barrier(len(stores))
+    entries, errors = [], []
+
+    def register(store):
+        barrier.wait()
+        try:
+            entries.append(store.register(dataset))
+        except Exception as error:  # noqa: BLE001 - collected for the assert
+            errors.append(error)
+
+    threads = [threading.Thread(target=register, args=(s,)) for s in stores]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    return entries, errors
+
+
+@pytest.mark.parametrize("shared", (True, False), ids=("one-store", "one-per-thread"))
+def test_concurrent_register_of_one_dataset(tmp_path, shared):
+    # Daemon request threads share one store; separate stores over one
+    # root stand in for separate processes.
+    ds = random_dataset(seed=17, shape=(20, 100, 300))
+    fp = dataset_fingerprint(ds)
+    for trial in range(5):
+        root = tmp_path / f"trial{trial}"
+        first = MmapDatasetStore(root)
+        stores = [first if shared else MmapDatasetStore(root) for _ in range(6)]
+        entries, errors = _register_together(stores, ds)
+        assert errors == []
+        assert len(entries) == 6
+        if shared:
+            assert set(entries) == {entries[0]}
+        assert {entry.fingerprint for entry in entries} == {fp}
+        assert sorted(p.name for p in root.glob("*.npy")) == [f"{fp}.npy"]
+        assert list(root.glob(".*")) == []
+        assert first.load(fp) == ds
+
+
+@pytest.mark.parametrize(
+    "sidecar",
+    ("[1, 2]", "{broken", json.dumps({"fingerprint": "0" * 64})),
+    ids=("not-an-object", "not-json", "other-fingerprint"),
+)
+def test_entries_with_invalid_metadata_are_skipped(tmp_path, sidecar):
+    store = MmapDatasetStore(tmp_path)
+    fp = store.register(random_dataset()).fingerprint
+    store.meta_path(fp).write_text(sidecar)
+    assert fp not in store
+    assert store.list() == []
+    assert len(store) == 0
+    for read in (store.meta, store.get, store.load):
+        with pytest.raises(KeyError):
+            read(fp)
+
+
+def test_torn_sidecar_write_fails_then_retry_registers(tmp_path):
+    shim = ChaosShim(ChaosPlan.single("torn-write", site="registry", op="write"))
+    store = MmapDatasetStore(tmp_path, io=shim)
+    ds = random_dataset()
+    with pytest.raises(OSError):
+        store.register(ds)
+    fp = dataset_fingerprint(ds)
+    assert fp not in store
+    assert store.register(ds).fingerprint == fp  # the fault hit call 0 only
+    assert store.load(fp) == ds
 
 
 def test_open_mmap_rejects_stray_tail_bits(tmp_path):
@@ -75,12 +149,12 @@ def test_open_mmap_rejects_stray_tail_bits(tmp_path):
     # the last column must be refused, chunked validation or not.
     ds = random_dataset(shape=(2, 3, 70))
     store = MmapDatasetStore(tmp_path)
-    fp = store.put(ds)
+    fp = store.register(ds).fingerprint
     words = np.load(store.path(fp))
     words[1, 2, -1] |= np.uint64(1) << np.uint64(63)
     np.save(store.path(fp), words)
     with pytest.raises(PackedBufferError):
-        store.open(fp)
+        Dataset3D.open_mmap(store.path(fp), ds.shape)
 
 
 # ----------------------------------------------------------------------
@@ -94,7 +168,7 @@ def test_streaming_writer_matches_canonical_fingerprint(tmp_path):
             writer.append_slice(np.asarray(ds.data[k], dtype=int))
         fp = writer.seal()
     assert fp == dataset_fingerprint(ds)
-    opened = store.open(fp)
+    opened = store.load(fp)
     assert np.array_equal(
         np.asarray(opened.data, dtype=bool), np.asarray(ds.data, dtype=bool)
     )
@@ -133,7 +207,7 @@ def test_mmap_mines_identically(tmp_path, storage, seed):
     ds = in_storage(random_dataset(seed=seed, shape=(3, 8, 66)), storage)
     th = Thresholds(2, 2, 2)
     store = MmapDatasetStore(tmp_path)
-    mapped = store.open(store.put(ds))
+    mapped = store.load(store.register(ds).fingerprint)
     assert _keys(mine(mapped, th, algorithm="rsm")) == _keys(
         mine(ds, th, algorithm="rsm")
     )
@@ -158,7 +232,7 @@ def test_stream_mine_over_mapped_store(tmp_path):
     ds = random_dataset(seed=6, shape=(4, 12, 80))
     th = Thresholds(2, 3, 3)
     store = MmapDatasetStore(tmp_path)
-    mapped = store.open(store.put(ds))
+    mapped = store.load(store.register(ds).fingerprint)
     metrics = MiningMetrics()
     streamed = stream_mine(mapped, th, chunk_rows=4, metrics=metrics)
     assert _keys(streamed) == _keys(mine(ds, th, algorithm="rsm"))
@@ -226,6 +300,6 @@ def test_release_mapped_pages_is_safe_everywhere(tmp_path):
     assert release_mapped_pages(np.zeros((4, 4))) is False
     ds = random_dataset(shape=(2, 4, 8))
     store = MmapDatasetStore(tmp_path)
-    mapped = np.load(store.path(store.put(ds)), mmap_mode="r")
+    mapped = np.load(store.path(store.register(ds).fingerprint), mmap_mode="r")
     assert release_mapped_pages(mapped) is True
     assert release_mapped_pages(mapped[0]) is True  # view chains resolve
