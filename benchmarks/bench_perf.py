@@ -2,12 +2,12 @@
 
 The performance layer makes two machine-portable promises:
 
-* **RSM prefix folding** — the one prefix-sharing slice fold
-  (:func:`repro.rsm.slices.iter_size_slices`) over RSM's subset order
-  (:func:`repro.rsm.slices.enumerate_height_subsets`) must stay at
-  least ``fold_speedup_floor`` times faster than folding each of the
-  same subsets from scratch (one
-  :func:`repro.rsm.slices.representative_slice` call per subset);
+* **RSM prefix folding** — RSM's subset walk
+  (:func:`repro.rsm.slices.iter_size_slices`), which folds each node
+  from its parent's slice, must stay at least ``fold_speedup_floor``
+  times faster than the same walk folding every node it visits from
+  scratch (one :func:`repro.rsm.slices.representative_slice` call per
+  node; both walks visit the same nodes and run the same dice test);
 * **shared-memory hand-off** — attaching a worker to a published
   dataset must stay at least ``shm_handoff_speedup_floor`` times faster
   than unpickling a copy.
@@ -51,9 +51,10 @@ from repro.cubeminer.algorithm import cubeminer_mine
 from repro.parallel import ShmManager, attach_dataset, publish_dataset
 from repro.rsm.algorithm import rsm_mine
 from repro.rsm.slices import (
-    enumerate_height_subsets,
     iter_size_slices,
+    min_subset_size,
     representative_slice,
+    walk_subsets,
 )
 
 #: Bump when the file layout changes incompatibly; ``--check`` refuses
@@ -73,6 +74,8 @@ SHM_SPEEDUP_FLOOR = 1.05
 #: Inner iterations per timed hand-off sample (one hand-off is
 #: sub-millisecond; batching keeps the clock resolution honest).
 _SHM_BATCH = 10
+#: Walks per timed fold sample (the pruned walk takes milliseconds).
+_FOLD_BATCH = 20
 
 _CUBEMINER_THRESHOLDS = Thresholds(8, 8, 10)
 _RSM_MIN_H = 4
@@ -91,21 +94,25 @@ def _rsm_workload():
 
 
 def _measure_rsm(repeats: int) -> dict:
-    """One-shot vs incremental slice folding, plus a full-run counter set."""
+    """Prefix-sharing vs from-scratch folds over one walk, plus a
+    full-run counter set."""
     dataset, thresholds = _rsm_workload()
-    subsets = list(enumerate_height_subsets(dataset.n_heights, thresholds.min_h))
+    min_size = min_subset_size(thresholds, dataset.shape)
+
+    def from_scratch(heights: int, _prefix: "list[int] | None") -> list[int]:
+        return representative_slice(dataset, heights).row_masks()
 
     def fold_oneshot():
         start = time.process_time()
-        n = 0
-        for heights in subsets:
-            representative_slice(dataset, heights)
-            n += 1
+        for _ in range(_FOLD_BATCH):
+            walk = walk_subsets(from_scratch, dataset.n_heights, min_size, thresholds)
+            n = sum(1 for _ in walk)
         return time.process_time() - start, n
 
     def fold_incremental():
         start = time.process_time()
-        n = sum(1 for _ in iter_size_slices(dataset, subsets))
+        for _ in range(_FOLD_BATCH):
+            n = sum(1 for _ in iter_size_slices(dataset, thresholds, min_size))
         return time.process_time() - start, n
 
     fold_oneshot()  # warm up
@@ -126,12 +133,13 @@ def _measure_rsm(repeats: int) -> dict:
     return {
         "counters": {
             "rs_slices_mined": metrics.rs_slices_mined,
+            "rs_slices_skipped": metrics.rs_slices_skipped,
             "fcp_patterns": metrics.fcp_patterns,
             "postprune_checked": metrics.postprune_checked,
             "n_cubes": len(result),
         },
-        "oneshot_seconds": min(one_times),
-        "incremental_seconds": min(inc_times),
+        "oneshot_seconds": min(one_times) / _FOLD_BATCH,
+        "incremental_seconds": min(inc_times) / _FOLD_BATCH,
         "mine_seconds": mine_seconds,
         "fold_speedup": statistics.median(ratios),
     }

@@ -13,17 +13,19 @@ reports every violation as a typed :class:`FsckIssue`:
   pairs, dead job directories, delta logs whose base dataset is no
   longer registered.  Harmless to correctness, but they accumulate.
   A dataset still in the older NPZ layout (``<fp>.npz`` next to its
-  ``<fp>.json``) is a warning too, which repair never moves: opening
-  the store converts it, unless its tensor fails its fingerprint.
+  ``<fp>.json``), or with a sidecar that records no digest of its own,
+  is a warning too, which repair never moves: opening the store
+  converts it, unless its content fails its check.
 
 fsck owns the *structure* of the tree — names, pairings, orphans,
 temps, record ids.  For *content* it calls each store's own check: the
 result-document reader (:meth:`~repro.chaos.io.IOShim.read_document`,
 through :func:`~repro.service.jobs.read_job_result` for job results)
 for cache entries and job results, and the dataset store's
-:func:`~repro.stream.store.verify_grid` for packed grids.  It never
-constructs a store (the dataset store's constructor sweeps temps and
-migrates NPZ entries).
+:func:`~repro.stream.store.verify_meta` and
+:func:`~repro.stream.store.verify_grid` for sidecars and packed grids.
+It never constructs a store (the dataset store's constructor sweeps
+temps and migrates older entries).
 
 With ``repair=True`` corrupt and orphaned items are moved into
 ``<data_dir>/quarantined/fsck/`` (never deleted — an operator can
@@ -208,7 +210,7 @@ class _Fsck:
         return self.report
 
     def _scan_datasets(self, root: Path) -> None:
-        from ..stream.store import verify_grid
+        from ..stream.store import verify_grid, verify_meta
 
         if not root.is_dir():
             return
@@ -255,12 +257,23 @@ class _Fsck:
                     )
                     self._quarantine(issue, meta_path)
                 continue
+            if "meta_sha256" not in meta:
+                # Never moved: the store's constructor digests it.
+                self._issue(
+                    "datasets", meta_path, "unmigrated",
+                    "metadata without its own sha256", severity="warn",
+                )
             if self.verify:
                 try:
+                    if "meta_sha256" in meta:
+                        verify_meta(meta_path, meta)
                     verify_grid(npy, meta)
                 except (OSError, StoreCorruptionError) as error:
                     issue = self._issue(
-                        "datasets", npy, "checksum-mismatch", str(error)
+                        "datasets",
+                        Path(getattr(error, "path", npy)),
+                        "checksum-mismatch",
+                        str(error),
                     )
                     self._quarantine(issue, meta_path, npy)
         for payload in sorted([*root.glob("*.npy"), *root.glob("*.npz")]):

@@ -109,6 +109,10 @@ class MiningMetrics(_Counters):
     cutters_built: int = 0
     # -- RSM phases ----------------------------------------------------
     rs_slices_mined: int = 0
+    # Subsets of at least the mined size inside the subtrees the RSM
+    # walk cut (their slice holds no minR x minC rectangle); not one of
+    # Figure 1's rules, so it stays out of PRUNE_FIELDS.
+    rs_slices_skipped: int = 0
     fcp_patterns: int = 0
     postprune_checked: int = 0
     postprune_discards: int = 0       # Lemma 1

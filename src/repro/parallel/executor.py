@@ -10,9 +10,11 @@ the segment as their dataset's word storage with zero copies, and where
 publishing fails (no ``/dev/shm``) the run falls back to pickling the
 dataset into each worker.
 
-* :func:`parallel_rsm_mine` — tasks are base-dimension subsets; a
-  worker builds each representative slice, mines it with the 2D miner
-  and post-prunes locally.
+* :func:`parallel_rsm_mine` — tasks are disjoint subtrees of RSM's
+  base-subset walk (:func:`~repro.rsm.slices.split_subtrees`); a
+  worker walks each one, cutting as a sequential run cuts, mines every
+  surviving representative slice with the 2D miner and post-prunes
+  locally.
 * :func:`parallel_cubeminer_mine` — tasks are frontier branches of the
   splitting tree, which the driver grows by running the sequential
   engine breadth-first (:func:`~repro.cubeminer.algorithm.cubeminer_tasks`);
@@ -73,7 +75,7 @@ from ..obs import (
     resolve_progress,
 )
 from ..rsm.algorithm import mine_slice, plan_subsets
-from ..rsm.slices import iter_size_slices
+from ..rsm.slices import count_height_subsets, iter_size_slices, split_subtrees
 from .checkpoint import CheckpointJournal, run_fingerprint
 from .faults import FaultPlan
 from .shm import ShmDatasetRef, ShmError, ShmManager, attach_dataset, publish_dataset
@@ -83,8 +85,8 @@ __all__ = ["parallel_rsm_mine", "parallel_cubeminer_mine"]
 
 #: Task chunks handed to each worker (load-balancing granularity).
 CHUNKS_PER_WORKER = 4
-#: parallel-cubeminer splits its tree into at least this many branch
-#: tasks per worker.
+#: parallel-cubeminer and parallel-rsm split their trees into at least
+#: this many tasks per worker.
 TASKS_PER_WORKER = 8
 
 Triple = tuple[int, int, int]
@@ -94,8 +96,8 @@ Triple = tuple[int, int, int]
 # ----------------------------------------------------------------------
 _worker_dataset: Dataset3D | None = None
 _worker_thresholds: Thresholds | None = None
-#: Per-algorithm worker state: the 2D miner name for parallel-rsm, the
-#: cutter list for parallel-cubeminer.
+#: Per-algorithm worker state: the 2D miner name and the smallest subset
+#: size for parallel-rsm, the cutter list for parallel-cubeminer.
 _worker_context = None
 _worker_attachment = None  # keeps a zero-copy shm segment mapped
 
@@ -123,34 +125,49 @@ def _init_worker(
 
 
 def _rsm_worker_chunk(
-    height_masks: list[int],
+    subtrees: list[tuple[int, int]],
     progress: ProgressController | None = None,
     sink: EventSink | None = None,
     metrics: MiningMetrics | None = None,
 ) -> tuple[list[Triple], dict[str, int]]:
-    """Mine a chunk of representative slices.
+    """Walk and mine a chunk of subset subtrees.
 
-    The chunk folds through :func:`~repro.rsm.slices.iter_size_slices`,
-    about one AND per subset, as a sequential run does.  Returns the
-    raw cube triples plus the chunk's counter tallies (as a
-    picklable dict).  ``progress``/``sink``/``metrics`` are only bound
-    on the inline path — pool workers run with the defaults and the
-    driver merges their returned tallies.
+    The chunk goes through :func:`~repro.rsm.slices.iter_size_slices`,
+    which cuts and folds as a sequential run does.  Returns the raw
+    cube triples plus the chunk's counter tallies (as a picklable
+    dict).  ``progress``/``sink``/``metrics`` are only bound on the
+    inline path — pool workers run with the defaults and the driver
+    merges their returned tallies.
     """
     dataset = _worker_dataset
     thresholds = _worker_thresholds
     assert dataset is not None and thresholds is not None
+    assert _worker_context is not None
+    miner_name, min_size = _worker_context
     stats = metrics if metrics is not None else MiningMetrics()
-    miner = get_fcp_miner(_worker_context)
+    before = stats.copy()
+    miner = get_fcp_miner(miner_name)
+    total = sum(
+        count_height_subsets(dataset.n_heights - lo, min_size - heights.bit_count())
+        for heights, lo in subtrees
+    )
     found: list[Triple] = []
     try:
-        slices = iter_size_slices(dataset, height_masks)
-        for done, (heights, rs) in enumerate(slices, start=1):
+        slices = iter_size_slices(
+            dataset, thresholds, min_size, metrics=stats, subtrees=subtrees
+        )
+        for heights, rs in slices:
             for cube in mine_slice(dataset, heights, rs, thresholds, miner, stats, sink):
                 found.append((cube.heights, cube.rows, cube.columns))
             if progress is not None:
+                done = (
+                    stats.rs_slices_mined
+                    - before.rs_slices_mined
+                    + stats.rs_slices_skipped
+                    - before.rs_slices_skipped
+                )
                 progress.checkpoint(
-                    stats, phase="parallel-rsm", done=done, total=len(height_masks)
+                    stats, phase="parallel-rsm", done=done, total=total
                 )
     except MiningCancelled as exc:
         exc.partial_cubes = found
@@ -399,7 +416,12 @@ def parallel_rsm_mine(
     metrics: MiningMetrics | None = None,
     **supervision,
 ) -> MiningResult:
-    """Parallel RSM: fan representative-slice tasks across processes.
+    """Parallel RSM: fan subtrees of the base-subset walk across processes.
+
+    The walk is split into at least ``TASKS_PER_WORKER`` subtrees per
+    worker; a task is a ``(heights, lo)`` pair, never a bare subset
+    mask, so a checkpoint journal of a run that mined subset masks
+    fails this run's fingerprint instead of being resumed.
 
     ``supervision`` takes ``retries``, ``task_timeout``, ``backoff``,
     ``checkpoint_path``, ``resume``, ``fault_plan``, ``on_event``,
@@ -416,10 +438,16 @@ def parallel_rsm_mine(
         thresholds,
         algorithm=f"parallel-rsm-{'hrc'[base.axis]}[{fcp_miner}]x{n_workers}",
         phase="parallel-rsm",
-        plan=lambda: (list(base.subsets()), [], {}),
+        plan=lambda: (
+            split_subtrees(
+                base.dataset.n_heights, base.min_size, TASKS_PER_WORKER * n_workers
+            ),
+            [],
+            {},
+        ),
         worker_fn=_rsm_worker_chunk,
         working=base.dataset,
-        worker_state=(base.thresholds, fcp_miner),
+        worker_state=(base.thresholds, (fcp_miner, base.min_size)),
         to_cube=lambda triple: base.to_caller(Cube(*triple)),
         start=start,
         stats=metrics if metrics is not None else MiningMetrics(),

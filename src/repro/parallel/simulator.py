@@ -119,11 +119,10 @@ def measure_rsm_task_times(
 ) -> list[float]:
     """Wall-clock time of every RSM task (one representative slice each).
 
-    The tasks are the subsets RSM mines, those of at least
-    :func:`~repro.rsm.slices.min_subset_size` heights, folded in
-    enumeration order as a sequential run folds them.  A task's time
-    covers its incremental fold step (about one AND over the slice,
-    since consecutive subsets share their prefix) plus its 2D mine and
+    The tasks are the subsets RSM mines, in the order of the sequential
+    walk (:func:`~repro.rsm.slices.iter_size_slices`).  A task's time
+    covers the walk since the previous mined slice (one AND and one
+    dice test per node, cut subtrees included) plus its 2D mine and
     post-prune, so the times sum to the sequential RSM mining time;
     feeding them to :func:`simulate_response_times` reproduces parallel
     RSM.
@@ -133,7 +132,8 @@ def measure_rsm_task_times(
     metrics = MiningMetrics()
     times: list[float] = []
     t0 = time.perf_counter()
-    for heights, rs in iter_size_slices(base.dataset, base.subsets()):
+    slices = iter_size_slices(base.dataset, base.thresholds, base.min_size)
+    for heights, rs in slices:
         mine_slice(base.dataset, heights, rs, base.thresholds, miner, metrics)
         t1 = time.perf_counter()
         times.append(t1 - t0)

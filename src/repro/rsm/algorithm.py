@@ -2,9 +2,12 @@
 
 RSM mines FCCs in three phases:
 
-1. enumerate every subset of the base dimension with at least ``minH``
-   members and AND its slices into a representative slice (phase 1,
-   :mod:`repro.rsm.slices`);
+1. walk the subsets of the base dimension with at least ``minH``
+   members and AND each one's slices into a representative slice
+   (phase 1, :mod:`repro.rsm.slices`).  The walk is depth first and
+   cuts every subtree whose slice cannot hold a ``minR x minC``
+   rectangle, which no subset inside it could have turned into a
+   pattern; the paper mines every subset;
 2. run any 2D frequent-closed-pattern miner on each representative
    slice with the ``minR`` / ``minC`` thresholds (phase 2,
    :mod:`repro.fcp` — D-Miner by default, as in the paper);
@@ -20,16 +23,20 @@ smallest dimension (the paper's heuristic — enumeration cost is
 exponential in the base dimension's size).
 
 Runs carry the same instrumentation surface as CubeMiner: always-on
-:class:`~repro.obs.metrics.MiningMetrics` counters (slices mined, 2D
-patterns, Lemma-1 discards), optional typed events (one
-:class:`~repro.obs.events.SliceEvent` per representative slice) and a
-progress/cancellation checkpoint after every slice.
+:class:`~repro.obs.metrics.MiningMetrics` counters (slices mined and
+skipped, 2D patterns, Lemma-1 discards), optional typed events (one
+:class:`~repro.obs.events.SliceEvent` per mined slice) and a
+progress/cancellation checkpoint after every mined slice.  Progress
+counts subsets: ``total`` is every subset of at least ``minH``
+members; ``done`` counts the sizes below the volume floor, each mined
+slice and every subset inside a cut subtree (``rs_slices_skipped``),
+so it reaches ``total`` when the walk ends.
 """
 
 from __future__ import annotations
 
 import time
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from ..core.closure import height_set_closed as height_closed_in
@@ -51,12 +58,7 @@ from ..obs import (
     SliceEvent,
     resolve_progress,
 )
-from .slices import (
-    count_height_subsets,
-    enumerate_height_subsets,
-    iter_size_slices,
-    min_subset_size,
-)
+from .slices import count_height_subsets, iter_size_slices, min_subset_size
 
 __all__ = [
     "rsm_mine",
@@ -103,10 +105,6 @@ class SubsetPlan:
     dataset: Dataset3D
     thresholds: Thresholds
     min_size: int
-
-    def subsets(self) -> Iterator[int]:
-        """The height masks RSM mines, in enumeration order."""
-        return enumerate_height_subsets(self.dataset.n_heights, self.min_size)
 
     def to_caller(self, cube: Cube) -> Cube:
         """Map a cube found on ``dataset`` back to the caller's axes."""
@@ -188,18 +186,33 @@ def rsm_mine(
     cubes: list[Cube] = []
     total = count_height_subsets(working.n_heights, working_thresholds.min_h)
     # The sizes below the volume floor count as done unenumerated.
-    done = total - count_height_subsets(working.n_heights, plan.min_size)
+    floor = total - count_height_subsets(working.n_heights, plan.min_size)
+
+    def done() -> int:
+        return (
+            floor
+            + stats.rs_slices_mined
+            - before.rs_slices_mined
+            + stats.rs_slices_skipped
+            - before.rs_slices_skipped
+        )
+
     try:
         if controller is not None:
             controller.checkpoint(stats, phase="rsm", done=0)
         # Through this module's binding, which perfbench's span wraps.
-        for heights, rs in iter_size_slices(working, plan.subsets()):
-            done += 1
+        slices = iter_size_slices(
+            working, working_thresholds, plan.min_size, metrics=stats
+        )
+        for heights, rs in slices:
             cubes += mine_slice(
                 working, heights, rs, working_thresholds, miner, stats, on_event
             )
             if controller is not None:
-                controller.checkpoint(stats, phase="rsm", done=done, total=total)
+                controller.checkpoint(stats, phase="rsm", done=done(), total=total)
+        if controller is not None:
+            # Subtrees cut after the last mined slice.
+            controller.checkpoint(stats, phase="rsm", done=done(), total=total)
     except MiningCancelled as exc:
         elapsed = time.perf_counter() - start
         exc.metrics = stats
@@ -251,8 +264,8 @@ def mine_slice(
     Lemma 1 says no outside height covers them.  That one sweep is the
     whole closure check: a 2D pattern's rows and columns are already
     closed in 3D, because the RS row/column supports equal the 3D
-    ones.  Every RSM variant calls this on the subsets of
-    :func:`~repro.rsm.slices.enumerate_height_subsets`, folded by
+    ones.  Every RSM variant calls this on the subsets its
+    :func:`~repro.rsm.slices.walk_subsets` yields, folded by
     :func:`~repro.rsm.slices.iter_size_slices` (the out-of-core miner
     folds packed words instead).
     The slice, its patterns and the post-prune outcome are tallied into

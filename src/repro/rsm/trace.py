@@ -1,10 +1,10 @@
 """Traced RSM: the full phase-by-phase walk-through of Table 2.
 
-:func:`trace_rsm` records, for every enumerated base-dimension subset,
-the representative slice, the 2D FCPs mined from it, and which of the
-combined 3D patterns survived Lemma-1 post-pruning.  The paper's
-Table 2 is exactly :func:`render_rsm_table` on the running example with
-``minH = minR = minC = 2``.
+:func:`trace_rsm` records, for every base-dimension subset the paper's
+RSM enumerates, the representative slice, the 2D FCPs mined from it,
+and which of the combined 3D patterns survived Lemma-1 post-pruning.
+The paper's Table 2 is exactly :func:`render_rsm_table` on the running
+example with ``minH = minR = minC = 2``.
 """
 
 from __future__ import annotations
@@ -15,11 +15,16 @@ from ..core.bitset import indices
 from ..core.constraints import Thresholds
 from ..core.cube import Cube
 from ..core.dataset import Dataset3D
-from ..fcp import FCPMiner, Pattern2D
+from ..fcp import FCPMiner, Pattern2D, get_fcp_miner
 from ..fcp.matrix import BinaryMatrix
-from ..obs import CollectingSink
-from .algorithm import rsm_mine
-from .slices import count_height_subsets, min_subset_size, representative_slice
+from ..obs import CollectingSink, MiningMetrics
+from .algorithm import mine_slice
+from .slices import (
+    count_height_subsets,
+    enumerate_height_subsets,
+    min_subset_size,
+    representative_slice,
+)
 
 __all__ = ["SliceTrace", "trace_rsm", "render_rsm_table"]
 
@@ -45,51 +50,41 @@ def trace_rsm(
 ) -> list[SliceTrace]:
     """Run RSM (height base axis) recording each phase per subset.
 
-    The walk-through comes from the live miner: :func:`rsm_mine` runs
-    with a sink, each :class:`~repro.obs.events.SliceEvent` closes one
-    subset, the ``postprune`` prune events before it are its discarded
-    cubes, and the run's cubes with that height set are its kept ones.
-    Only the representative slice is recomputed, for display.
+    The walk-through is the paper's: every subset of at least
+    :func:`~repro.rsm.slices.min_subset_size` heights, in size-major
+    order, through RSM's own per-subset step
+    (:func:`~repro.rsm.algorithm.mine_slice`), with none of the
+    live walk's cuts.  A subset's ``postprune`` prune events are its
+    discarded cubes.
     """
     if not thresholds.feasible_for_shape(dataset.shape):
         return []
-    n_subsets = count_height_subsets(
-        dataset.n_heights, min_subset_size(thresholds, dataset.shape)
-    )
+    first = min_subset_size(thresholds, dataset.shape)
+    n_subsets = count_height_subsets(dataset.n_heights, first)
     if n_subsets > _MAX_TRACE_SUBSETS:
         raise ValueError(
             f"trace_rsm keeps every slice in memory; {n_subsets} subsets "
             f"exceed the {_MAX_TRACE_SUBSETS} guard"
         )
-    sink = CollectingSink()
-    result = rsm_mine(
-        dataset, thresholds, base_axis="height", fcp_miner=fcp_miner, on_event=sink
-    )
-    kept_by_subset: dict[int, list[Cube]] = {}
-    for cube in result:
-        kept_by_subset.setdefault(cube.heights, []).append(cube)
+    miner = get_fcp_miner(fcp_miner) if isinstance(fcp_miner, str) else fcp_miner
+    metrics = MiningMetrics()
     traces: list[SliceTrace] = []
-    pruned: list[Cube] = []
-    for event in sink.events:
-        if event.kind == "prune":
-            pruned.append(Cube(event.heights, event.rows, event.columns))
-        elif event.kind == "slice":
-            kept = sorted(kept_by_subset.get(event.heights, []), key=_pattern_key)
-            pruned.sort(key=_pattern_key)
-            patterns = sorted(
-                (Pattern2D(cube.rows, cube.columns) for cube in kept + pruned),
-                key=Pattern2D.sort_key,
-            )
-            traces.append(
-                SliceTrace(
-                    heights=event.heights,
-                    slice_matrix=representative_slice(dataset, event.heights),
-                    patterns=patterns,
-                    kept=kept,
-                    pruned=pruned,
-                )
-            )
-            pruned = []
+    for heights in enumerate_height_subsets(dataset.n_heights, first):
+        rs = representative_slice(dataset, heights)
+        sink = CollectingSink()
+        kept = mine_slice(dataset, heights, rs, thresholds, miner, metrics, sink)
+        pruned = [
+            Cube(event.heights, event.rows, event.columns)
+            for event in sink.events
+            if event.kind == "prune"
+        ]
+        kept.sort(key=_pattern_key)
+        pruned.sort(key=_pattern_key)
+        patterns = sorted(
+            (Pattern2D(cube.rows, cube.columns) for cube in kept + pruned),
+            key=Pattern2D.sort_key,
+        )
+        traces.append(SliceTrace(heights, rs, patterns, kept, pruned))
     return traces
 
 

@@ -26,7 +26,10 @@ exactly one of two classes:
    heights, so a left son with no dirty height is pruned with its whole
    subtree, and every other test is the unrestricted run's.  When every
    height is dirty (row/column structure edits) no FCC is clean, so the
-   run alone is the answer and pass 1 is skipped.
+   run alone is the answer and pass 1 is skipped.  The run is skipped
+   when :func:`repro.rsm.slices.may_hold_cube` proves that no cube has
+   a dirty height: RSM's subset walk, over the subsets with one, cuts
+   them all.
 
 The union of both passes is deduplicated and closure-revalidated by
 :func:`merge_shard_results`, so the returned result is bit-identical
@@ -36,10 +39,10 @@ property the hypothesis differential suite in
 
 Cost: pass 1 is one ``close()`` per old cube.  Pass 2 walks only the
 part of CubeMiner's tree whose nodes keep a dirty height; for cell
-edits in one or two heights that is a small share of the fresh tree
-(``BENCH_stream.json``: the cell-edit batch maintains tens of times
-faster than a fresh mine).  Row/column structure edits dirty every
-height and cost one fresh CubeMiner run plus the merge.
+edits in one or two heights that is a small share of the fresh tree,
+and none when the walk proves the dirty heights hold no cube.
+Row/column structure edits dirty every height and cost one fresh
+CubeMiner run plus the merge.
 """
 
 from __future__ import annotations
@@ -55,6 +58,7 @@ from ..core.kernels import KERNEL
 from ..core.result import MiningResult, MiningStats
 from ..cubeminer.algorithm import _run, search_root
 from ..obs.metrics import MiningMetrics
+from ..rsm.slices import may_hold_cube
 # Not called here; the bindings stay for perfbench/spans.py, which
 # times the RSM slice and post-prune layers at these names.
 from ..core.closure import height_set_closed as height_closed_in  # noqa: F401
@@ -193,8 +197,9 @@ def _maintain_applied(
 
     # --- Pass 2: CubeMiner restricted to cubes with a dirty height ----
     # Its root is the diced region of the new tensor; a root without a
-    # dirty height holds no cube this pass must find.
-    if dirty:
+    # dirty height holds no cube this pass must find, and neither does a
+    # tensor in which RSM's subset walk cuts every subset with one.
+    if dirty and may_hold_cube(new, thresholds, dirty):
         root, cutters = search_root(new, thresholds, metrics=metrics)
         if root.heights & dirty and root.satisfies(thresholds):
             found, _ = _run(

@@ -34,7 +34,7 @@ from ..fcp.dminer import DMiner
 from ..fcp.matrix import BinaryMatrix
 from ..obs.metrics import MiningMetrics
 from ..rsm.algorithm import mine_slice, rsm_mine
-from ..rsm.slices import enumerate_height_subsets, min_subset_size
+from ..rsm.slices import min_subset_size, walk_subsets
 
 __all__ = ["stream_mine"]
 
@@ -100,8 +100,9 @@ def stream_mine(
 ) -> MiningResult:
     """Mine FCCs with RSM in bounded memory over a (possibly mapped) grid.
 
-    With ``dice=False`` every height subset's representative slice
-    folds chunk-by-chunk off the packed grid; with ``dice=True`` the
+    With ``dice=False`` RSM's subset walk runs over the packed grid,
+    folding each visited subset's representative slice chunk by chunk;
+    with ``dice=True`` the
     diamond-dicing prefilter shrinks the tensor first and only the
     surviving region is mined (exact — see module docstring).  Results
     are bit-identical to ``mine(dataset, thresholds, algorithm="rsm")``
@@ -185,18 +186,20 @@ def _mine_streaming(
 ) -> list[Cube]:
     """RSM's base-height loop with chunk-folded representative slices.
 
-    The subsets are RSM's own (:func:`enumerate_height_subsets`), but
-    each slice folds from scratch: sharing AND prefixes between subsets,
-    as :func:`~repro.rsm.slices.iter_size_slices` does, would keep a
-    stack of up to ``l`` word planes, which is the whole packed tensor.
+    The subsets come from RSM's own walk
+    (:func:`~repro.rsm.slices.walk_subsets`, same order, same cut test),
+    but each slice folds from scratch: sharing AND prefixes between
+    parent and child, as :func:`~repro.rsm.slices.iter_size_slices`
+    does, would keep a stack of up to ``l`` slices, which is the whole
+    tensor.  So the walk folds, and tests, only the subsets it may
+    mine.
     """
     l, n, m = dataset.shape
     words = words_per_row(m)
     chunk_rows = max(int(chunk_rows), 1)
     grid = dataset.packed_grid()
-    cubes: list[Cube] = []
-    first = min_subset_size(thresholds, dataset.shape)
-    for heights in enumerate_height_subsets(l, first):
+
+    def fold(heights: int, _prefix: "list[int] | None") -> list[int]:
         members = indices(heights)
         rs_words = np.empty((n, words), dtype=WORD_DTYPE)
         for r0 in range(0, n, chunk_rows):
@@ -214,10 +217,17 @@ def _mine_streaming(
             rs_words[r0:r1] = acc
             metrics.stream_chunks_read += len(members)
             release_mapped_pages(grid)
+        return BinaryMatrix.from_packed(rs_words, m).row_masks()
+
+    cubes: list[Cube] = []
+    first = min_subset_size(thresholds, dataset.shape)
+    for heights, rows in walk_subsets(
+        fold, l, first, thresholds, metrics=metrics, from_scratch=True
+    ):
         cubes += mine_slice(
             dataset,
             heights,
-            BinaryMatrix.from_packed(rs_words, m),
+            BinaryMatrix(rows, m),
             thresholds,
             miner,
             metrics,

@@ -5,7 +5,8 @@ fingerprint (:func:`repro.io.dataset_fingerprint`)::
 
     <root>/<fp>.npy     packed (l, n, words) little-endian uint64 grid
     <root>/<fp>.json    fingerprint, shape, one-count, labels, creation
-                        time and the sha256 of the ``.npy``
+                        time, the sha256 of the ``.npy`` and the sha256
+                        of the sidecar itself (``meta_sha256``)
 
 It is the mining daemon's one dataset store (``<data_dir>/datasets/``;
 :class:`repro.service.registry.DatasetRegistry` is this class) and the
@@ -18,11 +19,13 @@ The ``.npy`` holds the canonical word layout of
 hands it straight to :meth:`repro.core.dataset.Dataset3D.open_mmap`: the
 mapping *is* the dataset's storage — no copy, pages fault in on demand
 — and :func:`repro.stream.outofcore.stream_mine` can mine a tensor
-whose packed size exceeds RAM.  Reads verify: :func:`open_entry`
-re-hashes the grid against the digest in its sidecar before mapping it,
-so corrupt bytes never reach a miner.  It is the one dataset read: the
-store's :meth:`~MmapDatasetStore.load` and the job worker call it, and
-``repro-fcc fsck`` calls its content check, :func:`verify_grid`.
+whose packed size exceeds RAM.  Reads verify: :func:`read_meta` checks
+the sidecar against its own digest, and :func:`open_entry` re-hashes
+the grid against the digest in the sidecar before mapping it, so
+corrupt bytes in either file never reach a miner.  It is the one
+dataset read: the store's :meth:`~MmapDatasetStore.load` and the job
+worker call it, and ``repro-fcc fsck`` calls its content checks,
+:func:`verify_meta` and :func:`verify_grid`.
 
 Both files are written to a temporary name unique to the writer and
 renamed into place through the :class:`~repro.chaos.io.IOShim` (chaos
@@ -48,7 +51,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..chaos.io import IOShim, StoreCorruptionError, sha256_file
+from ..chaos.io import IOShim, StoreCorruptionError, sha256_bytes, sha256_file
 from ..core.dataset import Dataset3D
 from ..core.kernels import (
     WORD_DTYPE,
@@ -68,6 +71,7 @@ __all__ = [
     "open_entry",
     "read_meta",
     "verify_grid",
+    "verify_meta",
 ]
 
 #: Version tag of the ``.json`` sidecar schema.
@@ -75,10 +79,12 @@ META_VERSION = 1
 
 
 def read_meta(meta_path: "str | Path", fingerprint: str) -> dict:
-    """The sidecar of entry ``fingerprint``, or :class:`KeyError`.
+    """The sidecar of entry ``fingerprint``, verified by :func:`verify_meta`.
 
     The one metadata rule: a sidecar that is missing, is not a JSON
-    object, or names another fingerprint makes its entry invisible.
+    object, or names another fingerprint makes its entry invisible
+    (:class:`KeyError`); one that fails its own digest raises
+    :class:`~repro.chaos.io.StoreCorruptionError`.
     """
     try:
         meta = json.loads(Path(meta_path).read_text())
@@ -88,7 +94,33 @@ def read_meta(meta_path: "str | Path", fingerprint: str) -> dict:
         meta = None
     if not isinstance(meta, dict) or meta.get("fingerprint") != fingerprint:
         raise KeyError(f"no valid metadata for dataset {fingerprint!r}")
+    verify_meta(meta_path, meta)
     return meta
+
+
+def _meta_digest(meta: dict) -> str:
+    """sha256 of a sidecar's canonical JSON, its own digest left out."""
+    body = {key: value for key, value in meta.items() if key != "meta_sha256"}
+    canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
+    return sha256_bytes(canonical.encode())
+
+
+def verify_meta(path: "str | Path", meta: dict) -> None:
+    """Check a sidecar's fields against the digest it records.
+
+    Raises :class:`~repro.chaos.io.StoreCorruptionError` on a mismatch
+    or a sidecar without a digest.
+    """
+    recorded = meta.get("meta_sha256")
+    if not isinstance(recorded, str) or not recorded:
+        raise StoreCorruptionError("registry", path, "no recorded sidecar sha256")
+    actual = _meta_digest(meta)
+    if actual != recorded:
+        raise StoreCorruptionError(
+            "registry",
+            path,
+            f"sidecar sha256 {actual[:12]} != recorded {recorded[:12]}",
+        )
 
 
 def verify_grid(path: "str | Path", meta: dict) -> None:
@@ -143,8 +175,7 @@ class MmapDatasetStore:
     debris from earlier hard kills: a ``.*.tmp.*`` file older than the
     newest committed entry cannot belong to a write still in flight, so
     it is removed (and counted in ``chaos.stale_temps_swept``).  Then it
-    converts ``<fp>.npz`` entries written by older daemons into the word
-    layout (:meth:`_migrate_npz`).
+    brings entries written by older daemons up to date (:meth:`_migrate`).
     """
 
     def __init__(
@@ -160,7 +191,7 @@ class MmapDatasetStore:
         self.chaos = chaos if chaos is not None else ChaosCounters()
         self._lock = threading.Lock()
         self._sweep_stale_temps()
-        self._migrate_npz()
+        self._migrate()
 
     def _sweep_stale_temps(self) -> int:
         """Remove temp debris that provably outlived its writer.
@@ -195,24 +226,24 @@ class MmapDatasetStore:
         self.chaos.stale_temps_swept += swept
         return swept
 
-    def _migrate_npz(self) -> None:
-        """Convert ``<fp>.npz`` + sidecar pairs into the word layout.
+    def _migrate(self) -> None:
+        """Convert ``<fp>.npz`` entries and digest older sidecars.
 
         Older daemons stored each dataset as an NPZ tensor with a
         four-field sidecar.  A pair whose tensor hashes to its
         fingerprint is rewritten as a packed grid (keeping ``created``)
-        and its ``.npz`` removed; a pair that does not decode, fails the
-        hash or cannot be rewritten stays in place for ``repro-fcc fsck``
-        to report.
+        and its ``.npz`` removed.  A sidecar without its own digest gets
+        one when its grid verifies.  Anything that does not decode, fails
+        its hash or cannot be rewritten stays in place for
+        ``repro-fcc fsck`` to report.
         """
         for npz in sorted(self.root.glob("*.npz")):
             fingerprint = npz.stem
             if npz.name.startswith("."):
                 continue
             try:
-                created = float(
-                    read_meta(self.meta_path(fingerprint), fingerprint)["created"]
-                )
+                meta = json.loads(self.meta_path(fingerprint).read_text())
+                created = float(meta["created"])
                 dataset = Dataset3D.load_npz(npz)
             except Exception:  # noqa: BLE001 - numpy/zipfile decode errors are untyped
                 continue
@@ -223,6 +254,20 @@ class MmapDatasetStore:
                 if fingerprint in self:
                     npz.unlink()
             except OSError:
+                continue
+        for meta_path in sorted(self.root.glob("*.json")):
+            if meta_path.name.startswith("."):
+                continue
+            try:
+                meta = json.loads(meta_path.read_text())
+                if "meta_sha256" in meta or meta["fingerprint"] != meta_path.stem:
+                    continue
+                verify_grid(self.path(meta_path.stem), meta)
+                meta["meta_sha256"] = _meta_digest(meta)
+                self.io.atomic_write_text(
+                    "registry", meta_path, json.dumps(meta, indent=2)
+                )
+            except (ValueError, TypeError, KeyError, OSError, StoreCorruptionError):
                 continue
 
     # ------------------------------------------------------------------
@@ -313,6 +358,7 @@ class MmapDatasetStore:
             "created": time.time() if created is None else created,
             "sha256": digest,
         }
+        meta["meta_sha256"] = _meta_digest(meta)
         self.io.atomic_write_text(
             "registry", self.meta_path(fingerprint), json.dumps(meta, indent=2)
         )
@@ -341,7 +387,9 @@ class MmapDatasetStore:
         """The sidecar of one complete entry.
 
         Raises :class:`KeyError` when the entry has no ``.npy`` or
-        :func:`read_meta` rejects its sidecar.
+        :func:`read_meta` rejects its sidecar, and
+        :class:`~repro.chaos.io.StoreCorruptionError` when the sidecar
+        fails its digest.
         """
         meta = read_meta(self.meta_path(fingerprint), fingerprint)
         if not self.path(fingerprint).exists():
@@ -352,12 +400,17 @@ class MmapDatasetStore:
         """The :class:`~repro.service.registry.DatasetEntry` of one entry.
 
         Raises :class:`KeyError` for an unknown fingerprint or an entry
-        whose sidecar :func:`read_meta` rejects.
+        whose sidecar :func:`read_meta` rejects.  A sidecar that fails
+        its digest is counted in ``corruption_detected`` and hides its
+        entry the same way, so registering the dataset again rewrites it.
         """
         from ..service.registry import DatasetEntry
 
         try:
             return DatasetEntry.from_dict(self.meta(fingerprint))
+        except StoreCorruptionError:
+            self.chaos.corruption_detected += 1
+            raise KeyError(f"corrupt metadata for dataset {fingerprint!r}") from None
         except (ValueError, TypeError):
             raise KeyError(f"no valid metadata for dataset {fingerprint!r}") from None
 

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro.core.constraints import Thresholds
+from repro.core.reference import reference_mine
 from repro.datasets import random_tensor
 from repro.obs import CheckpointWritten, MiningCancelled, ProgressController
 from repro.parallel import (
@@ -17,6 +18,8 @@ from repro.parallel import (
     parallel_rsm_mine,
     run_fingerprint,
 )
+from repro.parallel.executor import CHUNKS_PER_WORKER, _chunked
+from repro.rsm.slices import enumerate_height_subsets
 
 DRIVERS = [parallel_rsm_mine, parallel_cubeminer_mine]
 
@@ -210,6 +213,33 @@ class TestResume:
                 checkpoint_path=path,
                 resume=True,
             )
+
+    @pytest.mark.parametrize("shape", [(6, 12, 18), (1, 4, 5)])
+    def test_journal_of_subset_mask_tasks_is_refused(self, tmp_path, shape):
+        """A parallel-rsm journal whose tasks were bare subset masks (one
+        task per subset, before the walk was split into subtrees) fails
+        this run's fingerprint, even where both decompositions hold the
+        same single subset; a fresh run on the same path then mines the
+        reference cubes."""
+        data = random_tensor(shape, 0.35, seed=3)
+        th = Thresholds(1, 2, 2)
+        chunks = _chunked(
+            list(enumerate_height_subsets(shape[0], th.min_h)), 2 * CHUNKS_PER_WORKER
+        )
+        algorithm = "parallel-rsm-h[dminer]x2"
+        fingerprint = run_fingerprint(
+            algorithm, shape, th.as_tuple() + (th.min_volume,), chunks
+        )
+        path = tmp_path / "masks.jsonl"
+        with CheckpointJournal.open(
+            path, algorithm=algorithm, fingerprint=fingerprint, n_chunks=len(chunks)
+        ) as journal:
+            journal.record(0, [], {})
+        with pytest.raises(CheckpointMismatchError):
+            parallel_rsm_mine(data, th, n_workers=2, checkpoint_path=path, resume=True)
+        fresh = parallel_rsm_mine(data, th, n_workers=2, checkpoint_path=path)
+        assert fresh.algorithm == algorithm
+        assert fresh.same_cubes(reference_mine(data, th))
 
     def test_wide_cubeminer_run_checkpoints_and_resumes(self, tmp_path):
         # A 300-column run's tasks, split over two workers, journal and

@@ -32,7 +32,8 @@ from repro.obs import (
     MiningMetrics,
     ProgressController,
 )
-from repro.rsm.algorithm import rsm_mine
+from repro.rsm.algorithm import plan_subsets, rsm_mine
+from repro.rsm.slices import count_height_subsets
 
 ALL_MINERS = ("cubeminer", "rsm", "reference", "parallel-cubeminer", "parallel-rsm")
 
@@ -329,7 +330,15 @@ class TestParallelAggregation:
         )
         if par.stats["n_tasks"] > 1:
             assert par.stats["workers_merged"] > 0
-        assert par.stats["rs_slices_mined"] == par.stats["n_tasks"]
+        # Every subset is mined by one worker or skipped inside a cut
+        # subtree, and the merged tallies say so.
+        plan = plan_subsets(dataset, thresholds, "auto")
+        assert par.stats["rs_slices_mined"] + par.stats[
+            "rs_slices_skipped"
+        ] == count_height_subsets(plan.dataset.n_heights, plan.min_size)
+        assert par.stats["rs_slices_mined"] == rsm_mine(
+            dataset, thresholds, base_axis="auto"
+        ).stats["rs_slices_mined"]
 
 
 # ----------------------------------------------------------------------

@@ -22,8 +22,9 @@ from repro.parallel import (
     schedule_makespan,
     simulate_response_times,
 )
-from repro.parallel.executor import CHUNKS_PER_WORKER, _chunked
-from repro.rsm import enumerate_height_subsets, rsm_mine
+from repro.parallel.executor import CHUNKS_PER_WORKER, TASKS_PER_WORKER, _chunked
+from repro.rsm import rsm_mine
+from repro.rsm.slices import split_subtrees
 from tests.conftest import random_dataset
 
 
@@ -76,19 +77,22 @@ class TestParallelExecution:
 
     @pytest.mark.parametrize("n_workers", [1, 2])
     def test_parallel_rsm_chunks_across_subset_sizes_match_rsm_mine(self, n_workers):
-        """A chunk that spans a subset-size boundary folds through the same
-        prefix-sharing fold: the run returns rsm_mine's cubes and counters."""
+        """A chunk of subtrees whose roots differ in size walks them with
+        the same fold and cuts: the run returns rsm_mine's cubes and
+        counters."""
         ds = random_tensor((6, 6, 14), 0.65, seed=21)
         th = Thresholds(2, 2, 2)
         chunks = _chunked(
-            list(enumerate_height_subsets(6, 2)), n_workers * CHUNKS_PER_WORKER
+            split_subtrees(6, 2, TASKS_PER_WORKER * n_workers),
+            n_workers * CHUNKS_PER_WORKER,
         )
-        assert any(len({bit_count(h) for h in chunk}) > 1 for chunk in chunks)
+        assert any(len({bit_count(h) for h, _ in chunk}) > 1 for chunk in chunks)
         expected = rsm_mine(ds, th, base_axis="height")
         result = parallel_rsm_mine(ds, th, n_workers=n_workers, base_axis="height")
         assert result.cubes == expected.cubes
         for name in (
             "rs_slices_mined",
+            "rs_slices_skipped",
             "fcp_patterns",
             "postprune_checked",
             "postprune_discards",

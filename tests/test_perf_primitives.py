@@ -9,10 +9,11 @@ invisible:
   out-of-core paths run, must agree with an elementwise ``int`` model
   on masks read from either dataset storage (``tests.conftest.STORAGES``),
   including empty lists and multi-word universes;
-* the prefix-sharing slice fold :func:`iter_size_slices` must give
-  every mask of any sequence (RSM's own subset order, but also size
-  changes, gaps and repeats) the slice a fold from scratch gives it,
-  on either storage — and
+* RSM's subset walk :func:`iter_size_slices`, which folds each subset
+  from its parent's slice, must give every subset it yields the diced
+  slice a fold from scratch gives it, and yield exactly the subsets
+  whose slice survives the dice, for the whole tree and for any split
+  of it into subtrees, on either storage — and
   a :meth:`BinaryMatrix.from_packed` word array must behave like a from-masks
   matrix everywhere (access, equality, hashing, pickling).
 """
@@ -27,15 +28,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.bitset import full_mask, indices
+from repro.core.constraints import Thresholds
 from repro.core.dataset import Dataset3D
 from repro.core.kernels import KERNEL
 from repro.cubeminer.cutter import Cutter, CutterIndex, build_cutters
 from repro.datasets import paper_example, random_tensor
 from repro.fcp.matrix import BinaryMatrix
+from repro.obs import MiningMetrics
 from repro.rsm.slices import (
+    count_height_subsets,
+    dice_slice,
     enumerate_height_subsets,
     iter_size_slices,
     representative_slice,
+    split_subtrees,
 )
 from tests.conftest import STORAGES, grid_dataset, in_storage, masks_in_storage
 
@@ -204,55 +210,85 @@ def test_from_packed_behaves_like_from_row_masks(storage):
     assert rebuilt == plain
 
 
+def _surviving_slices(dataset, thresholds, min_size):
+    """Every subset of at least ``min_size`` heights whose from-scratch
+    slice survives the dice, with its diced slice."""
+    survivors = {}
+    for heights in enumerate_height_subsets(dataset.n_heights, min_size):
+        diced = dice_slice(
+            representative_slice(dataset, heights).row_masks(),
+            thresholds.min_r,
+            thresholds.min_c,
+        )
+        if diced is not None:
+            survivors[heights] = diced
+    return survivors
+
+
 @pytest.mark.parametrize("storage", STORAGES)
 @pytest.mark.parametrize(
     "shape,density,seed", [((5, 4, 12), 0.5, 5), ((6, 3, 70), 0.7, 9)]
 )
 @pytest.mark.parametrize("min_h", [1, 2, 4])
 def test_incremental_enumeration_matches_oneshot(storage, shape, density, seed, min_h):
-    """RSM's own subset order through the prefix-sharing fold gives every
-    subset the slice a fold from scratch gives it."""
+    """RSM's walk, folding each subset from its parent's slice, gives
+    every subset it yields the diced slice a fold from scratch gives it,
+    in lexicographic member order, and yields every surviving subset."""
     dataset = in_storage(random_tensor(shape, density, seed=seed), storage)
-    subsets = list(enumerate_height_subsets(dataset.n_heights, min_h))
-    incremental = list(iter_size_slices(dataset, subsets))
-    assert [heights for heights, _ in incremental] == subsets
-    for heights, rs in incremental:
-        assert rs == representative_slice(dataset, heights)
+    thresholds = Thresholds(min_h, 2, 3)
+    walked = list(iter_size_slices(dataset, thresholds, min_h))
+    expected = _surviving_slices(dataset, thresholds, min_h)
+    assert [heights for heights, _ in walked] == sorted(expected, key=indices)
+    for heights, rs in walked:
+        assert rs.row_masks() == expected[heights]
 
 
 @st.composite
-def mask_sequences(draw):
-    """A dataset and a sequence of non-empty height masks in any order:
-    size changes, gaps, repeats and single masks included."""
+def walk_cases(draw):
+    """A dataset, thresholds, a smallest subset size and a task count."""
     l = draw(st.integers(min_value=1, max_value=6))
     n = draw(st.integers(min_value=1, max_value=4))
     m = draw(st.sampled_from([5, 70]))
     cells = draw(st.lists(st.booleans(), min_size=l * n * m, max_size=l * n * m))
     data = np.array(cells, dtype=bool).reshape(l, n, m)
-    masks = st.integers(min_value=1, max_value=(1 << l) - 1)
-    return data, draw(st.lists(masks, min_size=1, max_size=12))
+    thresholds = Thresholds(
+        1, draw(st.integers(min_value=1, max_value=3)), draw(st.integers(1, 3))
+    )
+    return data, thresholds, draw(st.integers(1, l + 1)), draw(st.integers(1, 9))
 
 
 @pytest.mark.parametrize("storage", STORAGES)
 @settings(max_examples=60, deadline=None)
-@given(case=mask_sequences())
+@given(case=walk_cases())
 def test_slice_fold_matches_representative_slice(storage, case):
-    data, masks = case
+    """Split into subtrees, the walk still yields each surviving subset
+    once with its diced slice, and counts every other subset as skipped."""
+    data, thresholds, min_size, n_tasks = case
     dataset = in_storage(Dataset3D(data), storage)
-    folded = list(iter_size_slices(dataset, masks))
-    assert [heights for heights, _ in folded] == masks
-    for heights, rs in folded:
-        expected = [full_mask(dataset.n_columns)] * dataset.n_rows
+    metrics = MiningMetrics()
+    subtrees = split_subtrees(dataset.n_heights, min_size, n_tasks)
+    walked = list(
+        iter_size_slices(
+            dataset, thresholds, min_size, metrics=metrics, subtrees=subtrees
+        )
+    )
+    expected = _surviving_slices(dataset, thresholds, min_size)
+    assert sorted(heights for heights, _ in walked) == sorted(expected)
+    for heights, rs in walked:
+        manual = [full_mask(dataset.n_columns)] * dataset.n_rows
         for k in indices(heights):
-            expected = [a & b for a, b in zip(expected, dataset.ones_grid()[k])]
-        assert rs.row_masks() == expected
-        assert rs == representative_slice(dataset, heights)
+            manual = [a & b for a, b in zip(manual, dataset.ones_grid()[k])]
+        assert rs.row_masks() == expected[heights]
+        assert rs.row_masks() == dice_slice(manual, thresholds.min_r, thresholds.min_c)
+    assert len(walked) + metrics.rs_slices_skipped == count_height_subsets(
+        dataset.n_heights, min_size
+    )
 
 
 def test_slice_fold_rejects_an_empty_mask():
     dataset = random_tensor((3, 4, 8), 0.5, seed=1)
     with pytest.raises(ValueError, match="at least one height"):
-        list(iter_size_slices(dataset, [0b11, 0]))
+        representative_slice(dataset, 0)
 
 
 @pytest.mark.parametrize("storage", STORAGES)

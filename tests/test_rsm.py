@@ -4,12 +4,19 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.bitset import bit_count, mask_of
 from repro.core.constraints import Thresholds
 from repro.core.dataset import Dataset3D
 from repro.core.reference import reference_mine
-from repro.fcp import Carpenter
+from repro.fcp import Carpenter, get_fcp_miner
+from repro.obs import MiningMetrics
+from repro.parallel import parallel_rsm_mine
+from repro.rsm.algorithm import mine_slice, plan_subsets
+from repro.rsm.slices import may_hold_cube
+from repro.stream import stream_mine
 from repro.rsm import (
     RSMMiner,
     count_height_subsets,
@@ -176,3 +183,119 @@ class TestRSMMinerFacade:
 
     def test_repr(self):
         assert "auto" in repr(RSMMiner())
+
+
+# ----------------------------------------------------------------------
+# The pruned subset walk against the paper's full enumeration
+# ----------------------------------------------------------------------
+WALK_COUNTERS = ("fcp_patterns", "postprune_checked", "postprune_discards")
+
+
+def full_enumeration(dataset, thresholds, base_axis, fcp_miner):
+    """The paper's RSM: every subset of at least ``min_subset_size``
+    members, each folded from scratch and mined, with no cut."""
+    plan = plan_subsets(dataset, thresholds, base_axis)
+    miner = get_fcp_miner(fcp_miner)
+    metrics = MiningMetrics()
+    cubes = []
+    l = plan.dataset.n_heights
+    if plan.min_size <= l:
+        for heights in enumerate_height_subsets(l, plan.min_size):
+            rs = representative_slice(plan.dataset, heights)
+            cubes += mine_slice(
+                plan.dataset, heights, rs, plan.thresholds, miner, metrics
+            )
+    return sorted((plan.to_caller(cube) for cube in cubes), key=lambda c: c.sort_key()), metrics
+
+
+@st.composite
+def walk_cases(draw):
+    """A small tensor and thresholds.  The density regime includes
+    all-ones tensors (no subtree is cut) and all-zero ones (every
+    subtree is cut) besides random fill."""
+    shape = tuple(draw(st.integers(1, 5)) for _ in range(3))
+    regime = draw(st.sampled_from(["ones", "zeros", "random", "random"]))
+    if regime == "random":
+        size = shape[0] * shape[1] * shape[2]
+        cells = draw(st.lists(st.booleans(), min_size=size, max_size=size))
+        data = np.array(cells, dtype=bool).reshape(shape)
+    else:
+        data = np.full(shape, regime == "ones")
+    thresholds = Thresholds(
+        draw(st.integers(1, 3)),
+        draw(st.integers(1, 3)),
+        draw(st.integers(1, 3)),
+        min_volume=draw(st.sampled_from([1, 1, 4, 12])),
+    )
+    return Dataset3D(data), thresholds
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    case=walk_cases(),
+    base_axis=st.sampled_from(["height", "row", "column", "auto"]),
+    fcp_miner=st.sampled_from(["dminer", "carpenter"]),
+)
+def test_walk_equals_full_enumeration(case, base_axis, fcp_miner):
+    """Cutting subtrees whose slice holds no minR x minC rectangle drops
+    no cube and no 2D pattern: every RSM driver's cubes equal the full
+    enumeration's and ``reference_mine``'s, and the mined plus skipped
+    slices are the full enumeration's slices."""
+    dataset, thresholds = case
+    expected, full = full_enumeration(dataset, thresholds, base_axis, fcp_miner)
+    reference = reference_mine(dataset, thresholds)
+    assert reference.same_cubes(expected)
+    runs = [
+        rsm_mine(dataset, thresholds, base_axis=base_axis, fcp_miner=fcp_miner),
+        parallel_rsm_mine(
+            dataset, thresholds, n_workers=1, base_axis=base_axis, fcp_miner=fcp_miner
+        ),
+    ]
+    for result in runs:
+        assert result.same_cubes(expected)
+        metrics = result.stats.metrics
+        assert metrics.rs_slices_mined + metrics.rs_slices_skipped == full.rs_slices_mined
+        for name in WALK_COUNTERS:
+            assert getattr(metrics, name) == getattr(full, name), name
+    for dice in (False, True):
+        assert stream_mine(dataset, thresholds, dice=dice).same_cubes(expected)
+
+
+@pytest.mark.parametrize(
+    "regime,density,thresholds",
+    [
+        ("no cut", 1.0, Thresholds(2, 2, 2)),
+        ("all cut", 0.5, Thresholds(1, 5, 7)),
+        ("some cut", 0.7, Thresholds(2, 3, 3, min_volume=20)),
+    ],
+)
+@pytest.mark.parametrize("base_axis", ["height", "auto"])
+def test_pooled_walk_equals_full_enumeration(regime, density, thresholds, base_axis):
+    rng = np.random.default_rng(71)
+    dataset = Dataset3D(rng.random((6, 6, 8)) < density)
+    expected, full = full_enumeration(dataset, thresholds, base_axis, "dminer")
+    result = parallel_rsm_mine(dataset, thresholds, n_workers=2, base_axis=base_axis)
+    assert result.same_cubes(expected)
+    assert result.same_cubes(reference_mine(dataset, thresholds))
+    metrics = result.stats.metrics
+    skipped, mined = metrics.rs_slices_skipped, metrics.rs_slices_mined
+    assert mined + skipped == full.rs_slices_mined
+    if regime == "no cut":
+        assert skipped == 0 and mined > 0
+    elif regime == "all cut":
+        assert mined == 0 and skipped > 0
+    else:
+        assert mined > 0 and skipped > 0
+    for name in WALK_COUNTERS:
+        assert getattr(metrics, name) == getattr(full, name), name
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=walk_cases(), required=st.integers(0, 31))
+def test_may_hold_cube_never_misses_a_cube(case, required):
+    """``may_hold_cube`` is ``False`` only when no cube meeting the
+    thresholds has a height in ``required``."""
+    dataset, thresholds = case
+    required &= (1 << dataset.n_heights) - 1
+    if any(cube.heights & required for cube in reference_mine(dataset, thresholds)):
+        assert may_hold_cube(dataset, thresholds, required)

@@ -1,10 +1,13 @@
 """Every RSM path tallies the same per-slice work.
 
-``rsm_mine``, ``stream_mine`` and ``parallel-rsm`` each enumerate
-height subsets their own way but mine every representative slice
-through one step (:func:`repro.rsm.algorithm.mine_slice`): all three
-paths must report the same cubes and the same slice, pattern and
-post-prune counters.
+``rsm_mine``, ``stream_mine`` and ``parallel-rsm`` take one subset walk
+(:func:`repro.rsm.slices.walk_subsets`), each with its own fold, and
+mine every surviving representative slice through one step
+(:func:`repro.rsm.algorithm.mine_slice`): all three paths must report
+the same cubes and the same slice, skip, pattern and post-prune
+counters.  The slices mined plus the subsets skipped inside cut
+subtrees are every subset of at least ``min_subset_size`` members, on
+sequential and pooled runs alike.
 
 ``maintain()`` re-mines with CubeMiner restricted to the dirty heights.
 A row append dirties every height, so that run is a full fresh
@@ -21,13 +24,20 @@ from repro.api import mine
 from repro.core.constraints import Thresholds
 from repro.core.dataset import Dataset3D
 from repro.cubeminer import cubeminer_mine
-from repro.obs import MiningMetrics
+from repro.obs import MiningMetrics, ProgressController
 from repro.parallel import parallel_rsm_mine
-from repro.rsm.algorithm import rsm_mine
+from repro.rsm.algorithm import plan_subsets, rsm_mine
+from repro.rsm.slices import count_height_subsets
 from repro.stream import AppendSlice, maintain, stream_mine
 from tests.conftest import random_dataset
 
-COUNTERS = ("rs_slices_mined", "fcp_patterns", "postprune_checked", "postprune_discards")
+COUNTERS = (
+    "rs_slices_mined",
+    "rs_slices_skipped",
+    "fcp_patterns",
+    "postprune_checked",
+    "postprune_discards",
+)
 
 
 def counters(result) -> dict[str, int]:
@@ -74,8 +84,10 @@ def test_counter_parity_on_a_fixed_tensor():
     old = Dataset3D(rng.random((5, 8, 9)) < 0.6)
     row = rng.random((5, 9)) < 0.6
     tally = assert_paths_agree(run_every_path(old, Thresholds(2, 2, 2), row))
-    # Every subset is re-mined and Lemma 1 has work to do.
-    assert tally["rs_slices_mined"] == 2**5 - 1 - 5
+    # Every subset of two or more heights is mined or skipped, and
+    # Lemma 1 has work to do.
+    assert tally["rs_slices_mined"] == 21
+    assert tally["rs_slices_mined"] + tally["rs_slices_skipped"] == 2**5 - 1 - 5
     assert tally["fcp_patterns"] > 0
     assert tally["postprune_discards"] > 0
 
@@ -87,8 +99,9 @@ def test_counter_parity_under_a_volume_floor():
     thresholds = Thresholds(2, 2, 2, min_volume=240)
     tally = assert_paths_agree(run_every_path(old, thresholds, row))
     # A pair of 8 x 12 slices holds 192 < 240 cells: only the 16
-    # subsets of three or more heights are worth mining.
+    # subsets of three or more heights are worth mining, and none is cut.
     assert tally["rs_slices_mined"] == 10 + 5 + 1
+    assert tally["rs_slices_skipped"] == 0
     assert tally["fcp_patterns"] > 0
 
 
@@ -108,3 +121,46 @@ def test_counters_accumulate_into_a_shared_instance(paper_ds, paper_thresholds):
     # Table 2: 4 slices, 9 FCPs, 4 of them discarded by Lemma 1 — twice.
     assert (shared.rs_slices_mined, shared.fcp_patterns) == (8, 18)
     assert (shared.postprune_checked, shared.postprune_discards) == (18, 8)
+
+
+def _cut_tensor() -> tuple[Dataset3D, Thresholds]:
+    """A tensor whose walk cuts some subtrees and mines other slices."""
+    rng = np.random.default_rng(61)
+    return Dataset3D(rng.random((7, 6, 12)) < 0.55), Thresholds(2, 3, 3)
+
+
+@pytest.mark.parametrize("base_axis", ["height", "row", "column"])
+def test_mined_plus_skipped_is_every_subset(base_axis):
+    dataset, thresholds = _cut_tensor()
+    plan = plan_subsets(dataset, thresholds, base_axis)
+    every = count_height_subsets(plan.dataset.n_heights, plan.min_size)
+    runs = {
+        "rsm": rsm_mine(dataset, thresholds, base_axis=base_axis),
+        "sequential": parallel_rsm_mine(
+            dataset, thresholds, n_workers=1, base_axis=base_axis
+        ),
+        "pooled": parallel_rsm_mine(
+            dataset, thresholds, n_workers=2, base_axis=base_axis
+        ),
+    }
+    if base_axis == "height":
+        runs["stream"] = stream_mine(dataset, thresholds)
+    expected = runs["rsm"]
+    assert expected.stats["rs_slices_skipped"] > 0
+    assert expected.stats["rs_slices_mined"] > 0
+    for name, result in runs.items():
+        metrics = result.stats.metrics
+        assert metrics.rs_slices_mined + metrics.rs_slices_skipped == every, name
+        assert counters(result) == counters(expected), name
+        assert result.same_cubes(expected), name
+
+
+def test_progress_done_reaches_total_over_cut_subtrees():
+    dataset, thresholds = _cut_tensor()
+    updates = []
+    controller = ProgressController(on_progress=updates.append, min_interval=0.0)
+    result = rsm_mine(dataset, thresholds, base_axis="height", progress=controller)
+    assert result.stats["rs_slices_skipped"] > 0
+    dones = [update.done for update in updates]
+    assert dones == sorted(dones)
+    assert dones[-1] == updates[-1].total == count_height_subsets(7, 2)

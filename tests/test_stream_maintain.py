@@ -186,6 +186,25 @@ def test_metrics_counters_and_stream_extra():
     assert restored.deltas_applied == 1
 
 
+def test_dirty_pass_skipped_when_no_dirty_height_can_hold_a_cube():
+    """An edit in a height whose every subset the RSM walk cuts needs no
+    CubeMiner run: the dirty pass visits no node, and the result is
+    still the fresh mine's."""
+    rng = np.random.default_rng(8)
+    data = rng.random((6, 10, 12)) < 0.15
+    data[1:4, :4, :5] = True  # the only cube, in heights 1-3
+    ds = Dataset3D(data)
+    th = Thresholds(3, 3, 4)
+    base = mine(ds, th, algorithm="rsm")
+    assert len(base) >= 1
+    for height, expect_skip in ((5, True), (2, False)):
+        metrics = MiningMetrics()
+        batch = [ClearCell(height, 9, 11)]
+        new, maintained = maintain(ds, base, batch, th, metrics=metrics)
+        assert maintained.same_cubes(mine(new, th))
+        assert (metrics.nodes_visited == 0) == expect_skip, height
+
+
 def test_algorithm_tag_does_not_nest():
     ds = planted()
     th = Thresholds(2, 2, 2)

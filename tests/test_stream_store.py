@@ -17,7 +17,8 @@ import numpy as np
 import pytest
 
 from repro.api import mine
-from repro.chaos import ChaosPlan, ChaosShim
+from repro.chaos import ChaosPlan, ChaosShim, fsck_data_dir
+from repro.chaos.io import StoreCorruptionError
 from repro.core.constraints import Thresholds
 from repro.core.dataset import Dataset3D
 from repro.core.kernels import PackedBufferError, release_mapped_pages
@@ -130,6 +131,57 @@ def test_entries_with_invalid_metadata_are_skipped(tmp_path, sidecar):
     for read in (store.meta, store.get, store.load):
         with pytest.raises(KeyError):
             read(fp)
+
+
+def test_edited_sidecar_fails_its_digest(tmp_path):
+    """Labels and the one-count are covered by the sidecar's own digest:
+    an edit fails the load (counted as corruption), hides the entry,
+    is reported by fsck, and registering the dataset again rewrites it."""
+    data = tmp_path / "data"
+    store = MmapDatasetStore(data / "datasets")
+    ds = random_dataset()
+    fp = store.register(ds).fingerprint
+    meta = json.loads(store.meta_path(fp).read_text())
+    meta["column_labels"][0] = "c9"
+    meta["n_ones"] += 1
+    store.meta_path(fp).write_text(json.dumps(meta, indent=2))
+    with pytest.raises(StoreCorruptionError, match="sidecar sha256"):
+        store.load(fp)
+    assert store.chaos.corruption_detected == 1
+    assert fp not in store
+    report = fsck_data_dir(data)
+    assert [(i.store, i.kind, i.path) for i in report.errors] == [
+        ("datasets", "checksum-mismatch", f"datasets/{fp}.json")
+    ]
+    assert store.register(ds).fingerprint == fp
+    assert store.load(fp) == ds
+    assert fsck_data_dir(data).clean
+
+
+def test_older_sidecars_gain_their_digest_on_open(tmp_path):
+    """A sidecar written before sidecars recorded their own digest gets
+    one when its grid verifies; fsck warns about it until then.  One
+    whose grid fails stays as it is and its entry does not load."""
+    data = tmp_path / "data"
+    store = MmapDatasetStore(data / "datasets")
+    good = store.register(random_dataset(seed=1)).fingerprint
+    bad = store.register(random_dataset(seed=2)).fingerprint
+    for fp in (good, bad):
+        meta = json.loads(store.meta_path(fp).read_text())
+        del meta["meta_sha256"]
+        store.meta_path(fp).write_text(json.dumps(meta, indent=2))
+    assert {i.kind for i in fsck_data_dir(data, verify_checksums=False).warnings} == {
+        "unmigrated"
+    }
+    words = np.load(store.path(bad))
+    words[0, 0, 0] ^= np.uint64(1)
+    np.save(store.path(bad), words)
+    reopened = MmapDatasetStore(data / "datasets")
+    assert "meta_sha256" in json.loads(reopened.meta_path(good).read_text())
+    assert "meta_sha256" not in json.loads(reopened.meta_path(bad).read_text())
+    assert reopened.load(good) == random_dataset(seed=1)
+    with pytest.raises(StoreCorruptionError):
+        reopened.load(bad)
 
 
 def test_torn_sidecar_write_fails_then_retry_registers(tmp_path):
