@@ -234,8 +234,7 @@ def _availability_point(rate: float, seed: int = 23) -> dict:
         )
     data_dir = Path(tempfile.mkdtemp(prefix="repro-bench-chaos-"))
     app = ServiceApp(
-        data_dir, max_workers=1, start_method="fork",
-        max_retries=3, retry_backoff=0.05, io=shim,
+        data_dir, max_workers=1, max_retries=3, retry_backoff=0.05, io=shim,
     )
     served = typed = unhandled = 0
     start = time.perf_counter()

@@ -4,7 +4,9 @@ Boots a daemon on an ephemeral port, then exercises the full client
 path the way CI's ``service`` job expects:
 
 1. register a dataset (content-fingerprinted),
-2. submit a mining job at loose thresholds and wait for it,
+2. submit a mining job at loose thresholds and wait for it; its
+   worker's ``worker-start`` event must say it forked from the
+   preloaded forkserver,
 3. re-query at element-wise tighter thresholds and assert the answer
    comes from the threshold-lattice cache (``cache_hit``) and is
    bit-identical to a fresh sequential mine,
@@ -68,6 +70,13 @@ def main() -> int:
         served = client.mine(entry.fingerprint, loose, timeout=300)
         check(not served.cache_hit, "first mine at loose thresholds is fresh")
         check(len(served.result) > 0, "loose mine found cubes")
+        events, _ = client.events(served.job.id)
+        check(
+            bool(events)
+            and events[0]["kind"] == "worker-start"
+            and events[0]["preloaded"] is True,
+            "the cold job's worker forked from the preloaded forkserver",
+        )
 
         tight = Thresholds(2, 2, 2, min_volume=8)
         cached = client.mine(entry.fingerprint, tight, timeout=300)

@@ -25,6 +25,9 @@ Lifecycle and crash-safety:
   the ``/dev/shm`` name disappears at once and the memory itself is
   freed when the last map goes away — worker death, clean or not, never
   leaks a segment;
+* a publisher that is killed runs none of that, so the process that
+  reaps it calls :func:`unlink_segments_of` with its pid (which every
+  segment name carries);
 * attaching processes deregister from the ``resource_tracker``
   (Python < 3.13 registers attachments too, which would let a worker's
   exit unlink a segment the driver still owns);
@@ -55,6 +58,7 @@ __all__ = [
     "publish_dataset",
     "attach_dataset",
     "active_segments",
+    "unlink_segments_of",
 ]
 
 #: Every segment this library creates carries this name prefix, so a
@@ -127,6 +131,31 @@ def _cleanup_all() -> None:
         _release(name)
 
 
+def _creator_prefix(pid: int) -> str:
+    return f"{SHM_PREFIX}{pid:x}-"
+
+
+def unlink_segments_of(pid: int) -> list[str]:
+    """Unlink every segment that process ``pid`` created; return their names.
+
+    For a publisher killed before its own cleanup ran (``SIGKILL``, or
+    an exit that skips ``atexit``).  Only call it for a process that is
+    known to be gone, such as a child just reaped: a live one would
+    lose segments it still uses.  A no-op without ``/dev/shm``.
+    """
+    prefix = _creator_prefix(pid)
+    try:
+        names = sorted(n for n in os.listdir("/dev/shm") if n.startswith(prefix))
+    except OSError:
+        return []
+    for name in names:
+        try:
+            os.unlink(os.path.join("/dev/shm", name))
+        except FileNotFoundError:
+            pass
+    return names
+
+
 def _untrack(shm: shared_memory.SharedMemory) -> None:
     # Python < 3.13 registers *attached* segments with the resource
     # tracker too (bpo-39959), so a worker's exit would unlink memory
@@ -162,7 +191,7 @@ class ShmManager:
         global _ATEXIT_REGISTERED
         if nbytes <= 0:
             raise ShmError(f"segment size must be positive, got {nbytes}")
-        name = f"{SHM_PREFIX}{os.getpid():x}-{secrets.token_hex(4)}"
+        name = f"{_creator_prefix(os.getpid())}{secrets.token_hex(4)}"
         shm = shared_memory.SharedMemory(name=name, create=True, size=nbytes)
         if not _ATEXIT_REGISTERED:
             atexit.register(_cleanup_all)

@@ -33,7 +33,7 @@ from ..cubeminer.cutter import HeightOrder
 from ..fcp import get_fcp_miner
 from ..obs.metrics import MiningMetrics
 from ..rsm.algorithm import mine_slice, plan_subsets
-from ..rsm.slices import iter_size_slices
+from ..rsm.slices import iter_size_slices, split_subtrees
 
 __all__ = [
     "CommunicationModel",
@@ -116,28 +116,30 @@ def measure_rsm_task_times(
     *,
     base_axis: int | str = "auto",
     fcp_miner: str = "dminer",
+    min_tasks: int = 64,
 ) -> list[float]:
-    """Wall-clock time of every RSM task (one representative slice each).
+    """Wall-clock time of every parallel RSM task.
 
-    The tasks are the subsets RSM mines, in the order of the sequential
-    walk (:func:`~repro.rsm.slices.iter_size_slices`).  A task's time
-    covers the walk since the previous mined slice (one AND and one
-    dice test per node, cut subtrees included) plus its 2D mine and
-    post-prune, so the times sum to the sequential RSM mining time;
-    feeding them to :func:`simulate_response_times` reproduces parallel
-    RSM.
+    The tasks are the parallel driver's own: the base-subset walk cut
+    into at least ``min_tasks`` subtrees
+    (:func:`~repro.rsm.slices.split_subtrees`), in the order the driver
+    ships them.  A task's time covers its whole subtree walk (one AND
+    and one dice test per node, cut subtrees included) plus the 2D mine
+    and post-prune of every slice it yields; feeding the times to
+    :func:`simulate_response_times` reproduces parallel RSM.
     """
     base = plan_subsets(dataset, thresholds, base_axis)
     miner = get_fcp_miner(fcp_miner)
     metrics = MiningMetrics()
     times: list[float] = []
-    t0 = time.perf_counter()
-    slices = iter_size_slices(base.dataset, base.thresholds, base.min_size)
-    for heights, rs in slices:
-        mine_slice(base.dataset, heights, rs, base.thresholds, miner, metrics)
-        t1 = time.perf_counter()
-        times.append(t1 - t0)
-        t0 = t1
+    for subtree in split_subtrees(base.dataset.n_heights, base.min_size, min_tasks):
+        t0 = time.perf_counter()
+        slices = iter_size_slices(
+            base.dataset, base.thresholds, base.min_size, subtrees=[subtree]
+        )
+        for heights, rs in slices:
+            mine_slice(base.dataset, heights, rs, base.thresholds, miner, metrics)
+        times.append(time.perf_counter() - t0)
     return times
 
 

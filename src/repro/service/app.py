@@ -120,7 +120,6 @@ class ServiceApp:
         data_dir: str | Path,
         *,
         max_workers: int = 2,
-        start_method: str = "spawn",
         max_queued: "int | None" = None,
         max_retries: int = 2,
         retry_backoff: float = 0.5,
@@ -141,7 +140,6 @@ class ServiceApp:
             self.registry,
             self.cache,
             max_workers=max_workers,
-            start_method=start_method,
             max_queued=max_queued,
             max_retries=max_retries,
             retry_backoff=retry_backoff,

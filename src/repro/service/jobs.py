@@ -43,6 +43,14 @@ The manager is hardened against its own infrastructure failing:
 * **Watchdog.** Workers heartbeat into their event journal; a worker
   silent past ``heartbeat_timeout`` is killed and its job retried.
 
+Workers fork from one ``multiprocessing`` forkserver per interpreter.
+The first manager starts it, and the server imports this module — and
+with it numpy, :mod:`repro.api` and :mod:`repro.stream.maintain` —
+once, off the request path, so a job pays for a ``fork()`` rather than
+an interpreter start.  Later managers reuse the server, and an
+``atexit`` hook stops and reaps it.  There is still one process per
+job, and none is ever forked from the daemon's own threaded process.
+
 All daemon-side disk traffic goes through an injectable
 :class:`~repro.chaos.io.IOShim`.  Results are written and read through
 its one result-document writer and reader
@@ -61,15 +69,18 @@ born ``done`` with ``cache_hit`` provenance.
 
 from __future__ import annotations
 
+import atexit
 import json
 import multiprocessing
 import os
 import shutil
+import signal
 import time
 import threading
 import uuid
 from collections import deque
 from dataclasses import replace
+from multiprocessing import forkserver
 from pathlib import Path
 
 from ..chaos.io import IOShim, StoreCorruptionError
@@ -78,6 +89,7 @@ from ..obs import MiningCancelled, event_to_dict
 from ..obs.metrics import ChaosCounters
 from ..options import options_from_dict
 from ..parallel.checkpoint import journal_status
+from ..parallel.shm import unlink_segments_of
 from ..stream.store import open_entry
 from .cache import ThresholdLatticeCache
 from .registry import DatasetRegistry
@@ -101,6 +113,76 @@ MAX_BACKOFF = 30.0
 
 #: ``error.json`` code of a worker whose dataset failed verification.
 STORE_CORRUPT = "store-corrupt"
+
+#: Pid of the process that imported this module.  A worker forked from
+#: the preloaded forkserver inherits the server's value, so it differs
+#: from the worker's own pid exactly when the preload took.
+_IMPORT_PID = os.getpid()
+
+#: Guards the forkserver start (and its short ``PYTHONPATH`` edit).
+_SERVER_LOCK = threading.Lock()
+
+
+# ----------------------------------------------------------------------
+# The forkserver every worker forks from
+# ----------------------------------------------------------------------
+def _forkserver_context() -> multiprocessing.context.BaseContext:
+    """The ``forkserver`` context, its server running with this module loaded.
+
+    Starts the interpreter's one server on first use (about 1 ms on a
+    2-vCPU Linux host; the server imports in its own process) and
+    restarts one that died.
+    The server's ``main`` ignores the ``sys_path`` it is handed
+    (Python 3.10-3.13), so a caller that found ``repro`` through a
+    ``sys.path`` insert would get a silently failed preload: the
+    directory holding the package is put on ``PYTHONPATH`` for the
+    start only, and ``os.environ`` is restored before returning.
+    """
+    context = multiprocessing.get_context("forkserver")
+    with _SERVER_LOCK:
+        context.set_forkserver_preload([__name__])
+        previous = os.environ.get("PYTHONPATH")
+        package_root = str(Path(__file__).resolve().parents[2])
+        os.environ["PYTHONPATH"] = (
+            package_root if not previous else package_root + os.pathsep + previous
+        )
+        try:
+            forkserver.ensure_running()
+        finally:
+            if previous is None:
+                del os.environ["PYTHONPATH"]
+            else:
+                os.environ["PYTHONPATH"] = previous
+    return context
+
+
+def _signal_worker(process, signum: int) -> None:
+    """Send ``signum`` to a live worker and to the pool it started.
+
+    The worker leads its own process group; one that has not called
+    ``setpgid`` yet has no pool, and is signalled alone.
+    """
+    if not process.is_alive():
+        return
+    try:
+        os.killpg(process.pid, signum)
+    except ProcessLookupError:
+        try:
+            os.kill(process.pid, signum)
+        except ProcessLookupError:
+            pass  # exited in between
+
+
+@atexit.register
+def _stop_forkserver() -> None:
+    """Stop this interpreter's forkserver, if it started one, and reap it."""
+    stop = getattr(forkserver._forkserver, "_stop", None)
+    if stop is None:
+        return
+    try:
+        stop()
+    except OSError:
+        pass  # its socket file went with a temp dir removed before exit
 
 
 # ----------------------------------------------------------------------
@@ -137,8 +219,10 @@ def run_job_worker(job_dir: str) -> int:
     Reads the ``task.json`` manifest, mines, streams events (plus a
     periodic heartbeat for the manager's watchdog), and writes
     ``result.json`` (a checksummed result document) or ``error.json``.
-    Module-level so it stays importable under the ``spawn`` start
-    method.
+    The manager runs it in a child of the forkserver, which has already
+    imported this module; the journal's first line, ``worker-start``,
+    records the worker's pid and whether that preload took
+    (``preloaded``).
     """
     directory = Path(job_dir)
     try:
@@ -159,7 +243,8 @@ def run_job_worker(job_dir: str) -> int:
     # Injected worker faults cross the process boundary through the
     # manifest (the worker has no shim): a crash exits before any
     # output, a hang stalls before the event journal even opens — so
-    # neither leaves a heartbeat, exactly like the real failure.
+    # neither leaves a worker-start stamp or a heartbeat, exactly like
+    # the real failure.
     fault = manifest.get("chaos") or None
     if fault:
         if fault.get("kind") == "crash":
@@ -182,6 +267,14 @@ def run_job_worker(job_dir: str) -> int:
                     events.flush()
                 except ValueError:
                     pass  # handle closed while the heartbeat was racing teardown
+
+        emit(
+            {
+                "kind": "worker-start",
+                "pid": os.getpid(),
+                "preloaded": os.getpid() != _IMPORT_PID,
+            }
+        )
 
         def on_event(event) -> None:
             if event.kind in _FIREHOSE_KINDS:
@@ -275,6 +368,17 @@ def run_job_worker(job_dir: str) -> int:
     return 0
 
 
+def _worker_main(job_dir: str) -> None:
+    """The worker process's target: set the process up, run the job."""
+    # Lead a process group, so a kill from the manager (_signal_worker)
+    # also reaches the pool a parallel job starts.  That pool spawns its
+    # workers: this process has a heartbeat thread, so it must not fork,
+    # and the forkserver method it inherits would start a second server.
+    os.setpgid(0, 0)
+    multiprocessing.set_start_method("spawn", force=True)
+    run_job_worker(job_dir)
+
+
 def _run_maintenance(manifest: dict, spec: JobSpec, emit) -> "MiningResult | None":
     """Patch the base dataset's cached result through the delta batch.
 
@@ -361,10 +465,9 @@ class JobManager:
     registry, cache:
         The shared dataset registry and threshold-lattice result cache.
     max_workers:
-        Concurrent worker processes (further jobs wait queued).
-    start_method:
-        ``multiprocessing`` start method for workers; ``spawn`` (the
-        default) keeps children clear of the daemon's server threads.
+        Concurrent worker processes (further jobs wait queued), each
+        forked from the interpreter's one preloaded forkserver
+        (:func:`_forkserver_context`).
     max_queued:
         Admission-control bound: submissions arriving with this many
         jobs already queued are rejected with HTTP 429 and a
@@ -402,7 +505,6 @@ class JobManager:
         cache: ThresholdLatticeCache,
         *,
         max_workers: int = 2,
-        start_method: str = "spawn",
         max_queued: "int | None" = None,
         max_retries: int = 2,
         retry_backoff: float = 0.5,
@@ -433,7 +535,7 @@ class JobManager:
         self.heartbeat_timeout = heartbeat_timeout
         self.io = io if io is not None else IOShim()
         self.chaos = chaos if chaos is not None else ChaosCounters()
-        self._mp = multiprocessing.get_context(start_method)
+        _forkserver_context()  # start the server now, off the request path
         self._lock = threading.Condition()
         self._records: dict[str, JobRecord] = {}
         self._queue: deque[str] = deque()
@@ -676,8 +778,9 @@ class JobManager:
         record.started = time.time()
         record.attempts += 1
         self._save(record)
-        process = self._mp.Process(
-            target=run_job_worker, args=(str(directory),), daemon=False
+        # Checked per job: a server that died restarts with the preload.
+        process = _forkserver_context().Process(
+            target=_worker_main, args=(str(directory),), daemon=False
         )
         process.start()
         with self._lock:
@@ -710,6 +813,9 @@ class JobManager:
 
     def _watch(self, job_id: str, process) -> None:
         process.join()
+        # A killed parallel job never unlinked the dataset segment its
+        # driver published (and a forked worker runs no atexit hooks).
+        unlink_segments_of(process.pid)
         with self._lock:
             self._procs.pop(job_id, None)
             record = self._records.get(job_id)
@@ -895,8 +1001,7 @@ class JobManager:
                             return
                         self._watchdog_killed.add(job_id)
                     self.chaos.watchdog_kills += 1
-                    if process.is_alive():
-                        process.kill()
+                    _signal_worker(process, signal.SIGKILL)
             time.sleep(interval)
 
     # ------------------------------------------------------------------
@@ -1050,8 +1155,8 @@ class JobManager:
                 self._queue.remove(job_id)
             self._not_before.pop(job_id, None)
             process = self._procs.get(job_id)
-        if process is not None and process.is_alive():
-            process.terminate()
+        if process is not None:
+            _signal_worker(process, signal.SIGTERM)
         self._save_safe(record)
         return record
 
@@ -1110,15 +1215,16 @@ class JobManager:
 
         Running jobs keep their persisted ``running`` status, so a new
         manager over the same root requeues and resumes them — this is
-        the daemon-restart story, not data loss.
+        the daemon-restart story, not data loss.  The forkserver stays
+        up: other managers in this interpreter may still fork from it,
+        and it is stopped at interpreter exit.
         """
         with self._lock:
             self._closed = True
             procs = dict(self._procs)
             self._lock.notify_all()
         for process in procs.values():
-            if process.is_alive():
-                process.terminate()
+            _signal_worker(process, signal.SIGTERM)
         for process in procs.values():
             process.join(timeout=5)
         self._dispatcher.join(timeout=5)
@@ -1140,7 +1246,7 @@ class JobManager:
         killed = 0
         for process in procs.values():
             if process.is_alive():
-                process.kill()
+                _signal_worker(process, signal.SIGKILL)
                 killed += 1
         for process in procs.values():
             process.join(timeout=5)

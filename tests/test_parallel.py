@@ -210,6 +210,27 @@ class TestTaskTimeMeasurement:
         if base_axis == "height":
             assert len(times) == 42  # the 42 subsets of >= 3 of the 6 heights
 
+    @pytest.mark.parametrize("n_workers", [1, 2], ids=lambda v: f"workers={v}")
+    def test_rsm_task_count_matches_the_driver(self, n_workers):
+        """One task per subtree ``parallel_rsm_mine`` ships, not per slice."""
+        from repro.datasets import random_tensor
+        from repro.parallel import parallel_rsm_mine
+        from repro.parallel.executor import TASKS_PER_WORKER
+
+        dataset = random_tensor((12, 6, 10), 0.6, seed=5)
+        thresholds = Thresholds(2, 2, 2)
+        times = measure_rsm_task_times(
+            dataset,
+            thresholds,
+            base_axis="height",
+            min_tasks=TASKS_PER_WORKER * n_workers,
+        )
+        driven = parallel_rsm_mine(
+            dataset, thresholds, n_workers=n_workers, base_axis="height"
+        )
+        assert len(times) == driven.stats["n_tasks"]
+        assert len(times) < driven.stats["rs_slices_mined"]
+
     def test_rsm_infeasible_gives_empty(self, paper_ds):
         assert measure_rsm_task_times(paper_ds, Thresholds(9, 9, 9)) == []
 

@@ -12,18 +12,27 @@ finished chunks.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
 import threading
 import time
+from multiprocessing import forkserver
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro import mine
+from repro.chaos import ChaosPlan, ChaosShim
 from repro.core.constraints import Thresholds
 from repro.core.dataset import Dataset3D
 from repro.core.result import MiningResult
 from repro.io import dataset_fingerprint, dataset_to_payload
 from repro.options import ParallelOptions
+from repro.parallel import SHM_PREFIX
 from repro.service import (
     DatasetRegistry,
     JobManager,
@@ -605,3 +614,171 @@ class TestRestartResume:
             assert cube_set(resumed) == cube_set(mine(dataset, thresholds))
         finally:
             reborn.shutdown()
+
+    def test_killed_parallel_job_leaves_no_segment(self, tmp_path):
+        """A worker SIGKILLed after its driver published the dataset to
+        shared memory does not leave the segment in ``/dev/shm``."""
+        manager, registry, cache = self._manager(tmp_path)
+        dataset = Dataset3D(np.random.default_rng(17).random((8, 10, 10)) < 0.6)
+        fp = registry.register(dataset).fingerprint
+        spec = JobSpec(
+            dataset=fp,
+            thresholds=Thresholds(1, 1, 1),
+            algorithm="parallel-cubeminer",
+            options={"n_workers": 2},
+            use_cache=False,
+        )
+        record = manager.submit(spec)
+        try:
+            deadline = time.monotonic() + 120
+            while True:
+                with manager._lock:  # noqa: SLF001
+                    process = manager._procs.get(record.id)  # noqa: SLF001
+                if process is not None:
+                    prefix = f"{SHM_PREFIX}{process.pid:x}-"
+                    ours = [n for n in os.listdir("/dev/shm") if n.startswith(prefix)]
+                    if ours:
+                        break
+                assert not manager.get(record.id).terminal
+                assert time.monotonic() < deadline
+                time.sleep(0.005)
+            assert manager.kill_workers() == 1
+            deadline = time.monotonic() + 30
+            while any(os.path.exists(f"/dev/shm/{name}") for name in ours):
+                assert time.monotonic() < deadline, ours
+                time.sleep(0.05)
+        finally:
+            manager.shutdown()
+
+
+# ----------------------------------------------------------------------
+# The forkserver workers start from
+# ----------------------------------------------------------------------
+#: Boots a daemon the way ``perfbench/run.py`` finds the package (a
+#: ``sys.path`` insert, no ``PYTHONPATH``), runs one job, kills the
+#: forkserver, runs another, and prints what the tests below check.
+FORKSERVER_PROBE = textwrap.dedent(
+    """
+    import json, os, signal, sys, time
+    sys.path.insert(0, sys.argv[1])
+
+    def main():
+        from multiprocessing import forkserver
+        import numpy as np
+        from repro.core.constraints import Thresholds
+        from repro.core.dataset import Dataset3D
+        from repro.service import JobSpec, ServiceApp
+
+        environ = dict(os.environ)
+        app = ServiceApp(sys.argv[2], max_workers=1)
+        env_unchanged = dict(os.environ) == environ
+        dataset = Dataset3D(np.random.default_rng(11).random((3, 6, 6)) < 0.5)
+        fp = app.registry.register(dataset).fingerprint
+
+        def run_job():
+            spec = JobSpec(dataset=fp, thresholds=Thresholds(1, 2, 2), use_cache=False)
+            record = app.jobs.submit(spec)
+            deadline = time.monotonic() + 120
+            while not app.jobs.get(record.id).terminal and time.monotonic() < deadline:
+                time.sleep(0.05)
+            events, _ = app.jobs.events(record.id)
+            return {
+                "status": app.jobs.get(record.id).status,
+                "first_event": events[0] if events else None,
+            }
+
+        jobs = [run_job()]
+        killed = forkserver._forkserver._forkserver_pid
+        os.kill(killed, signal.SIGKILL)
+        while open(f"/proc/{killed}/stat").read().rsplit(")", 1)[1].split()[0] != "Z":
+            time.sleep(0.01)
+        jobs.append(run_job())
+        app.close()
+        print(json.dumps({
+            "jobs": jobs,
+            "env_unchanged": env_unchanged,
+            "killed_pid": killed,
+            "server_pid": forkserver._forkserver._forkserver_pid,
+        }))
+
+    if __name__ == "__main__":
+        main()
+    """
+)
+
+
+@pytest.mark.slow
+class TestForkserver:
+    @pytest.fixture(scope="class")
+    def probe(self, tmp_path_factory):
+        """Run the probe once in a fresh interpreter; its report and exit."""
+        root = tmp_path_factory.mktemp("forkserver")
+        script = root / "probe.py"
+        script.write_text(FORKSERVER_PROBE)
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        src = str(Path(repro.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, str(script), src, str(root / "data")],
+            env=env,
+            cwd=root,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        return json.loads(done.stdout.splitlines()[-1])
+
+    def test_worker_starts_preloaded(self, probe):
+        """The server imported the job module although ``repro`` is only
+        on the caller's ``sys.path`` — also once restarted after it was
+        killed — and the caller's environment is left as it was."""
+        assert probe["server_pid"] != probe["killed_pid"]
+        for job in probe["jobs"]:
+            assert job["status"] == "done"
+            first = job["first_event"]
+            assert first["kind"] == "worker-start"
+            assert first["preloaded"] is True
+        assert probe["env_unchanged"] is True
+
+    def test_servers_are_reaped(self, probe):
+        """The killed server is reaped on restart, the live one at exit."""
+        for pid in (probe["killed_pid"], probe["server_pid"]):
+            assert isinstance(pid, int)
+            assert not Path(f"/proc/{pid}").exists()
+
+    def test_closing_one_app_spares_another_apps_job(self, tmp_path):
+        first = ServiceApp(tmp_path / "first", max_workers=1)
+        # The worker sleeps before it mines, so the job is still running
+        # when the first app closes.
+        second = ServiceApp(
+            tmp_path / "second",
+            max_workers=1,
+            io=ChaosShim(
+                ChaosPlan.single("hang", site="worker", op="start", seconds=1.5)
+            ),
+        )
+        try:
+            dataset = small_dataset()
+            fp = second.registry.register(dataset).fingerprint
+            thresholds = Thresholds(1, 2, 2)
+            job_id = post(
+                second,
+                "/v1/jobs",
+                {"dataset": fp, "thresholds": thresholds.to_dict()},
+            ).payload["id"]
+            deadline = time.monotonic() + 60
+            while second.jobs.get(job_id).status != "running":
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            server_pid = forkserver._forkserver._forkserver_pid
+            first.close()
+            # Closing returned at once and left the shared server up.
+            assert second.jobs.get(job_id).status == "running"
+            assert forkserver._forkserver._forkserver_pid == server_pid
+            record = wait_terminal(second, job_id)
+            assert record.status == "done", record.error
+            served = MiningResult.from_payload(second.jobs.result_payload(job_id))
+            assert cube_set(served) == cube_set(mine(dataset, thresholds))
+        finally:
+            first.close()
+            second.close()
