@@ -10,7 +10,9 @@ path the way CI's ``service`` job expects:
 3. re-query at element-wise tighter thresholds and assert the answer
    comes from the threshold-lattice cache (``cache_hit``) and is
    bit-identical to a fresh sequential mine,
-4. hit the cache-only ``/v1/query`` endpoint,
+4. hit the cache-only ``/v1/query`` endpoint twice: the second answer
+   must come from the cache's decoded copy of the entry
+   (``decoded_reused``) and match a fresh mine bit for bit,
 5. check the health counters moved,
 6. fsck the data directory after shutdown — a clean end-to-end run
    must leave a clean store (no stray temps, no checksum drift).
@@ -96,6 +98,17 @@ def main() -> int:
         check(
             answer is not None and answer.cache_hit,
             "cache-only /v1/query answers a dominated query",
+        )
+        reused = client.health()["cache"]["decoded_reused"]
+        again = client.query(entry.fingerprint, Thresholds(2, 2, 2))
+        check(
+            client.health()["cache"]["decoded_reused"] == reused + 1,
+            "a second /v1/query on the same entry reuses its decoded copy",
+        )
+        check(
+            again is not None
+            and cube_set(again.result) == cube_set(mine(dataset, Thresholds(2, 2, 2))),
+            "the memo-served cubes are bit-identical to a fresh mine",
         )
         miss = client.query(entry.fingerprint, Thresholds(1, 1, 1))
         check(miss is None, "cache-only query misses below the stored lattice")

@@ -26,6 +26,10 @@ miss-evict-requeue instead of crashing the daemon.
 :meth:`IOShim.write_document` / :meth:`IOShim.read_document` are the one
 writer and the one reader of the checksummed result document that both
 the threshold-lattice cache entries and the job results are stored as.
+The reader is :meth:`IOShim.read_verified` (read the bytes, check the
+digest) followed by :func:`parse_document`; the result cache calls the
+two halves itself so that it can key a decoded copy by the digest that
+just verified.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ __all__ = [
     "StoreCorruptionError",
     "IOShim",
     "ChaosShim",
+    "parse_document",
     "sha256_bytes",
     "sha256_file",
 ]
@@ -83,13 +88,25 @@ def sha256_file(path: "str | Path", chunk_size: int = 1 << 20) -> str:
     return digest.hexdigest()
 
 
-def _parse_document(site: str, path: "str | Path", data: bytes) -> dict:
+def parse_document(
+    site: str, path: "str | Path", body: bytes, digest: "str | None"
+) -> dict:
+    """Parse what :meth:`IOShim.read_verified` returned into a payload.
+
+    A body without a verified ``digest`` is a plain pre-envelope file:
+    it must carry ``schema`` and ``cubes`` to count as a result payload.
+    Anything else raises :class:`StoreCorruptionError`.
+    """
     try:
-        document = json.loads(data)
+        document = json.loads(body)
     except ValueError as error:
         raise StoreCorruptionError(site, path, f"not valid JSON: {error}") from None
     if not isinstance(document, dict):
         raise StoreCorruptionError(site, path, "not a JSON object")
+    if digest is None and ("schema" not in document or "cubes" not in document):
+        raise StoreCorruptionError(
+            site, path, "neither a checksummed envelope nor a result payload"
+        )
     return document
 
 
@@ -287,22 +304,25 @@ class IOShim:
             site, path, _ENVELOPE_HEAD + digest + _ENVELOPE_MID + body + b"}"
         )
 
-    def read_document(
+    def read_verified(
         self,
         site: str,
         path: "str | Path",
         *,
         legacy_digest: "str | None" = None,
-    ) -> dict:
-        """Read one stored document and verify it; returns the payload.
+    ) -> "tuple[bytes, str | None]":
+        """Read one stored document and check its bytes; returns
+        ``(body, digest)``.
 
         An envelope from :meth:`write_document` is checked by hashing the
-        stored payload bytes.  Any other file must be a plain payload
-        carrying ``schema`` and ``cubes``, as older daemons wrote; with
-        ``legacy_digest`` (the ``result.sha256`` sidecar an older job
-        directory holds) its bytes must also hash to that digest.
-        Everything else raises :class:`StoreCorruptionError`; a failed
-        read raises :class:`OSError`.
+        stored payload bytes: ``body`` is that payload's JSON and
+        ``digest`` the sha256 it just matched.  Any other file comes back
+        whole with ``digest=None``; with ``legacy_digest`` (the
+        ``result.sha256`` sidecar an older job directory holds) its
+        bytes must first hash to that digest.  A mismatch raises
+        :class:`StoreCorruptionError`; a failed read raises
+        :class:`OSError`.  Nothing is parsed: :func:`parse_document`
+        does that, and a caller may key a decoded copy by ``digest``.
         """
         data = self.read_bytes(site, path)
         digest_end = len(_ENVELOPE_HEAD) + _DIGEST_LEN
@@ -312,19 +332,33 @@ class IOShim:
             and data[digest_end:body_start] == _ENVELOPE_MID
             and data.endswith(b"}")
         ):
-            recorded = data[len(_ENVELOPE_HEAD) : digest_end]
             body = data[body_start:-1]
-            if sha256_bytes(body).encode() != recorded:
+            digest = sha256_bytes(body)
+            if digest.encode() != data[len(_ENVELOPE_HEAD) : digest_end]:
                 raise StoreCorruptionError(site, path, CHECKSUM_MISMATCH)
-            return _parse_document(site, path, body)
+            return body, digest
         if legacy_digest is not None and sha256_bytes(data) != legacy_digest:
             raise StoreCorruptionError(site, path, CHECKSUM_MISMATCH)
-        document = _parse_document(site, path, data)
-        if "schema" not in document or "cubes" not in document:
-            raise StoreCorruptionError(
-                site, path, "neither a checksummed envelope nor a result payload"
-            )
-        return document
+        return data, None
+
+    def read_document(
+        self,
+        site: str,
+        path: "str | Path",
+        *,
+        legacy_digest: "str | None" = None,
+    ) -> dict:
+        """Read one stored document and verify it; returns the payload.
+
+        :meth:`read_verified` then :func:`parse_document`: an envelope
+        must hash to its recorded digest, and any other file must be a
+        plain payload carrying ``schema`` and ``cubes``, as older
+        daemons wrote.  Everything else raises
+        :class:`StoreCorruptionError`; a failed read raises
+        :class:`OSError`.
+        """
+        body, digest = self.read_verified(site, path, legacy_digest=legacy_digest)
+        return parse_document(site, path, body, digest)
 
     # ------------------------------------------------------------------
     # Worker faults

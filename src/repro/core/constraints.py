@@ -44,14 +44,25 @@ class Thresholds:
             if value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value}")
 
+    def admits(self, h_support: int, r_support: int, c_support: int) -> bool:
+        """True when a cube of these axis supports meets every minimum.
+
+        The one statement of the threshold rule: the three support
+        minimums plus ``min_volume`` on their product.
+        :meth:`satisfied_by`, :meth:`Cube.satisfies
+        <repro.core.cube.Cube.satisfies>` and the result cache's int-row
+        filter all call it.
+        """
+        return (
+            h_support >= self.min_h
+            and r_support >= self.min_r
+            and c_support >= self.min_c
+            and h_support * r_support * c_support >= self.min_volume
+        )
+
     def satisfied_by(self, cube: Cube) -> bool:
         """True when the cube meets every minimum (supports and volume)."""
-        return (
-            cube.h_support >= self.min_h
-            and cube.r_support >= self.min_r
-            and cube.c_support >= self.min_c
-            and cube.volume >= self.min_volume
-        )
+        return self.admits(*cube.shape)
 
     def dominates(self, other: "Thresholds") -> bool:
         """True when this threshold set is looser-or-equal than ``other``.

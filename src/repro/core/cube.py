@@ -121,12 +121,7 @@ class Cube:
         thresholds answers a tighter query by keeping exactly the cubes
         for which ``cube.satisfies(tight)`` holds.
         """
-        return (
-            self.h_support >= thresholds.min_h
-            and self.r_support >= thresholds.min_r
-            and self.c_support >= thresholds.min_c
-            and self.volume >= thresholds.min_volume
-        )
+        return thresholds.admits(self.h_support, self.r_support, self.c_support)
 
     def contains(self, other: "Cube") -> bool:
         """True when ``other`` is a sub-cube of this one (all three axes)."""

@@ -24,7 +24,7 @@ from .constraints import Thresholds
 from .cube import Cube
 from .dataset import Dataset3D
 
-__all__ = ["MiningStats", "MiningResult"]
+__all__ = ["MiningStats", "MiningResult", "result_payload"]
 
 
 @dataclass
@@ -184,25 +184,26 @@ class MiningResult:
         shape service responses use — a library object and a service
         response are the same data.
         """
-        return {
-            "schema": self.SCHEMA_VERSION,
-            "algorithm": self.algorithm,
-            "thresholds": (
-                self.thresholds.to_dict() if self.thresholds is not None else None
-            ),
-            "dataset_shape": (
-                list(self.dataset_shape) if self.dataset_shape is not None else None
-            ),
-            "elapsed_seconds": self.elapsed_seconds,
-            "stats": self.stats.to_dict(),
-            "cubes": [
-                [cube.heights, cube.rows, cube.columns] for cube in self.cubes
-            ],
-        }
+        return result_payload(
+            algorithm=self.algorithm,
+            thresholds=self.thresholds,
+            dataset_shape=self.dataset_shape,
+            elapsed_seconds=self.elapsed_seconds,
+            stats=self.stats,
+            masks=[[cube.heights, cube.rows, cube.columns] for cube in self.cubes],
+        )
 
     @classmethod
-    def from_payload(cls, payload: dict) -> "MiningResult":
-        """Rebuild a result from :meth:`to_payload` output."""
+    def header_from_payload(cls, payload: dict) -> dict:
+        """Validate a :meth:`to_payload` dict and decode all but its cubes.
+
+        Returns the constructor keywords other than ``cubes``
+        (``algorithm``, ``thresholds``, ``dataset_shape``,
+        ``elapsed_seconds``, ``stats``); raises :class:`ValueError` on
+        a foreign schema or a missing ``cubes`` list.  The result cache
+        decodes a stored entry with it and :meth:`masks_from_payload`,
+        so the two readers cannot disagree on any field.
+        """
         schema = payload.get("schema")
         if schema != cls.SCHEMA_VERSION:
             raise ValueError(
@@ -215,25 +216,44 @@ class MiningResult:
                 "MiningResult payload needs a 'cubes' list, got "
                 f"{type(raw_cubes).__name__}"
             )
-        cubes = []
-        for entry in raw_cubes:
-            if len(entry) != 3:
-                raise ValueError(f"expected [h, r, c] masks, got {entry!r}")
-            cubes.append(Cube(*(int(mask) for mask in entry)))
         raw_thresholds = payload.get("thresholds")
         shape = payload.get("dataset_shape")
-        return cls(
-            cubes=cubes,
-            algorithm=str(payload.get("algorithm", "unknown")),
-            thresholds=(
+        return {
+            "algorithm": str(payload.get("algorithm", "unknown")),
+            "thresholds": (
                 Thresholds.from_dict(raw_thresholds)
                 if raw_thresholds is not None
                 else None
             ),
-            dataset_shape=tuple(int(s) for s in shape) if shape else None,
-            elapsed_seconds=float(payload.get("elapsed_seconds", 0.0)),
-            stats=MiningStats.from_dict(payload.get("stats")),
-        )
+            "dataset_shape": tuple(int(s) for s in shape) if shape else None,
+            "elapsed_seconds": float(payload.get("elapsed_seconds", 0.0)),
+            "stats": MiningStats.from_dict(payload.get("stats")),
+        }
+
+    @staticmethod
+    def masks_from_payload(payload: dict) -> Iterator[tuple[int, int, int]]:
+        """Yield each ``cubes`` entry of a payload as checked ``(h, r, c)``.
+
+        The one rule for a stored cube: three masks, each converted with
+        ``int()`` and non-negative; anything else raises
+        :class:`ValueError`.  Call it after :meth:`header_from_payload`,
+        which checks that ``cubes`` is a list.
+        """
+        for entry in payload["cubes"]:
+            if len(entry) != 3:
+                raise ValueError(f"expected [h, r, c] masks, got {entry!r}")
+            h, r, c = entry
+            h, r, c = int(h), int(r), int(c)
+            if h < 0 or r < 0 or c < 0:
+                raise ValueError(f"cube masks must be non-negative, got {entry!r}")
+            yield h, r, c
+
+    @classmethod
+    def from_payload(cls, payload: dict) -> "MiningResult":
+        """Rebuild a result from :meth:`to_payload` output."""
+        header = cls.header_from_payload(payload)
+        cubes = [Cube(h, r, c) for h, r, c in cls.masks_from_payload(payload)]
+        return cls(cubes=cubes, **header)
 
     def to_json(self, *, indent: int | None = None) -> str:
         """:meth:`to_payload` rendered as a JSON document."""
@@ -274,3 +294,30 @@ class MiningResult:
 
     def __repr__(self) -> str:
         return f"MiningResult(algorithm={self.algorithm!r}, n_cubes={len(self.cubes)})"
+
+
+def result_payload(
+    *,
+    algorithm: str,
+    thresholds: Thresholds | None,
+    dataset_shape: "tuple[int, int, int] | None",
+    elapsed_seconds: float,
+    stats: MiningStats,
+    masks: list,
+) -> dict:
+    """The one writer of the :meth:`MiningResult.to_payload` schema.
+
+    ``masks`` is the canonically ordered list of ``[heights, rows,
+    columns]`` triples.  The result cache calls this directly with the
+    int triples it filtered, so a cache answer has a result's exact
+    payload without any :class:`Cube` being built.
+    """
+    return {
+        "schema": MiningResult.SCHEMA_VERSION,
+        "algorithm": algorithm,
+        "thresholds": thresholds.to_dict() if thresholds is not None else None,
+        "dataset_shape": list(dataset_shape) if dataset_shape is not None else None,
+        "elapsed_seconds": elapsed_seconds,
+        "stats": stats.to_dict(),
+        "cubes": masks,
+    }

@@ -473,7 +473,7 @@ class ServiceApp:
                 "exact": answer.exact,
                 "filtered_from": answer.filtered_from.to_dict(),
                 "cubes_filtered": answer.cubes_filtered,
-                "result": answer.result.to_payload(),
+                "result": answer.payload,
             },
         )
 

@@ -9,20 +9,30 @@ changes a cube.  Completed results are therefore stored per
 ``(dataset_fingerprint, algorithm)`` under their exact thresholds, and
 a query is answered whenever any stored entry *dominates* it
 (:meth:`Thresholds.dominates`): the stored cube list is filtered with
-:meth:`Cube.satisfies` and served with ``cache_hit`` / ``filtered_from``
-provenance in ``MiningStats.extra["cache"]``.
+:meth:`Thresholds.admits` and served with ``cache_hit`` /
+``filtered_from`` provenance in ``MiningStats.extra["cache"]``.
 
 Entries persist under ``<root>/<fp>/<algorithm>/<h>-<r>-<c>-<v>.json``
 as the checksummed result document of
 :meth:`~repro.chaos.io.IOShim.write_document` (``{"schema": 1,
 "sha256": <digest of the payload bytes>, "payload":
 <MiningResult.to_payload()>}``), so a restarted daemon reopens its
-whole cache by scanning the tree.  Every read goes through
-:meth:`~repro.chaos.io.IOShim.read_document`; an entry that fails (bit
-rot, torn write) degrades to a **miss** and is evicted, never served —
-the caller simply mines fresh and re-stores.  Plain pre-envelope
-payload files from older daemons still load (unverified).  Hit / miss /
-filter counters are kept for ``/health``.
+whole cache by scanning the tree.
+
+Every lookup re-reads its entry's bytes and re-hashes them
+(:meth:`~repro.chaos.io.IOShim.read_verified`); an entry that fails
+(bit rot, torn write) degrades to a **miss** and is evicted, never
+served — the caller simply mines fresh and re-stores.  Only a digest
+that has just verified is compared with the one-entry memo: the last
+entry decoded, as a header (every payload field but ``cubes``) plus the
+sorted int rows ``(h, r, c, |h|, |r|, |c|)``.  A memo hit skips
+``json.loads`` and the decode, so it pays off while queries repeat one
+entry (as a client walking a threshold ladder does); either way the
+answer is filtered on the rows' supports and
+encoded straight into :meth:`MiningResult.to_payload`'s schema, with
+no :class:`~repro.core.cube.Cube` built.  Plain pre-envelope payload
+files from older daemons still load (unverified, and never memoised).
+Hit / miss / filter / decode counters are kept for ``/health``.
 """
 
 from __future__ import annotations
@@ -30,11 +40,12 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
-from ..chaos.io import IOShim, StoreCorruptionError
+from ..chaos.io import IOShim, StoreCorruptionError, parse_document
 from ..core.constraints import Thresholds
-from ..core.result import MiningResult, MiningStats
+from ..core.result import MiningResult, MiningStats, result_payload
 from ..obs.metrics import ChaosCounters
 
 __all__ = ["CacheAnswer", "ThresholdLatticeCache", "load_entry_payload"]
@@ -53,14 +64,42 @@ def load_entry_payload(path: "str | Path") -> dict:
 class CacheAnswer:
     """One cache-served result with its provenance."""
 
-    #: The filtered result, thresholded at the *query* thresholds.
-    result: MiningResult
+    #: The filtered result as a :meth:`MiningResult.to_payload` dict,
+    #: thresholded at the *query* thresholds.
+    payload: dict
     #: Thresholds the source entry was actually mined at.
     filtered_from: Thresholds
     #: True when the query matched a stored entry exactly (no filtering).
     exact: bool
     #: Cubes dropped by the threshold filter.
     cubes_filtered: int
+
+    @cached_property
+    def result(self) -> MiningResult:
+        """:attr:`payload` decoded into a :class:`MiningResult`."""
+        return MiningResult.from_payload(self.payload)
+
+
+@dataclass(frozen=True)
+class _DecodedEntry:
+    """One stored payload, parsed once: header fields plus int rows."""
+
+    #: :meth:`MiningResult.header_from_payload` of the stored payload.
+    header: dict
+    #: ``(h, r, c, |h|, |r|, |c|)`` per cube, unique and in canonical
+    #: (``Cube.sort_key``) order.
+    rows: tuple
+
+
+def _decode_entry(payload: dict) -> _DecodedEntry:
+    """Validate a stored payload as :meth:`MiningResult.from_payload`
+    does, without building a :class:`Cube`."""
+    header = MiningResult.header_from_payload(payload)
+    rows = {
+        (h, r, c, h.bit_count(), r.bit_count(), c.bit_count())
+        for h, r, c in MiningResult.masks_from_payload(payload)
+    }
+    return _DecodedEntry(header, tuple(sorted(rows)))
 
 
 def _key_name(thresholds: Thresholds) -> str:
@@ -87,9 +126,18 @@ class ThresholdLatticeCache:
         self._lock = threading.Lock()
         #: (fingerprint, algorithm) -> {thresholds: result-file path}
         self._index: dict[tuple[str, str], dict[Thresholds, Path]] = {}
+        #: ``(verified sha256, decoded entry)`` of the last entry read.
+        #: One slot: it pays off only while queries repeat one entry (a
+        #: client walking a threshold ladder; 26 of perfbench
+        #: ``service-mixed``'s 28 hits per pass), and an entry costs
+        #: about twice its stored JSON in memory (680 KB for a
+        #: 3,612-cube, 321 KB entry).
+        self._memo: "tuple[str, _DecodedEntry] | None" = None
         self.hits = 0
         self.misses = 0
         self.filtered_served = 0
+        self.decoded = 0
+        self.decoded_reused = 0
         self._scan()
 
     def _scan(self) -> None:
@@ -163,7 +211,7 @@ class ThresholdLatticeCache:
             return None
         stored_thresholds, path = best
         try:
-            source = MiningResult.from_payload(self.io.read_document("cache", path))
+            source, reused = self._read_entry(path)
         except (
             OSError, ValueError, KeyError, TypeError, StoreCorruptionError
         ) as error:
@@ -186,39 +234,66 @@ class ThresholdLatticeCache:
             return None
         exact = stored_thresholds == thresholds
         kept = (
-            source.cubes
+            source.rows
             if exact
-            else [cube for cube in source.cubes if cube.satisfies(thresholds)]
+            else [
+                row
+                for row in source.rows
+                if thresholds.admits(row[3], row[4], row[5])
+            ]
         )
-        cubes_filtered = len(source.cubes) - len(kept)
+        cubes_filtered = len(source.rows) - len(kept)
         extra = {
             "cache": {
                 "hit": True,
                 "exact": exact,
                 "filtered_from": stored_thresholds.to_dict(),
-                "cubes_scanned": len(source.cubes),
+                "cubes_scanned": len(source.rows),
                 "cubes_kept": len(kept),
                 "cubes_filtered": cubes_filtered,
             }
         }
-        result = MiningResult(
-            cubes=kept,
-            algorithm=source.algorithm,
+        header = source.header
+        payload = result_payload(
+            algorithm=header["algorithm"],
             thresholds=thresholds,
-            dataset_shape=source.dataset_shape,
+            dataset_shape=header["dataset_shape"],
             elapsed_seconds=0.0,
-            stats=MiningStats(metrics=source.stats.metrics, extra=extra),
+            stats=MiningStats(metrics=header["stats"].metrics, extra=extra),
+            masks=[[h, r, c] for h, r, c, _, _, _ in kept],
         )
         with self._lock:
             self.hits += 1
             if not exact:
                 self.filtered_served += 1
+            if reused:
+                self.decoded_reused += 1
+            else:
+                self.decoded += 1
         return CacheAnswer(
-            result=result,
+            payload=payload,
             filtered_from=stored_thresholds,
             exact=exact,
             cubes_filtered=cubes_filtered,
         )
+
+    def _read_entry(self, path: Path) -> "tuple[_DecodedEntry, bool]":
+        """Read and verify one entry; decode it unless the memo has it.
+
+        Returns the decoded entry and whether the memo served it.  The
+        bytes are read and hashed on every call; only then is the
+        verified digest compared with the memo's, so a corrupt file can
+        never be served from the memo.  A legacy plain payload has no
+        digest and is decoded afresh each time.
+        """
+        body, digest = self.io.read_verified("cache", path)
+        memo = self._memo
+        if memo is not None and memo[0] == digest:
+            return memo[1], True
+        source = _decode_entry(parse_document("cache", path, body, digest))
+        if digest is not None:
+            self._memo = (digest, source)
+        return source, False
 
     def entries(self, fingerprint: str) -> list[tuple[str, Thresholds, Path]]:
         """Every stored ``(algorithm, thresholds, path)`` of one dataset.
@@ -269,6 +344,8 @@ class ThresholdLatticeCache:
                 "hits": self.hits,
                 "misses": self.misses,
                 "filtered_served": self.filtered_served,
+                "decoded": self.decoded,
+                "decoded_reused": self.decoded_reused,
             }
 
     def __len__(self) -> int:

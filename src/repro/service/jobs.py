@@ -677,11 +677,11 @@ class JobManager:
                 record.finished = now
                 record.cache_hit = True
                 record.filtered_from = answer.filtered_from
-                record.n_cubes = len(answer.result)
+                record.n_cubes = len(answer.payload["cubes"])
                 directory = self._dir(record.id)
                 directory.mkdir(parents=True, exist_ok=True)
                 self.io.write_document(
-                    "jobs", directory / "result.json", answer.result.to_payload()
+                    "jobs", directory / "result.json", answer.payload
                 )
                 with open(directory / "events.jsonl", "a") as events:
                     self.io.append_line(
