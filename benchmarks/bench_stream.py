@@ -9,7 +9,10 @@ and a *cell-edit* batch confined to one height (re-mines only the
 cubes through that height, with CubeMiner restricted to it).  Each
 maintained result is produced by :func:`repro.stream.maintain` and
 compared against re-mining the edited tensor from scratch.
-``--check`` gates both speedups at ``--min-speedup`` (default 2x).
+``--check`` gates both speedups at ``--min-speedup`` (default 2x), and
+fails on any cube the final merge had to drop (``shard_merge_dropped``):
+both maintenance passes emit only closed frequent cubes, so a drop is a
+fault in one of them.
 
 **Out-of-core.** A child process (own address space, so ``ru_maxrss``
 means something) builds a tensor whose *packed* representation exceeds
@@ -113,6 +116,8 @@ def bench_maintainer(rounds: int) -> dict:
             "speedup": round(fresh_best / maintain_best, 2),
             "subsets_remined": metrics.subsets_remined,
             "cubes_patched": metrics.cubes_patched,
+            "cubes_reclosed": metrics.cubes_reclosed,
+            "shard_merge_dropped": metrics.shard_merge_dropped,
             "cubes": len(maintained),
         }
     return report
@@ -210,11 +215,16 @@ def run_bench(rounds: int, skip_outofcore: bool = False) -> dict:
 def check(report: dict, min_speedup: float) -> list[str]:
     failures = []
     for name, label in (("expire", "expiry"), ("edit", "cell-edit")):
-        speedup = report["maintainer"][name]["speedup"]
-        if speedup < min_speedup:
+        row = report["maintainer"][name]
+        if row["speedup"] < min_speedup:
             failures.append(
-                f"{label} maintenance speedup {speedup}x "
+                f"{label} maintenance speedup {row['speedup']}x "
                 f"< required {min_speedup}x"
+            )
+        if row["shard_merge_dropped"]:
+            failures.append(
+                f"{label} maintenance merge dropped "
+                f"{row['shard_merge_dropped']} cube(s); a correct pass drops none"
             )
     ooc = report.get("outofcore")
     if ooc is not None:
@@ -244,7 +254,9 @@ def _print(report: dict) -> None:
             f"  {name:<7} maintain    : {row['maintain_seconds']}s vs fresh "
             f"{row['fresh_mine_seconds']}s -> {row['speedup']}x "
             f"({row['subsets_remined']} dirty cubes re-mined, "
-            f"{row['cubes_patched']} cubes patched)"
+            f"{row['cubes_patched']} cubes patched, "
+            f"{row['cubes_reclosed']} re-closed, "
+            f"{row['shard_merge_dropped']} dropped by the merge)"
         )
     ooc = report.get("outofcore")
     if ooc is not None:

@@ -79,6 +79,7 @@ def main() -> None:
                 f"after {len(batch)} delta(s): {len(maintained):>4} FCCs on "
                 f"{maintainer.dataset.shape} "
                 f"({stream['cubes_patched']} patched, "
+                f"{stream['cubes_reclosed']} re-closed, "
                 f"{stream['subsets_remined']} dirty cubes re-mined)"
             )
 

@@ -815,7 +815,8 @@ def _update(args: argparse.Namespace) -> int:
         f"  {stream.get('deltas_applied', 0)} delta(s) applied, "
         f"{stream.get('dirty_heights', 0)} dirty height(s), "
         f"{stream.get('cubes_patched', 0)} cube(s) patched, "
-        f"{stream.get('subsets_remined', 0)} subset(s) re-mined"
+        f"{stream.get('cubes_reclosed', 0)} re-closed, "
+        f"{stream.get('subsets_remined', 0)} dirty cube(s) re-mined"
     )
     if args.show:
         for cube in list(maintained)[: args.show]:

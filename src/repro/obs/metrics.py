@@ -132,7 +132,8 @@ class MiningMetrics(_Counters):
     closure_cache_misses: int = 0
     # -- streaming / out-of-core (repro.stream) ------------------------
     deltas_applied: int = 0
-    cubes_patched: int = 0
+    cubes_patched: int = 0            # old cubes the patch pass emitted
+    cubes_reclosed: int = 0           # close() calls in the patch pass
     subsets_remined: int = 0          # cubes maintain()'s dirty pass emitted
     stream_chunks_read: int = 0
 

@@ -5,9 +5,9 @@ point, a new month).  Re-mining from scratch discards everything known
 about the old tensor; :func:`append_height_slice` updates an existing
 result instead.  It is the one-height-append case of
 :func:`repro.stream.maintain`: the new slice is the only dirty height,
-so old cubes are patched forward (gaining the new height where it
-covers their region) and the only cubes re-mined are those through the
-new slice, by a CubeMiner run restricted to that height.
+so old cubes it does not cover are carried forward unchanged, and the
+only cubes re-mined are those through the new slice (old cubes it
+covers among them), by a CubeMiner run restricted to that height.
 """
 
 from __future__ import annotations

@@ -11,14 +11,33 @@ exactly one of two classes:
 1. **Clean-heights cubes** (``H ∩ D = ∅``).  Clean slices are
    bit-identical to their old counterparts over surviving
    rows/columns, so such a cube's region was all-ones in ``O`` too;
-   its closure *in the old tensor* is some ``F_old ∈ F``.  Patching
-   ``F_old`` — remap its masks through the axis index maps, keep its
-   clean heights, swap its dirty heights for the dirty heights that
-   cover its (remapped) row×column region in ``O'``, and re-close in
-   ``O'`` — lands exactly back on the cube: the patched seed contains
-   its region, and no closed cube can strictly contain a closed cube
-   (growing rows/columns only shrinks the height support back).  One
-   linear pass over ``F`` therefore recovers every clean-heights FCC.
+   its closure *in the old tensor* is some ``F_old ∈ F`` that contains
+   it.  The patch pass takes each old cube ``F = (H, R, C)``, remaps
+   its masks through the axis index maps (an identity map is not
+   walked), and applies the first rule that fits:
+
+   a. *Skip* ``F`` when a dirty height covers ``R × C`` in ``O'``.
+      Proof: the closure of any seed on ``R × C`` holds that height,
+      so it is a dirty cube, which pass 2 finds; and ``F`` is no clean
+      cube's ``F_old``, since the height would also cover that cube's
+      smaller region and so belong to its closed height set.
+   b. *Carry* ``F`` unchanged when ``H`` keeps every height (none
+      dropped, none dirty).  Proof: no dirty height covers ``R × C``
+      (rule a), and the clean slices are bit-identical, so
+      ``H(R × C)``, ``R(H × C)`` and ``C(H × R)`` are what they were in
+      ``O``: ``F`` is still closed and, at its old size, frequent.
+   c. Otherwise *re-close* the seed ``(H ∖ D, R, C)`` in ``O'`` (one
+      ``close()``) and keep the result if it meets the thresholds; an
+      empty ``H ∖ D`` is skipped, since it holds no clean cube's heights.
+      Proof: the seed is all-ones on clean slices, and it contains
+      every clean cube whose ``F_old`` is ``F``; the closure of a seed
+      is the one closed cube over it, and no closed cube strictly
+      contains another (growing rows/columns only shrinks the height
+      support back), so the closure is that cube.  It has no dirty
+      height: none covers ``R × C``, so none covers the larger region.
+
+   Every clean-heights FCC has an ``F_old`` that rule a does not skip,
+   so rules b and c recover all of them in one linear pass over ``F``.
 2. **Dirty cubes** (``H ∩ D ≠ ∅``).  One CubeMiner run over ``O'``
    from its diced root (:func:`repro.cubeminer.algorithm.search_root`)
    with ``required_heights=D`` finds exactly these: only left sons
@@ -35,14 +54,21 @@ The union of both passes is deduplicated and closure-revalidated by
 :func:`merge_shard_results`, so the returned result is bit-identical
 (same canonical cube list) to a fresh ``mine()`` of ``O'`` — the
 property the hypothesis differential suite in
-``tests/test_stream_maintain.py`` checks on random batches.
+``tests/test_stream_maintain.py`` checks on random batches.  Both
+passes emit only closed cubes that meet the thresholds, so the merge's
+``shard_merge_dropped`` counter reads 0 on a correct pass; a nonzero
+count is a fault, not a filter.
 
-Cost: pass 1 is one ``close()`` per old cube.  Pass 2 walks only the
-part of CubeMiner's tree whose nodes keep a dirty height; for cell
-edits in one or two heights that is a small share of the fresh tree,
-and none when the walk proves the dirty heights hold no cube.
-Row/column structure edits dirty every height and cost one fresh
-CubeMiner run plus the merge.
+Cost: pass 1 is one covering test per old cube over the dirty heights,
+plus one ``close()`` only for the old cubes that lost a dirty or
+dropped height (``cubes_reclosed``); every other old cube is carried or
+skipped without one.  Pass 2 walks only the part of CubeMiner's tree
+whose nodes keep a dirty height; for cell edits in one or two heights
+that is a small share of the fresh tree, and none when the walk proves
+the dirty heights hold no cube.  The merge re-checks every emitted
+triple with ``is_closed_cube``, which is then the largest share of a
+batch on small edits.  Row/column structure edits dirty every height
+and cost one fresh CubeMiner run plus the merge.
 """
 
 from __future__ import annotations
@@ -70,8 +96,13 @@ __all__ = ["maintain", "IncrementalMaintainer", "merge_shard_results"]
 Triple = tuple[int, int, int]
 
 
-def _remap(mask: int, index_map: tuple) -> int:
-    """Map a bitmask through an old→new index map (dropped bits vanish)."""
+def _remap(mask: int, index_map: "tuple | None") -> int:
+    """Map a bitmask through an old→new index map (dropped bits vanish).
+
+    ``None`` stands for the identity map (see :func:`_non_identity`).
+    """
+    if index_map is None:
+        return mask
     out = 0
     while mask:
         low = mask & -mask
@@ -80,6 +111,13 @@ def _remap(mask: int, index_map: tuple) -> int:
             out |= 1 << new_index
         mask ^= low
     return out
+
+
+def _non_identity(index_map: tuple) -> "tuple | None":
+    """``index_map``, or ``None`` when it maps every index to itself."""
+    if all(new == old for old, new in enumerate(index_map)):
+        return None
+    return index_map
 
 
 def merge_shard_results(
@@ -168,32 +206,48 @@ def _maintain_applied(
     dirty = application.dirty_heights
     metrics.deltas_applied += application.n_deltas
     cubes_patched = 0
+    cubes_reclosed = 0
     dirty_cubes = 0
 
     triples: set[tuple[int, int, int]] = set()
     all_heights = full_mask(new.n_heights)
 
     # --- Pass 1: patch the surviving cubes ----------------------------
-    # Skipped when every height is dirty: then no FCC is clean.
+    # Skipped when every height is dirty: then no FCC is clean.  Each
+    # old cube is skipped, carried or re-closed (module docstring, 1a-c).
     if dirty != all_heights:
         grid = new.ones_grid()
+        height_map = _non_identity(application.height_map)
+        row_map = _non_identity(application.row_map)
+        column_map = _non_identity(application.column_map)
+        dropped = sum(
+            1 << old
+            for old, landed in enumerate(application.height_map)
+            if landed is None
+        )
         for cube in result:
-            rows = _remap(cube.rows, application.row_map)
-            columns = _remap(cube.columns, application.column_map)
+            rows = _remap(cube.rows, row_map)
+            columns = _remap(cube.columns, column_map)
             if rows == 0 or columns == 0:
                 continue
-            clean = _remap(cube.heights, application.height_map) & ~dirty
-            covering = (
-                KERNEL.grid_supporting_heights(grid, rows, columns, candidates=dirty)
-                if dirty
-                else 0
-            )
-            heights = clean | covering
-            if heights == 0:
+            if dirty and KERNEL.grid_supporting_heights(
+                grid, rows, columns, candidates=dirty
+            ):
+                continue  # 1a: a dirty cube now; pass 2 finds it
+            heights = _remap(cube.heights, height_map)
+            if not (heights & dirty or cube.heights & dropped):
+                # 1b: every height kept, so still closed
+                triples.add((heights, rows, columns))
+                cubes_patched += 1
                 continue
-            patched = close(new, Cube(heights, rows, columns))
-            triples.add((patched.heights, patched.rows, patched.columns))
-            cubes_patched += 1
+            clean = heights & ~dirty  # 1c: re-close what is left
+            if clean == 0:
+                continue
+            patched = close(new, Cube(clean, rows, columns))
+            cubes_reclosed += 1
+            if thresholds.satisfied_by(patched):
+                triples.add((patched.heights, patched.rows, patched.columns))
+                cubes_patched += 1
 
     # --- Pass 2: CubeMiner restricted to cubes with a dirty height ----
     # Its root is the diced region of the new tensor; a root without a
@@ -214,6 +268,7 @@ def _maintain_applied(
             triples.update((cube.heights, cube.rows, cube.columns) for cube in found)
 
     metrics.cubes_patched += cubes_patched
+    metrics.cubes_reclosed += cubes_reclosed
     # ``subsets_remined`` keeps its name from the RSM subset
     # enumeration this pass replaced; it counts the dirty pass's cubes.
     metrics.subsets_remined += dirty_cubes
@@ -235,6 +290,7 @@ def _maintain_applied(
                     "deltas_applied": application.n_deltas,
                     "dirty_heights": bit_count(dirty),
                     "cubes_patched": cubes_patched,
+                    "cubes_reclosed": cubes_reclosed,
                     "subsets_remined": dirty_cubes,
                     "old_cubes": len(result),
                 }

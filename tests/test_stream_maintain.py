@@ -85,9 +85,14 @@ def test_maintain_equals_fresh_mine(storage, data):
     dataset = in_storage(dataset, storage)
     thresholds = Thresholds(2, 2, 2)
     base = mine(dataset, thresholds, algorithm="rsm")
-    new_dataset, maintained = maintain(dataset, base, deltas, thresholds)
+    metrics = MiningMetrics()
+    new_dataset, maintained = maintain(
+        dataset, base, deltas, thresholds, metrics=metrics
+    )
     fresh = mine(new_dataset, thresholds, algorithm="rsm")
     assert _keys(maintained) == _keys(fresh)
+    # Both passes emit only closed frequent cubes: the merge drops none.
+    assert metrics.shard_merge_dropped == 0
     assert maintained.thresholds == thresholds
     assert maintained.dataset_shape == new_dataset.shape
 
@@ -98,9 +103,13 @@ def test_maintain_with_volume_constraint(data):
     dataset, deltas = data
     thresholds = Thresholds(1, 2, 1, min_volume=4)
     base = mine(dataset, thresholds, algorithm="rsm")
-    new_dataset, maintained = maintain(dataset, base, deltas, thresholds)
+    metrics = MiningMetrics()
+    new_dataset, maintained = maintain(
+        dataset, base, deltas, thresholds, metrics=metrics
+    )
     fresh = mine(new_dataset, thresholds, algorithm="rsm")
     assert _keys(maintained) == _keys(fresh)
+    assert metrics.shard_merge_dropped == 0
 
 
 # ----------------------------------------------------------------------
@@ -180,6 +189,7 @@ def test_metrics_counters_and_stream_extra():
     assert stream["deltas_applied"] == 1
     assert stream["dirty_heights"] == 1
     assert stream["cubes_patched"] == metrics.cubes_patched
+    assert stream["cubes_reclosed"] == metrics.cubes_reclosed
     assert stream["subsets_remined"] == metrics.subsets_remined
     # Counters survive the serialization round-trip.
     restored = MiningMetrics.from_dict(metrics.to_dict())
@@ -203,6 +213,80 @@ def test_dirty_pass_skipped_when_no_dirty_height_can_hold_a_cube():
         new, maintained = maintain(ds, base, batch, th, metrics=metrics)
         assert maintained.same_cubes(mine(new, th))
         assert (metrics.nodes_visited == 0) == expect_skip, height
+
+
+# ----------------------------------------------------------------------
+# The patch pass's three rules: skip, carry, re-close
+# ----------------------------------------------------------------------
+def blocks() -> Dataset3D:
+    """Five FCCs at (2, 2, 2), built so each patch-pass rule has a case.
+
+    A = heights 0-2 × rows 0-2 × columns 0-2; heights 1-2 extend it to
+    row 5, and height 4 covers its region but one cell (two more cubes
+    through heights 0-2 and 4).  B = heights 2-3 × rows 3-4 × columns
+    3-5.  One lone cell sits in height 3, in no cube.
+    """
+    data = np.zeros((5, 6, 7), dtype=bool)
+    data[0:3, 0:3, 0:3] = True
+    data[1:3, 5, 0:3] = True
+    data[2:4, 3:5, 3:6] = True
+    data[4, 0:3, 0:3] = True
+    data[4, 0, 0] = False
+    data[3, 0, 6] = True
+    return Dataset3D(data)
+
+
+def _patch_counts(batch):
+    """Maintain ``blocks()`` through ``batch``; return the pass counters."""
+    ds = blocks()
+    th = Thresholds(2, 2, 2)
+    base = mine(ds, th)
+    assert len(base) == 5
+    metrics = MiningMetrics()
+    new, maintained = maintain(ds, base, batch, th, metrics=metrics)
+    assert _keys(maintained) == _keys(mine(new, th))
+    assert metrics.shard_merge_dropped == 0
+    stream = maintained.stats.extra["stream"]
+    assert stream["cubes_reclosed"] == metrics.cubes_reclosed
+    return metrics, maintained
+
+
+def test_clear_outside_every_cube_recloses_nothing():
+    # Height 3 still covers B, so B is skipped and the dirty pass
+    # re-finds it; the four cubes without height 3 are carried.
+    metrics, _ = _patch_counts([ClearCell(3, 0, 6)])
+    assert metrics.cubes_reclosed == 0
+    assert metrics.cubes_patched == 4
+    assert metrics.subsets_remined == 1
+
+
+def test_clear_inside_a_region_recloses_the_cubes_it_opens():
+    # Height 1 stops covering the four cubes through it: each is
+    # re-closed once.  The one over rows 0-2 and 5 keeps only height 2
+    # and fails minH, so the patch pass drops it; B is carried.
+    metrics, _ = _patch_counts([ClearCell(1, 1, 1)])
+    assert metrics.cubes_reclosed == 4
+    assert metrics.cubes_patched == 4
+
+
+def test_set_cell_that_covers_a_cube_skips_it_for_the_dirty_pass():
+    # Height 4 now covers A and the two cubes through heights 0-2 and 4:
+    # all three are skipped, and the dirty pass emits A plus height 4.
+    metrics, maintained = _patch_counts([SetCell(4, 0, 0)])
+    assert metrics.cubes_reclosed == 0
+    assert metrics.cubes_patched == 2
+    assert metrics.subsets_remined == 1
+    assert (0b10111, 0b111, 0b111) in _keys(maintained)
+
+
+def test_expiry_recloses_the_cubes_that_lose_a_height():
+    # Dropping height 0 re-closes the three cubes through it (A grows
+    # onto row 5); the two others are carried with shifted heights.
+    metrics, maintained = _patch_counts([DropSlice("height", 0)])
+    assert metrics.cubes_reclosed == 3
+    assert metrics.cubes_patched == 5
+    assert metrics.subsets_remined == 0
+    assert (0b110, 0b11000, 0b111000) in _keys(maintained)
 
 
 def test_algorithm_tag_does_not_nest():
