@@ -21,22 +21,28 @@ Inject by constructing the app over a chaos shim::
 ``tests/test_chaos.py`` is the standing battery: under every scheduled
 fault the daemon either serves a result bit-identical to a clean mine
 or returns a typed error — never a crash, never silent cube loss.
+
+The public names load lazily (:mod:`repro._lazy`), so the stores that
+route their disk traffic through :mod:`repro.chaos.io` do not load the
+fsck scanner.
 """
 
-from .fsck import FsckIssue, FsckReport, fsck_data_dir
-from .io import ChaosShim, IOShim, StoreCorruptionError, sha256_bytes, sha256_file
-from .plan import CHAOS_FAULT_KINDS, ChaosPlan, ChaosRule
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CHAOS_FAULT_KINDS",
-    "ChaosPlan",
-    "ChaosRule",
-    "IOShim",
-    "ChaosShim",
-    "StoreCorruptionError",
-    "sha256_bytes",
-    "sha256_file",
-    "FsckIssue",
-    "FsckReport",
-    "fsck_data_dir",
-]
+_EXPORTS = {
+    "CHAOS_FAULT_KINDS": ".plan",
+    "ChaosPlan": ".plan",
+    "ChaosRule": ".plan",
+    "IOShim": ".io",
+    "ChaosShim": ".io",
+    "StoreCorruptionError": ".io",
+    "sha256_bytes": ".io",
+    "sha256_file": ".io",
+    "FsckIssue": ".fsck",
+    "FsckReport": ".fsck",
+    "fsck_data_dir": ".fsck",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -338,10 +338,19 @@ class Dataset3D:
         one_cells: Iterable[tuple[int, int, int]],
         **label_kwargs,
     ) -> "Dataset3D":
-        """Build a dataset from its shape and the coordinates of one-cells."""
+        """Build a dataset from its shape and the coordinates of one-cells.
+
+        ``one_cells`` may be any iterable of ``(k, i, j)`` triples or an
+        ``(N, 3)`` integer array; all cells are set in one fancy-index
+        assignment, with numpy's indexing rules (an out-of-range index
+        raises ``IndexError``, a negative one counts from the end).
+        """
         array = np.zeros(shape, dtype=bool)
-        for k, i, j in one_cells:
-            array[k, i, j] = True
+        cells = one_cells if isinstance(one_cells, np.ndarray) else np.array(list(one_cells))
+        if cells.size:
+            if cells.ndim != 2 or cells.shape[1] != 3:
+                raise ValueError(f"expected (k, i, j) one-cells, got shape {cells.shape}")
+            array[cells[:, 0], cells[:, 1], cells[:, 2]] = True
         return cls(array, **label_kwargs)
 
     @classmethod

@@ -277,9 +277,7 @@ def dataset_to_payload(dataset: Dataset3D) -> dict:
     return {
         "schema": 1,
         "shape": list(dataset.shape),
-        "cells": [
-            [int(k), int(i), int(j)] for k, i, j in np.argwhere(dataset.data)
-        ],
+        "cells": np.argwhere(dataset.data).tolist(),
         "height_labels": list(dataset.height_labels),
         "row_labels": list(dataset.row_labels),
         "column_labels": list(dataset.column_labels),
@@ -291,40 +289,76 @@ def dataset_from_payload(payload: dict) -> Dataset3D:
 
     Labels are optional — defaults apply when omitted.  Malformed
     payloads raise :class:`DatasetFormatError`, same as the text
-    loaders.
+    loaders.  The cells are parsed, bounds-checked and duplicate-checked
+    as one ``(N, 3)`` int64 array; a payload that fails is walked cell
+    by cell only to name its first offending cell.
     """
     try:
         shape = tuple(int(s) for s in payload["shape"])
-        cells = [tuple(int(v) for v in cell) for cell in payload.get("cells", [])]
+        cells = payload.get("cells", [])
     except (KeyError, TypeError, ValueError) as error:
         raise DatasetFormatError(
             f"malformed dataset payload: {error}"
         ) from None
-    if len(shape) != 3 or any(s < 0 for s in shape):
-        raise DatasetFormatError(
-            f"dataset payload shape must be 3 non-negative sizes, got {shape!r}"
-        )
+    try:
+        triples = np.array(cells, dtype=np.int64)
+    except (TypeError, ValueError, OverflowError):
+        triples = None
+    if triples is not None and triples.shape == (0,):
+        triples = triples.reshape(0, 3)
+    if triples is None or triples.ndim != 2 or triples.shape[1] != 3:
+        raise _first_bad_cell(cells, shape)
+    _check_payload_shape(shape)
+    # Equal cells sort side by side, whatever the key order.
+    ranked = triples[np.lexsort(triples.T)]
+    if ((triples < 0) | (triples >= np.array(shape))).any() or (
+        (ranked[1:] == ranked[:-1]).all(axis=1).any()
+    ):
+        raise _first_bad_cell(cells, shape)
     label_kwargs = {}
     for key in ("height_labels", "row_labels", "column_labels"):
         if payload.get(key) is not None:
             label_kwargs[key] = [str(v) for v in payload[key]]
-    l, n, m = shape
-    seen: set[tuple[int, ...]] = set()
-    for cell in cells:
-        if len(cell) != 3:
-            raise DatasetFormatError(f"expected [k, i, j] cells, got {cell!r}")
-        k, i, j = cell
-        if not (0 <= k < l and 0 <= i < n and 0 <= j < m):
-            raise DatasetFormatError(
-                f"cell ({k},{i},{j}) outside {l}x{n}x{m}"
-            )
-        if cell in seen:
-            raise DatasetFormatError(f"duplicate cell ({k},{i},{j})")
-        seen.add(cell)
     try:
-        return Dataset3D.from_cells(shape, cells, **label_kwargs)
+        return Dataset3D.from_cells(shape, triples, **label_kwargs)
     except ValueError as error:
         raise DatasetFormatError(str(error)) from None
+
+
+def _check_payload_shape(shape: tuple) -> None:
+    if len(shape) != 3 or any(s < 0 for s in shape):
+        raise DatasetFormatError(
+            f"dataset payload shape must be 3 non-negative sizes, got {shape!r}"
+        )
+
+
+def _first_bad_cell(cells, shape: tuple) -> DatasetFormatError:
+    """The error that names the first offending cell of a rejected payload.
+
+    Every coordinate must convert with ``int()`` (the first that does
+    not is reported, before any other check), then the shape must be 3
+    sizes, then each cell in payload order must have 3 coordinates
+    inside ``shape`` and must not repeat an earlier one.
+    """
+    try:
+        parsed = [tuple(int(v) for v in cell) for cell in cells]
+    except (TypeError, ValueError, OverflowError) as error:
+        return DatasetFormatError(f"malformed dataset payload: {error}")
+    _check_payload_shape(shape)
+    l, n, m = shape
+    seen: set[tuple[int, ...]] = set()
+    for cell in parsed:
+        if len(cell) != 3:
+            return DatasetFormatError(f"expected [k, i, j] cells, got {cell!r}")
+        k, i, j = cell
+        if not (0 <= k < l and 0 <= i < n and 0 <= j < m):
+            return DatasetFormatError(f"cell ({k},{i},{j}) outside {l}x{n}x{m}")
+        if cell in seen:
+            return DatasetFormatError(f"duplicate cell ({k},{i},{j})")
+        seen.add(cell)
+    return DatasetFormatError(
+        "malformed dataset payload: cells must be a list of [k, i, j] integer triples"
+    )
 
 
 # ----------------------------------------------------------------------

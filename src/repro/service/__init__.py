@@ -41,39 +41,34 @@ graceful drain — see ``docs/robustness.md`` for the full fault model
 and :mod:`repro.chaos` for the fault-injection harness that tests it.
 
 See ``docs/service.md`` for endpoints, JSON schemas, cache semantics
-and the resume story.
+and the resume story.  The public names load lazily
+(:mod:`repro._lazy`): a client process never imports the job runner,
+and the HTTP server module loads only in :func:`serve`.
 """
 
-from .app import Request, Response, ServiceApp, serve
-from .cache import CacheAnswer, ThresholdLatticeCache, load_entry_payload
-from .client import ServiceClient, ServiceClientError, ServiceResult
-from .jobs import JobManager
-from .registry import DatasetEntry, DatasetRegistry
-from .schemas import (
-    JOB_STATUSES,
-    SCHEMA_VERSION,
-    JobRecord,
-    JobSpec,
-    ServiceError,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ServiceApp",
-    "Request",
-    "Response",
-    "serve",
-    "ServiceClient",
-    "ServiceClientError",
-    "ServiceResult",
-    "JobManager",
-    "DatasetRegistry",
-    "DatasetEntry",
-    "ThresholdLatticeCache",
-    "CacheAnswer",
-    "load_entry_payload",
-    "JobSpec",
-    "JobRecord",
-    "JOB_STATUSES",
-    "SCHEMA_VERSION",
-    "ServiceError",
-]
+_EXPORTS = {
+    "ServiceApp": ".app",
+    "Request": ".app",
+    "Response": ".app",
+    "serve": ".app",
+    "ServiceClient": ".client",
+    "ServiceClientError": ".client",
+    "ServiceResult": ".client",
+    "JobManager": ".jobs",
+    "DatasetRegistry": ".registry",
+    "DatasetEntry": ".registry",
+    "ThresholdLatticeCache": ".cache",
+    "CacheAnswer": ".cache",
+    "load_entry_payload": ".cache",
+    "JobSpec": ".schemas",
+    "JobRecord": ".schemas",
+    "JOB_STATUSES": ".schemas",
+    "SCHEMA_VERSION": ".schemas",
+    "ServiceError": ".schemas",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -53,9 +53,8 @@ import json
 import re
 import time
 from dataclasses import dataclass, field
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 from urllib.parse import parse_qsl, urlsplit
 
 from .. import __version__
@@ -67,6 +66,9 @@ from .cache import ThresholdLatticeCache
 from .jobs import JobManager
 from .registry import DatasetRegistry
 from .schemas import SCHEMA_VERSION, JobSpec, ServiceError
+
+if TYPE_CHECKING:
+    from http.server import ThreadingHTTPServer
 
 __all__ = ["Request", "Response", "ServiceApp", "serve"]
 
@@ -481,56 +483,6 @@ class ServiceApp:
 # ----------------------------------------------------------------------
 # The thin HTTP adapter
 # ----------------------------------------------------------------------
-class _Handler(BaseHTTPRequestHandler):
-    server: "_Server"
-
-    protocol_version = "HTTP/1.1"
-
-    def _dispatch(self) -> None:
-        parts = urlsplit(self.path)
-        length = int(self.headers.get("Content-Length") or 0)
-        body = self.rfile.read(length) if length else b""
-        request = Request(
-            method=self.command,
-            path=parts.path,
-            query=dict(parse_qsl(parts.query)),
-            body=body,
-        )
-        try:
-            response = self.server.app.handle(request)
-        except ConnectionResetError:
-            # Injected (or real) transport fault: drop the connection
-            # without a response, exactly what the client's retry path
-            # is built to absorb.
-            self.close_connection = True
-            return
-        data = response.body()
-        self.send_response(response.status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
-        for name, value in response.headers.items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(data)
-
-    do_GET = _dispatch
-    do_POST = _dispatch
-
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        if self.server.verbose:
-            super().log_message(format, *args)
-
-
-class _Server(ThreadingHTTPServer):
-    daemon_threads = True
-    allow_reuse_address = True
-
-    def __init__(self, address, app: ServiceApp, *, verbose: bool = False) -> None:
-        super().__init__(address, _Handler)
-        self.app = app
-        self.verbose = verbose
-
-
 def serve(
     app: ServiceApp,
     host: str = "127.0.0.1",
@@ -547,5 +499,57 @@ def serve(
         threading.Thread(target=server.serve_forever, daemon=True).start()
         ...
         server.shutdown(); app.close()
+
+    The stdlib HTTP server loads here, not when the module is imported.
     """
+    from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
+    class _Handler(BaseHTTPRequestHandler):
+        server: "_Server"
+
+        protocol_version = "HTTP/1.1"
+
+        def _dispatch(self) -> None:
+            parts = urlsplit(self.path)
+            length = int(self.headers.get("Content-Length") or 0)
+            body = self.rfile.read(length) if length else b""
+            request = Request(
+                method=self.command,
+                path=parts.path,
+                query=dict(parse_qsl(parts.query)),
+                body=body,
+            )
+            try:
+                response = self.server.app.handle(request)
+            except ConnectionResetError:
+                # Injected (or real) transport fault: drop the
+                # connection without a response, exactly what the
+                # client's retry path is built to absorb.
+                self.close_connection = True
+                return
+            data = response.body()
+            self.send_response(response.status)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(data)))
+            for name, value in response.headers.items():
+                self.send_header(name, value)
+            self.end_headers()
+            self.wfile.write(data)
+
+        do_GET = _dispatch
+        do_POST = _dispatch
+
+        def log_message(self, format: str, *args) -> None:  # noqa: A002
+            if self.server.verbose:
+                super().log_message(format, *args)
+
+    class _Server(ThreadingHTTPServer):
+        daemon_threads = True
+        allow_reuse_address = True
+
+        def __init__(self, address, app: ServiceApp, *, verbose: bool = False) -> None:
+            super().__init__(address, _Handler)
+            self.app = app
+            self.verbose = verbose
+
     return _Server((host, port), app, verbose=verbose)

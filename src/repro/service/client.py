@@ -27,12 +27,9 @@ The one-call convenience::
 
 from __future__ import annotations
 
-import http.client
 import json
 import random
 import time
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
 
 from ..core.constraints import Thresholds
@@ -114,8 +111,13 @@ class ServiceClient:
         ``idempotent`` defaults to ``method == "GET"``.  Only transport
         failures (reset/dropped connections, timeouts, an unreachable
         daemon) are retried — an HTTP error is the daemon *answering*,
-        and is raised immediately with its typed code.
+        and is raised immediately with its typed code.  The stdlib HTTP
+        client loads on the first request, not with this module.
         """
+        import http.client
+        import urllib.error
+        import urllib.request
+
         if idempotent is None:
             idempotent = method == "GET"
         url = self.base_url + path

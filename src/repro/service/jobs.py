@@ -45,9 +45,10 @@ The manager is hardened against its own infrastructure failing:
 
 Workers fork from one ``multiprocessing`` forkserver per interpreter.
 The first manager starts it, and the server imports this module — and
-with it numpy, :mod:`repro.api` and :mod:`repro.stream.maintain` —
-once, off the request path, so a job pays for a ``fork()`` rather than
-an interpreter start.  Later managers reuse the server, and an
+with it numpy and :mod:`repro.api` — plus :mod:`repro.stream.maintain`,
+:mod:`repro.parallel.executor` and the daemon's main script once, off
+the request path, so a job pays for a ``fork()`` rather than an
+interpreter start.  Later managers reuse the server, and an
 ``atexit`` hook stops and reaps it.  There is still one process per
 job, and none is ever forked from the daemon's own threaded process.
 
@@ -71,17 +72,17 @@ from __future__ import annotations
 
 import atexit
 import json
-import multiprocessing
 import os
 import shutil
 import signal
+import sys
 import time
 import threading
 import uuid
 from collections import deque
 from dataclasses import replace
-from multiprocessing import forkserver
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from ..chaos.io import IOShim, StoreCorruptionError
 from ..core.result import MiningResult
@@ -89,11 +90,13 @@ from ..obs import MiningCancelled, event_to_dict
 from ..obs.metrics import ChaosCounters
 from ..options import options_from_dict
 from ..parallel.checkpoint import journal_status
-from ..parallel.shm import unlink_segments_of
 from ..stream.store import open_entry
 from .cache import ThresholdLatticeCache
 from .registry import DatasetRegistry
 from .schemas import JobRecord, JobSpec, ServiceError
+
+if TYPE_CHECKING:
+    import multiprocessing
 
 __all__ = ["JobManager", "read_job_result", "run_job_worker"]
 
@@ -119,40 +122,65 @@ STORE_CORRUPT = "store-corrupt"
 #: from the worker's own pid exactly when the preload took.
 _IMPORT_PID = os.getpid()
 
-#: Guards the forkserver start (and its short ``PYTHONPATH`` edit).
+#: Guards the forkserver start (and its short ``os.environ`` edit).
 _SERVER_LOCK = threading.Lock()
+
+#: Modules the forkserver imports before it forks any worker: this one
+#: (and with it numpy and :mod:`repro.api`), what maintenance and
+#: parallel jobs run, and last the daemon's main script
+#: (:mod:`repro.service._preload_main`).
+_PRELOAD = (
+    __name__,
+    "repro.stream.maintain",
+    "repro.parallel.executor",
+    "repro.service._preload_main",
+)
+
+#: The preparation data a worker re-runs the main script from.
+_MAIN_KEYS = ("init_main_from_name", "init_main_from_path", "sys_argv", "sys_path")
 
 
 # ----------------------------------------------------------------------
 # The forkserver every worker forks from
 # ----------------------------------------------------------------------
 def _forkserver_context() -> multiprocessing.context.BaseContext:
-    """The ``forkserver`` context, its server running with this module loaded.
+    """The ``forkserver`` context, its server running with the workers' modules loaded.
 
     Starts the interpreter's one server on first use (about 1 ms on a
     2-vCPU Linux host; the server imports in its own process) and
-    restarts one that died.
+    restarts one that died.  The server preloads :data:`_PRELOAD`.
     The server's ``main`` ignores the ``sys_path`` it is handed
     (Python 3.10-3.13), so a caller that found ``repro`` through a
     ``sys.path`` insert would get a silently failed preload: the
     directory holding the package is put on ``PYTHONPATH`` for the
-    start only, and ``os.environ`` is restored before returning.
+    start only.  The data a worker re-runs the main script from rides
+    in the environment the same way (:mod:`repro.service._preload_main`).
+    ``os.environ`` is restored before returning.
     """
+    import multiprocessing
+    from multiprocessing import forkserver, spawn
+
+    from ._preload_main import HANDOFF
+
     context = multiprocessing.get_context("forkserver")
     with _SERVER_LOCK:
-        context.set_forkserver_preload([__name__])
-        previous = os.environ.get("PYTHONPATH")
+        context.set_forkserver_preload(list(_PRELOAD))
+        data = spawn.get_preparation_data("forkserver")
         package_root = str(Path(__file__).resolve().parents[2])
+        previous = {name: os.environ.get(name) for name in ("PYTHONPATH", HANDOFF)}
+        search_path = previous["PYTHONPATH"]
         os.environ["PYTHONPATH"] = (
-            package_root if not previous else package_root + os.pathsep + previous
+            package_root if not search_path else package_root + os.pathsep + search_path
         )
+        os.environ[HANDOFF] = json.dumps({key: data[key] for key in _MAIN_KEYS if key in data})
         try:
             forkserver.ensure_running()
         finally:
-            if previous is None:
-                del os.environ["PYTHONPATH"]
-            else:
-                os.environ["PYTHONPATH"] = previous
+            for name, value in previous.items():
+                if value is None:
+                    del os.environ[name]
+                else:
+                    os.environ[name] = value
     return context
 
 
@@ -176,7 +204,8 @@ def _signal_worker(process, signum: int) -> None:
 @atexit.register
 def _stop_forkserver() -> None:
     """Stop this interpreter's forkserver, if it started one, and reap it."""
-    stop = getattr(forkserver._forkserver, "_stop", None)
+    forkserver = sys.modules.get("multiprocessing.forkserver")
+    stop = getattr(getattr(forkserver, "_forkserver", None), "_stop", None)
     if stop is None:
         return
     try:
@@ -374,6 +403,8 @@ def _worker_main(job_dir: str) -> None:
     # also reaches the pool a parallel job starts.  That pool spawns its
     # workers: this process has a heartbeat thread, so it must not fork,
     # and the forkserver method it inherits would start a second server.
+    import multiprocessing
+
     os.setpgid(0, 0)
     multiprocessing.set_start_method("spawn", force=True)
     run_job_worker(job_dir)
@@ -815,6 +846,8 @@ class JobManager:
         process.join()
         # A killed parallel job never unlinked the dataset segment its
         # driver published (and a forked worker runs no atexit hooks).
+        from ..parallel.shm import unlink_segments_of
+
         unlink_segments_of(process.pid)
         with self._lock:
             self._procs.pop(job_id, None)

@@ -23,48 +23,38 @@ the two workloads beyond that setting:
   shrinks the active region.
 
 See ``docs/streaming.md`` for delta semantics, the mmap layout, and the
-service's cache-patching rules.
+service's cache-patching rules.  The other public names load lazily
+(:mod:`repro._lazy`).
 """
 
-from ..core.dice import DiceRegion, diamond_dice
-from .delta import (
-    AppendSlice,
-    ClearCell,
-    Delta,
-    DeltaApplication,
-    DeltaLog,
-    DeltaLogMismatchError,
-    DropSlice,
-    SetCell,
-    apply_deltas,
-    delta_from_dict,
-    delta_to_dict,
-    deltas_from_payload,
-    deltas_to_payload,
-)
-from .maintain import IncrementalMaintainer, maintain
-from .outofcore import stream_mine
-from .store import MmapDatasetStore, StreamingSliceWriter
+from .._lazy import lazy_exports
 
-__all__ = [
-    "SetCell",
-    "ClearCell",
-    "AppendSlice",
-    "DropSlice",
-    "Delta",
-    "DeltaApplication",
-    "apply_deltas",
-    "delta_to_dict",
-    "delta_from_dict",
-    "deltas_to_payload",
-    "deltas_from_payload",
-    "DeltaLog",
-    "DeltaLogMismatchError",
-    "maintain",
-    "IncrementalMaintainer",
-    "MmapDatasetStore",
-    "StreamingSliceWriter",
-    "stream_mine",
-    "diamond_dice",
-    "DiceRegion",
-]
+# ``maintain`` is also the name of the submodule that defines it: bound
+# lazily, it would read as the module once anything imported
+# ``repro.stream.maintain``.  So these two are imported here.
+from .maintain import IncrementalMaintainer, maintain
+
+_EXPORTS = {
+    "SetCell": ".delta",
+    "ClearCell": ".delta",
+    "AppendSlice": ".delta",
+    "DropSlice": ".delta",
+    "Delta": ".delta",
+    "DeltaApplication": ".delta",
+    "apply_deltas": ".delta",
+    "delta_to_dict": ".delta",
+    "delta_from_dict": ".delta",
+    "deltas_to_payload": ".delta",
+    "deltas_from_payload": ".delta",
+    "DeltaLog": ".delta",
+    "DeltaLogMismatchError": ".delta",
+    "MmapDatasetStore": ".store",
+    "StreamingSliceWriter": ".store",
+    "stream_mine": ".outofcore",
+    "diamond_dice": "..core.dice",
+    "DiceRegion": "..core.dice",
+}
+
+__all__ = ["maintain", "IncrementalMaintainer", *_EXPORTS]
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

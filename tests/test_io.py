@@ -9,6 +9,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.api import mine
 from repro.core.constraints import Thresholds
@@ -17,6 +20,8 @@ from repro.io import (
     DatasetFormatError,
     FingerprintStream,
     dataset_fingerprint,
+    dataset_from_payload,
+    dataset_to_payload,
     load_triples,
     raw_cubes_from_payload,
     raw_cubes_to_payload,
@@ -318,3 +323,161 @@ class TestFingerprint:
         for cell in data.reshape(-1):
             stream.update(np.array([cell]))
         assert stream.hexdigest() == self._whole_tensor_digest(data)
+
+
+# ----------------------------------------------------------------------
+# The upload payload: the per-cell encoder and decoder that the array
+# code replaced stay here as the oracle.
+# ----------------------------------------------------------------------
+def loop_to_payload(dataset: Dataset3D) -> dict:
+    return {
+        "schema": 1,
+        "shape": list(dataset.shape),
+        "cells": [
+            [int(k), int(i), int(j)] for k, i, j in np.argwhere(dataset.data)
+        ],
+        "height_labels": list(dataset.height_labels),
+        "row_labels": list(dataset.row_labels),
+        "column_labels": list(dataset.column_labels),
+    }
+
+
+def loop_from_payload(payload: dict) -> Dataset3D:
+    try:
+        shape = tuple(int(s) for s in payload["shape"])
+        cells = [tuple(int(v) for v in cell) for cell in payload.get("cells", [])]
+    except (KeyError, TypeError, ValueError) as error:
+        raise DatasetFormatError(f"malformed dataset payload: {error}") from None
+    if len(shape) != 3 or any(s < 0 for s in shape):
+        raise DatasetFormatError(
+            f"dataset payload shape must be 3 non-negative sizes, got {shape!r}"
+        )
+    label_kwargs = {}
+    for key in ("height_labels", "row_labels", "column_labels"):
+        if payload.get(key) is not None:
+            label_kwargs[key] = [str(v) for v in payload[key]]
+    l, n, m = shape
+    seen: set[tuple[int, ...]] = set()
+    array = np.zeros(shape, dtype=bool)
+    for cell in cells:
+        if len(cell) != 3:
+            raise DatasetFormatError(f"expected [k, i, j] cells, got {cell!r}")
+        k, i, j = cell
+        if not (0 <= k < l and 0 <= i < n and 0 <= j < m):
+            raise DatasetFormatError(f"cell ({k},{i},{j}) outside {l}x{n}x{m}")
+        if cell in seen:
+            raise DatasetFormatError(f"duplicate cell ({k},{i},{j})")
+        seen.add(cell)
+        array[k, i, j] = True
+    return Dataset3D(array, **label_kwargs)
+
+
+def outcome(decode, payload: dict) -> tuple:
+    """What ``decode`` makes of ``payload``: the dataset, or the error text."""
+    try:
+        dataset = decode(payload)
+    except DatasetFormatError as error:
+        return ("rejected", str(error))
+    return ("accepted", dataset, dataset_fingerprint(dataset))
+
+
+tensors = st.tuples(*[st.integers(1, 5)] * 3).flatmap(
+    lambda shape: arrays(bool, shape)
+)
+
+#: One malformation each, applied to the cell at some position.
+CORRUPTIONS = {
+    "outside": lambda shape, cell: [shape[0], cell[1], cell[2]],
+    "negative": lambda shape, cell: [cell[0], -1, cell[2]],
+    "short": lambda shape, cell: cell[:2],
+    "long": lambda shape, cell: [*cell, 0],
+    "nested": lambda shape, cell: [[cell[0]], cell[1], cell[2]],
+    "word": lambda shape, cell: [cell[0], "x", cell[2]],
+    "float": lambda shape, cell: [cell[0], cell[1], cell[2] + 0.5],
+    "none-coordinate": lambda shape, cell: [cell[0], cell[1], None],
+    "none-cell": lambda shape, cell: None,
+    "above-int64": lambda shape, cell: [2**63, cell[1], cell[2]],
+    "below-int64": lambda shape, cell: [cell[0], -(2**63) - 1, cell[2]],
+}
+
+
+@pytest.mark.parametrize("storage", STORAGES)
+class TestUploadPayload:
+    @settings(max_examples=60, deadline=None)
+    @given(data=tensors)
+    def test_encoder_bytes_unchanged(self, storage, data):
+        dataset = in_storage(Dataset3D(data), storage)
+        assert json.dumps(dataset_to_payload(dataset)) == json.dumps(
+            loop_to_payload(dataset)
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=tensors)
+    def test_round_trip(self, storage, data):
+        dataset = in_storage(Dataset3D(data), storage)
+        payload = json.loads(json.dumps(dataset_to_payload(dataset)))
+        back = dataset_from_payload(payload)
+        assert back == dataset == loop_from_payload(payload)
+        assert dataset_fingerprint(back) == dataset_fingerprint(dataset)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=tensors, st_data=st.data())
+    def test_malformed_rejected_as_before(self, storage, data, st_data):
+        """Each corruption, and the first of several, reads as it did."""
+        dataset = in_storage(Dataset3D(data), storage)
+        payload = dataset_to_payload(dataset)
+        cells = payload["cells"]
+        if not cells:
+            cells.append([0, 0, 0])
+        for _ in range(st_data.draw(st.integers(1, 3))):
+            kind = st_data.draw(st.sampled_from([*CORRUPTIONS, "duplicate"]))
+            spot = st_data.draw(st.integers(0, len(cells) - 1))
+            if kind == "duplicate":
+                cells.insert(spot + 1, list(cells[spot]))
+            elif isinstance(cells[spot], list) and [type(v) for v in cells[spot]] == [int] * 3:
+                cells[spot] = CORRUPTIONS[kind](dataset.shape, cells[spot])
+        assert outcome(dataset_from_payload, payload) == outcome(loop_from_payload, payload)
+
+
+class TestUploadRejections:
+    """Each malformation names its first offending cell, as before."""
+
+    BASE = [[0, 0, 0], [0, 1, 1], [1, 0, 1]]
+
+    @pytest.mark.parametrize(
+        "cells, message",
+        [
+            ([*BASE, [2, 0, 0]], "cell (2,0,0) outside 2x2x2"),
+            ([*BASE, [0, -1, 0]], "cell (0,-1,0) outside 2x2x2"),
+            ([*BASE, [0, 1, 1]], "duplicate cell (0,1,1)"),
+            ([*BASE, [0, 1]], "expected [k, i, j] cells, got (0, 1)"),
+            ([[0, 0]] * 2, "expected [k, i, j] cells, got (0, 0)"),
+            ([*BASE, [1, 1, 1, 1]], "expected [k, i, j] cells, got (1, 1, 1, 1)"),
+            ([*BASE, [1, "a", 0]], "malformed dataset payload: invalid literal"),
+            ([*BASE, [1, None, 0]], "malformed dataset payload: int() argument"),
+            ([*BASE, None], "malformed dataset payload: 'NoneType' object"),
+            ([*BASE, [2**63, 0, 0]], f"cell ({2**63},0,0) outside 2x2x2"),
+            # The first offending cell wins, whatever comes after it.
+            ([[0, 0, 5], [0, 0, 0], [0, 0, 0]], "cell (0,0,5) outside"),
+            ([[0, 0, 0], [0, 0, 0], [0, 0, 5]], "duplicate cell (0,0,0)"),
+            ([[0, 0, 5], [2**64, 0, 0]], "cell (0,0,5) outside"),
+            # Conversion comes first, as the per-cell parse had it.
+            ([[0, 0, 5], [0, "x", 0]], "malformed dataset payload: invalid literal"),
+        ],
+    )
+    def test_message(self, cells, message):
+        payload = {"schema": 1, "shape": [2, 2, 2], "cells": cells}
+        with pytest.raises(DatasetFormatError) as caught:
+            dataset_from_payload(payload)
+        assert str(caught.value).startswith(message)
+        assert outcome(loop_from_payload, payload) == ("rejected", str(caught.value))
+
+    def test_infinite_coordinate_is_typed(self):
+        """The per-cell parse let ``OverflowError`` escape here."""
+        payload = {"shape": [2, 2, 2], "cells": [[float("inf"), 0, 0]]}
+        with pytest.raises(DatasetFormatError, match="infinity"):
+            dataset_from_payload(payload)
+
+    def test_empty_and_missing_cells(self):
+        for payload in ({"shape": [2, 2, 2], "cells": []}, {"shape": [2, 2, 2]}):
+            assert dataset_from_payload(payload).count_ones() == 0

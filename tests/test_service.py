@@ -657,10 +657,13 @@ class TestRestartResume:
 #: Boots a daemon the way ``perfbench/run.py`` finds the package (a
 #: ``sys.path`` insert, no ``PYTHONPATH``), runs one job, kills the
 #: forkserver, runs another, and prints what the tests below check.
+#: Its top level logs the pid of every process that runs it.
 FORKSERVER_PROBE = textwrap.dedent(
     """
     import json, os, signal, sys, time
     sys.path.insert(0, sys.argv[1])
+    with open(sys.argv[2] + ".runs", "a") as runs:
+        print(os.getpid(), file=runs)
 
     def main():
         from multiprocessing import forkserver
@@ -699,6 +702,7 @@ FORKSERVER_PROBE = textwrap.dedent(
             "env_unchanged": env_unchanged,
             "killed_pid": killed,
             "server_pid": forkserver._forkserver._forkserver_pid,
+            "main_runs": [int(pid) for pid in open(sys.argv[2] + ".runs")],
         }))
 
     if __name__ == "__main__":
@@ -739,6 +743,15 @@ class TestForkserver:
             assert first["kind"] == "worker-start"
             assert first["preloaded"] is True
         assert probe["env_unchanged"] is True
+
+    def test_main_script_runs_once_per_server(self, probe):
+        """Each server ran the script's top level, with this process's
+        ``sys.argv``; no worker re-ran it."""
+        workers = {job["first_event"]["pid"] for job in probe["jobs"]}
+        servers = {probe["killed_pid"], probe["server_pid"]}
+        assert servers <= set(probe["main_runs"])
+        assert not workers & set(probe["main_runs"])
+        assert len(probe["main_runs"]) == 3  # this process and two servers
 
     def test_servers_are_reaped(self, probe):
         """The killed server is reaped on restart, the live one at exit."""
